@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import sprime, structures
 from .alcoves import OUT, classify, linked_weight
-from .decompose import IntegrityError, decompose, sweep, verify
+from .decompose import IntegrityError, _check_prime, decompose, sweep, verify
 from .modchar import char_dim, m_char, simple_char, tilting_char, to_simple_basis
 from .weights import Weight, dim_weyl, parse_weight
 from .weylchar import Character
@@ -24,6 +24,15 @@ from .weylchar import Character
 
 def _json_dumps(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
+
+
+def _prime(text: str) -> int:
+    """argparse type of ``--p``: a prime >= 5."""
+    try:
+        _check_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return int(text)
 
 
 def _kind_char(kind: str, w: Weight, p: int) -> Character:
@@ -200,10 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, weight=True):
-        sp.add_argument("--p", type=int, required=True, help="prime >= 5")
-        if weight:
-            sp.add_argument("--weight", required=True, help="weight 'a,b'")
+    def add_p(sp, help="prime >= 5"):
+        sp.add_argument("--p", type=_prime, required=True, help=help)
+
+    def add_common(sp):
+        add_p(sp)
+        sp.add_argument("--weight", required=True, help="weight 'a,b'")
         sp.add_argument("--json", action="store_true", help="emit JSON")
 
     sp = sub.add_parser("facet", help="classify a weight into its facet")
@@ -224,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_char)
 
     sp = sub.add_parser("decompose", help="decompose a tensor product")
-    sp.add_argument("--p", type=int, required=True)
+    add_p(sp)
     sp.add_argument("--lhs", required=True, help="weight 'a,b'")
     sp.add_argument("--rhs", required=True, help="weight 'a,b'")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("sweep", help="decompose and verify all restricted pairs")
-    sp.add_argument("--p", type=int, required=True, help="one of 5, 7, 11")
+    add_p(sp, "one of 5, 7, 11")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--no-verify", action="store_true",
                     help="skip per-pair verification")
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_quiver)
 
     sp = sub.add_parser("diagram", help="layered module diagram as DOT")
-    sp.add_argument("--p", type=int, required=True)
+    add_p(sp)
     sp.add_argument("--kind", required=True, choices=("delta", "tilting", "m"))
     sp.add_argument("--weight", required=True, help="weight 'a,b'")
     sp.set_defaults(func=cmd_diagram)
@@ -255,8 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, IntegrityError) as exc:

@@ -8,8 +8,10 @@ of a regular block (alcoves 3, 3', 2, 1) are withheld from the greedy pass
 and resolved by a closed-form linear solve whose basis adds the
 non-highest-weight module M; when exactly one factor lies in the second
 alcove, maximal second-alcove support is matched by simple characters
-instead.  Any negative coefficient, non-integral solve, or nonzero remainder
-is reported as an integrity failure naming the offending block.
+instead.  Both greedy passes run the one triangular solver, ``weylchar.peel``.
+Any negative coefficient, non-integral solve, or nonzero remainder is
+reported as an integrity failure naming the offending block.  Results are
+immutable, so a memoized decomposition cannot be altered by its callers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .modchar import (
     to_simple_basis,
 )
 from .weights import Weight, pairings, tau
-from .weylchar import Character, mult, sort_key
+from .weylchar import Character, mult, peel, sort_key
 
 KINDS = ("T", "L", "M")
 
@@ -54,13 +56,13 @@ class Summand:
         return text
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     p: int
     left: Weight
     right: Weight
     case: int
-    summands: List[Summand]
+    summands: Tuple[Summand, ...]
     dim_product: int
 
     def to_json(self) -> dict:
@@ -80,16 +82,23 @@ class Decomposition:
         return " + ".join(str(s) for s in self.summands) or "0"
 
 
+# Weyl-basis character of one copy of each summand kind.
+_KIND_CHAR = {"T": tilting_char, "L": simple_char,
+              "M": lambda w, p: m_char(w, p, basis="weyl")}
+
+
+def summands_char(summands: Sequence[Summand], p: int) -> Character:
+    """Weyl-basis character of the direct sum of the summands."""
+    terms = []
+    for s in summands:
+        if s.kind not in _KIND_CHAR:
+            raise ValueError(f"unknown summand kind {s.kind!r}")
+        terms.append((s.multiplicity, _KIND_CHAR[s.kind](s.weight, p)))
+    return Character("weyl").combine(terms)
+
+
 def summand_char(s: Summand, p: int) -> Character:
-    if s.kind == "T":
-        c = tilting_char(s.weight, p)
-    elif s.kind == "L":
-        c = simple_char(s.weight, p)
-    elif s.kind == "M":
-        c = m_char(s.weight, p, basis="weyl")
-    else:
-        raise ValueError(f"unknown summand kind {s.kind!r}")
-    return c.scale(s.multiplicity)
+    return summands_char((s,), p)
 
 
 def summand_dim(s: Summand, p: int) -> int:
@@ -126,6 +135,24 @@ def split_blocks(c: Character, p: int) -> Dict[Weight, Character]:
     return {rep: Character("weyl", coeffs) for rep, coeffs in buckets.items()}
 
 
+def _greedy(block: Character, p: int, kind_at, floor=frozenset()):
+    """Peel ``kind_at(lead)`` characters ("T" or "L") off a block."""
+    summands: List[Summand] = []
+
+    def expand(lead: Weight, k: int):
+        if k < 0:
+            raise IntegrityError(
+                f"negative multiplicity {k} at {lead} during greedy pass",
+                block=lead,
+            )
+        kind = kind_at(lead)
+        summands.append(Summand(kind, lead, k))
+        return _KIND_CHAR[kind](lead, p).coeffs.items()
+
+    _, remaining = peel(block.coeffs, expand, floor)
+    return summands, Character("weyl", remaining)
+
+
 def greedy_tilting(
     block: Character, p: int, floor: FrozenSet[Weight] = frozenset()
 ) -> Tuple[List[Summand], Character]:
@@ -135,53 +162,12 @@ def greedy_tilting(
     outside ``floor`` (order: decreasing (t, r)); stops once the support is
     contained in the floor.  A negative multiplicity is an integrity error.
     """
-    remaining = dict(block.coeffs)
-    summands: List[Summand] = []
-    while remaining:
-        lead = min(remaining, key=sort_key)
-        if lead in floor:
-            break
-        k = remaining[lead]
-        if k < 0:
-            raise IntegrityError(
-                f"negative multiplicity {k} at {lead} during greedy pass",
-                block=lead,
-            )
-        summands.append(Summand("T", lead, k))
-        for mu, m in tilting_char(lead, p).coeffs.items():
-            value = remaining.get(mu, 0) - k * m
-            if value:
-                remaining[mu] = value
-            else:
-                remaining.pop(mu, None)
-    return summands, Character("weyl", remaining)
+    return _greedy(block, p, lambda lead: "T", floor)
 
 
 def _greedy_case2(block: Character, p: int) -> Tuple[List[Summand], Character]:
     """Greedy pass that matches maximal second-alcove weights by simples."""
-    remaining = dict(block.coeffs)
-    summands: List[Summand] = []
-    while remaining:
-        lead = min(remaining, key=sort_key)
-        k = remaining[lead]
-        if k < 0:
-            raise IntegrityError(
-                f"negative multiplicity {k} at {lead} during greedy pass",
-                block=lead,
-            )
-        if classify(lead, p) == "C2":
-            summands.append(Summand("L", lead, k))
-            expansion = simple_char(lead, p)
-        else:
-            summands.append(Summand("T", lead, k))
-            expansion = tilting_char(lead, p)
-        for mu, m in expansion.coeffs.items():
-            value = remaining.get(mu, 0) - k * m
-            if value:
-                remaining[mu] = value
-            else:
-                remaining.pop(mu, None)
-    return summands, Character("weyl", remaining)
+    return _greedy(block, p, lambda lead: "L" if classify(lead, p) == "C2" else "T")
 
 
 def case3_floor_solve(
@@ -249,17 +235,11 @@ def _resolve_case3_regular(
             )
         except IntegrityError as exc:
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
-        if x:
-            summands.append(Summand("T", mu3, x))
-        if y:
-            summands.append(Summand("T", mu3p, y))
-        if z:
-            summands.append(Summand("T", mu2, z))
-        if w:
-            if mu2 is None or mu1 is None:
-                raise IntegrityError("M summand requires the full floor", block=rep)
-            summands.append(Summand("M", mu2, w))
-            summands.append(Summand("T", mu1, w))
+        # the solve leaves every part on an absent weight zero
+        for kind, mu, k in (("T", mu3, x), ("T", mu3p, y), ("T", mu2, z),
+                            ("M", mu2, w), ("T", mu1, w)):
+            if k:
+                summands.append(Summand(kind, mu, k))
     return summands
 
 
@@ -312,7 +292,7 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
         left=nu,
         right=nu2,
         case=case,
-        summands=ordered,
+        summands=tuple(ordered),
         dim_product=simple_dim(nu, p) * simple_dim(nu2, p),
     )
     _assert_character_sum(result, total)
@@ -328,10 +308,7 @@ def _require_zero(residual: Character, rep: Weight) -> None:
 
 
 def _assert_character_sum(d: Decomposition, total: Character) -> None:
-    acc = Character("weyl", {})
-    for s in d.summands:
-        acc = acc + summand_char(s, d.p)
-    if acc != total:
+    if summands_char(d.summands, d.p) != total:
         raise IntegrityError(
             f"summand characters do not sum to the tensor character for "
             f"{d.left} x {d.right}, p={d.p}"
@@ -370,11 +347,8 @@ def verify(d: Decomposition) -> Report:
     report = Report()
     p = d.p
 
-    acc = Character("weyl", {})
-    for s in d.summands:
-        acc = acc + summand_char(s, p)
     total = tensor_char(d.left, d.right, p)
-    report.add("character-sum", acc == total)
+    report.add("character-sum", summands_char(d.summands, p) == total)
 
     dims = sum(summand_dim(s, p) for s in d.summands)
     report.add("dimension", dims == d.dim_product,

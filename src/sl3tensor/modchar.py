@@ -5,7 +5,9 @@ facet-indexed composition tables: the simple character at a weight is its
 Weyl character minus the simple characters of the lower composition factors.
 Tilting characters are sums of Weyl characters over the stored filtration
 factors.  Both are memoized per (p, weight); the caches are append-only and
-idempotent, so concurrent use at worst repeats work.
+idempotent, so concurrent use at worst repeats work.  The change of basis
+from Weyl to simple characters is the shared triangular solver
+:func:`~sl3tensor.weylchar.peel` with simple characters as the expansion.
 
 Weights whose facet data would be needed outside the fundamental region are
 rejected rather than extrapolated.
@@ -18,7 +20,7 @@ from typing import Dict, List, Tuple
 from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .weights import Weight, dominance_leq
-from .weylchar import Character, sort_key
+from .weylchar import Character, peel
 
 _SIMPLE_CACHE: Dict[Tuple[int, Weight], Character] = {}
 _TILTING_CACHE: Dict[Tuple[int, Weight], Character] = {}
@@ -50,11 +52,9 @@ def simple_char(w: Weight, p: int) -> Character:
     cached = _SIMPLE_CACHE.get(key)
     if cached is not None:
         return cached
-    result = Character("weyl", {w: 1})
-    for mu in weyl_comp_factors(w, p):
-        if mu == w:
-            continue
-        result = result - simple_char(mu, p)
+    result = Character("weyl", {w: 1}).combine(
+        (-1, simple_char(mu, p)) for mu in weyl_comp_factors(w, p) if mu != w
+    )
     assert result.coeffs.get(w) == 1, f"lost unitriangularity at {w}"
     _SIMPLE_CACHE[key] = result
     return result
@@ -103,15 +103,12 @@ def m_char(w: Weight, p: int, basis: str = "simple") -> Character:
     """Character of the non-highest-weight indecomposable at a second-alcove
     weight: head and socle simple at w, heart the three wall-reflected
     simples."""
-    mu3, mu3p, _, mu1 = second_alcove_floor(w, p)
-    if basis == "simple":
-        return Character("simple", {w: 2, mu3: 1, mu3p: 1, mu1: 1})
     if basis == "weyl":
-        total = simple_char(w, p).scale(2)
-        for mu in (mu3, mu3p, mu1):
-            total = total + simple_char(mu, p)
-        return total
-    raise ValueError(f"unsupported basis {basis!r} for m_char")
+        return from_simple_basis(m_char(w, p), p)
+    if basis != "simple":
+        raise ValueError(f"unsupported basis {basis!r} for m_char")
+    mu3, mu3p, _, mu1 = second_alcove_floor(w, p)
+    return Character("simple", {w: 2, mu3: 1, mu3p: 1, mu1: 1})
 
 
 def m_dim(w: Weight, p: int) -> int:
@@ -122,31 +119,17 @@ def to_simple_basis(c: Character, p: int) -> Character:
     """Exact change of basis from Weyl to simple characters."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
-    remaining = dict(c.coeffs)
-    result: Dict[Weight, int] = {}
-    while remaining:
-        lead = min(remaining, key=sort_key)
-        k = remaining.pop(lead)
-        result[lead] = k
-        for mu, m in simple_char(lead, p).coeffs.items():
-            if mu == lead:
-                continue
-            value = remaining.get(mu, 0) - k * m
-            if value:
-                remaining[mu] = value
-            else:
-                remaining.pop(mu, None)
-    return Character("simple", result)
+    steps, _ = peel(c.coeffs, lambda lead, k: simple_char(lead, p).coeffs.items())
+    return Character("simple", dict(steps))
 
 
 def from_simple_basis(c: Character, p: int) -> Character:
     """Exact change of basis from simple to Weyl characters."""
     if c.basis != "simple":
         raise ValueError("expected a simple-basis character")
-    total = Character("weyl", {})
-    for w, k in c.coeffs.items():
-        total = total + simple_char(w, p).scale(k)
-    return total
+    return Character("weyl").combine(
+        (k, simple_char(w, p)) for w, k in c.coeffs.items()
+    )
 
 
 def char_dim(c: Character, p: int | None = None) -> int:

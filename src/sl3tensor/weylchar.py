@@ -17,8 +17,9 @@ int64 behind a rigorous overflow bound).
 
 from __future__ import annotations
 
+import heapq
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -63,22 +64,24 @@ class Character:
     def __hash__(self):
         return hash((self.basis, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "Character") -> "Character":
-        self._check_same_basis(other)
+    def combine(self, terms: Iterable[Tuple[int, "Character"]]) -> "Character":
+        """``self + sum(k * c for k, c in terms)``, built and validated once."""
         out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, 0) + c
+        for k, other in terms:
+            if other.basis != self.basis:
+                raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+            for w, c in other.coeffs.items():
+                out[w] = out.get(w, 0) + k * c
         return Character(self.basis, out)
 
+    def __add__(self, other: "Character") -> "Character":
+        return self.combine(((1, other),))
+
     def __sub__(self, other: "Character") -> "Character":
-        return self + other.scale(-1)
+        return self.combine(((-1, other),))
 
     def scale(self, k: int) -> "Character":
-        return Character(self.basis, {w: k * c for w, c in self.coeffs.items()})
-
-    def _check_same_basis(self, other: "Character") -> None:
-        if self.basis != other.basis:
-            raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+        return Character(self.basis).combine(((k, self),))
 
     def items_sorted(self) -> List[Tuple[Weight, int]]:
         return sorted(self.coeffs.items(), key=lambda item: sort_key(item[0]))
@@ -110,6 +113,38 @@ class Character:
     def __repr__(self):
         terms = " + ".join(f"{c}*[{w[0]},{w[1]}]" for w, c in self.items_sorted())
         return f"Character({self.basis}: {terms or '0'})"
+
+
+def peel(
+    coeffs: Dict[Weight, int], expand: Callable, stop: frozenset = frozenset()
+) -> Tuple[List[Tuple[Weight, int]], Dict[Weight, int]]:
+    """Triangular solve: at each lead of the support, in :func:`sort_key`
+    order, stop if it is in ``stop``, else record ``(lead, k)`` and subtract
+    k times ``expand(lead, k)``, the items of a character with coefficient 1
+    at the lead.  Returns the steps and the remainder.  An expansion lies
+    below its lead in dominance, so at strictly smaller a+b: it sorts
+    strictly later, and one pass over a heap is exact."""
+    remaining = dict(coeffs)
+    heap = [(sort_key(w), w) for w in remaining]
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        k = remaining.get(lead)
+        if not k:  # cancelled since it was pushed, or a duplicate entry
+            continue
+        if lead in stop:
+            break
+        for mu, m in expand(lead, k):
+            value = remaining.get(mu, 0) - k * m
+            if not value:
+                remaining.pop(mu, None)
+                continue
+            if mu not in remaining:
+                heapq.heappush(heap, (sort_key(mu), mu))
+            remaining[mu] = value
+        steps.append((lead, k))
+    return steps, remaining
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +234,14 @@ def monomial_to_weyl(c: Character) -> Character:
         raise ValueError("expected a monomial-basis character")
     if not _is_weyl_symmetric(c):
         raise ValueError("monomial character is not Weyl-group symmetric")
-    remaining = dict(c.coeffs)
-    result: Dict[Weight, int] = {}
-    while remaining:
-        lead = min(remaining, key=sort_key)
+
+    def expand(lead: Weight, k: int):
         if not is_dominant(lead):
             raise ValueError(f"leading term {lead} is not dominant")
-        k = remaining[lead]
-        result[lead] = k
-        for mu, m in _monomial_items(lead):
-            value = remaining.get(mu, 0) - k * m
-            if value:
-                remaining[mu] = value
-            else:
-                remaining.pop(mu, None)
-    return Character("weyl", result)
+        return _monomial_items(lead)
+
+    steps, _ = peel(c.coeffs, expand)
+    return Character("weyl", dict(steps))
 
 
 # ---------------------------------------------------------------------------

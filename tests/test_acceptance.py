@@ -5,6 +5,8 @@ stated wall-clock budgets.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -20,6 +22,31 @@ from sl3tensor.weylchar import Character, lr_tensor, mult_via_monomial
 
 def _report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
+
+
+# sha256 of every per-pair decomposition JSON in (a, b, c, d) order, one
+# line each, and of the sweep summary JSON; any change to an answer or to
+# its serialisation changes them.
+GOLDEN_SWEEP_DIGESTS = {
+    5: ("2eac4e1e364f439d82dc0c32a58104cf79aa3744c795e6eadff81b78774a80c6",
+        "22c82cf8a4c77308124af8d6ed5dad0bf712cef36cbad30acebf19a5f3643e21"),
+    7: ("a79118aa6ced68f848f23266753c9cbe518067cab30bf6f7656ee25c310c0a7d",
+        "5d0a6694c764f99ceb8545bc801e39344bf2060747c21e2a809510106eb0a3e1"),
+}
+
+
+def _canonical(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _sweep_digests(result):
+    p = result.p
+    weights = [(a, b) for a in range(p) for b in range(p)]
+    pairs = hashlib.sha256()
+    for nu in weights:
+        for nu2 in weights:
+            pairs.update(_canonical(decompose(nu, nu2, p).to_json()) + b"\n")
+    return pairs.hexdigest(), hashlib.sha256(_canonical(result.to_json())).hexdigest()
 
 
 def test_criterion_1_case3_example():
@@ -77,6 +104,7 @@ def test_criterion_4_sweeps():
     assert res5.pairs == 625
     assert res5.failures == []
     assert t5 < 60.0
+    assert _sweep_digests(res5) == GOLDEN_SWEEP_DIGESTS[5]
 
     start = time.perf_counter()
     res7 = sweep(7, run_verify=True)
@@ -84,6 +112,7 @@ def test_criterion_4_sweeps():
     assert res7.pairs == 2401
     assert res7.failures == []
     assert t7 < 600.0
+    assert _sweep_digests(res7) == GOLDEN_SWEEP_DIGESTS[7]
     _report(4, f"sweep p=5: 625 pairs 0 failures {t5:.1f}s; "
                f"p=7: 2401 pairs 0 failures {t7:.1f}s")
 

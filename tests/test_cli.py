@@ -92,6 +92,20 @@ def test_decompose_rejects_unrestricted(capsys):
     assert code == 2 and "restricted" in err
 
 
+def test_every_command_rejects_a_non_prime(capsys):
+    for argv in (
+        ["facet", "--weight", "1,1"],
+        ["dim", "--kind", "simple", "--weight", "1,1"],
+        ["char", "--weight", "1,1"],
+        ["decompose", "--lhs", "1,1", "--rhs", "1,1"],
+        ["sweep"],
+        ["diagram", "--kind", "delta", "--weight", "1,1"],
+    ):
+        code, out, err = run(capsys, argv[0], "--p", "9", *argv[1:])
+        assert code == 2 and out == "", argv
+        assert "p must be a prime >= 5, got 9" in err, argv
+
+
 def test_sweep_rejects_non_prime(capsys):
     code, _, err = run(capsys, "sweep", "--p", "4")
     assert code == 2 and err

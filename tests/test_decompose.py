@@ -1,6 +1,9 @@
+import dataclasses
+import random
+
 import pytest
 
-from sl3tensor.alcoves import classify, restricted_weights
+from sl3tensor.alcoves import classify, region_weights, restricted_weights
 from sl3tensor.decompose import (
     IntegrityError,
     Summand,
@@ -14,9 +17,9 @@ from sl3tensor.decompose import (
     tensor_char,
     verify,
 )
-from sl3tensor.modchar import to_simple_basis
+from sl3tensor.modchar import tilting_char, to_simple_basis
 from sl3tensor.weights import tau
-from sl3tensor.weylchar import Character
+from sl3tensor.weylchar import Character, sort_key
 
 
 def summand_set(d):
@@ -99,9 +102,28 @@ def test_greedy_respects_floor():
     assert residual == block
 
 
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_greedy_tilting_recovers_tilting_combination(p):
+    rng = random.Random(p)
+    weights = region_weights(p)
+    for _ in range(25):
+        combo = {rng.choice(weights): rng.randint(1, 4) for _ in range(6)}
+        block = Character("weyl").combine(
+            (k, tilting_char(w, p)) for w, k in combo.items()
+        )
+        got, residual = greedy_tilting(block, p)
+        assert not residual
+        assert all(s.kind == "T" for s in got)
+        assert [(s.weight, s.multiplicity) for s in got] == sorted(
+            combo.items(), key=lambda item: sort_key(item[0])
+        )
+
+
 def test_greedy_negative_coefficient_is_integrity_error():
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError) as info:
         greedy_tilting(Character("weyl", {(0, 0): -1}), 5)
+    assert str(info.value) == "negative multiplicity -1 at (0, 0) during greedy pass"
+    assert info.value.block == (0, 0)
 
 
 def test_case3_floor_solve():
@@ -176,6 +198,18 @@ def test_verify_catches_perturbation():
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "character-sum" in names
+
+
+def test_cached_decomposition_is_immutable():
+    d = decompose((3, 1), (3, 1), 5)
+    text, data = str(d), d.to_json()
+    with pytest.raises(AttributeError):
+        d.summands.clear()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.summands = ()
+    again = decompose((3, 1), (3, 1), 5)
+    assert str(again) == text and again.to_json() == data
+    assert verify(again).passed
 
 
 def test_summand_char_consistency():

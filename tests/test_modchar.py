@@ -169,7 +169,7 @@ def test_m_prime_pattern(p):
         )
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 13])
 def test_basis_conversion_round_trip(p):
     import random
 
@@ -179,3 +179,7 @@ def test_basis_conversion_round_trip(p):
         coeffs = {rng.choice(weights): rng.randint(-3, 3) for _ in range(4)}
         c = Character("weyl", coeffs)
         assert from_simple_basis(to_simple_basis(c, p), p) == c
+        # the simple characters' lower terms cancel and add support below
+        # the lead, which the solve must pick up in order
+        s = Character("simple", coeffs)
+        assert to_simple_basis(from_simple_basis(s, p), p) == s

@@ -11,6 +11,7 @@ from sl3tensor.weylchar import (
     mono_mult,
     mult,
     mult_via_monomial,
+    weyl_char_to_monomial,
     weyl_to_monomial,
 )
 
@@ -110,9 +111,17 @@ def test_weyl_to_monomial_dimension_is_weyl_formula():
 
 
 def test_monomial_round_trip():
-    for lam in [(0, 0), (1, 0), (3, 1)]:
+    for lam in [(0, 0), (1, 0), (3, 1), (12, 12), (12, 0)]:
         back = monomial_to_weyl(weyl_to_monomial(lam))
         assert back == Character("weyl", {lam: 1})
+    # integer combinations: lower terms cancel or grow below the lead
+    rng = random.Random(13)
+    for _ in range(30):
+        c = Character("weyl", {
+            (rng.randint(0, 12), rng.randint(0, 12)): rng.randint(-3, 3)
+            for _ in range(5)
+        })
+        assert monomial_to_weyl(weyl_char_to_monomial(c)) == c
 
 
 def test_monomial_product_natural_times_dual():
