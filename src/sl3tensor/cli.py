@@ -209,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_p(sp, help="prime >= 5"):
-        sp.add_argument("--p", type=_prime, required=True, help=help)
+    def add_p(sp):
+        sp.add_argument("--p", type=_prime, required=True, help="prime >= 5")
 
     def add_common(sp):
         add_p(sp)
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("sweep", help="decompose and verify all restricted pairs")
-    add_p(sp, "one of 5, 7, 11")
+    add_p(sp)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--no-verify", action="store_true",
                     help="skip per-pair verification")

@@ -435,8 +435,7 @@ def _sweep_pairs(p: int, pairs, run_verify: bool) -> SweepResult:
 
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
     """Decompose and verify all p^2 x p^2 restricted pairs."""
-    if p not in (5, 7, 11):
-        raise ValueError(f"sweep supports p in (5, 7, 11), got {p}")
+    _check_prime(p)
     weights = [(a, b) for a in range(p) for b in range(p)]
     pairs = [(nu, nu2) for nu in weights for nu2 in weights]
     if jobs <= 1:

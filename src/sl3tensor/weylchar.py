@@ -9,10 +9,11 @@ symbols indexed by weights, in one of three bases:
 
 Products are available along two independent routes and the test suite pins
 them against each other: :func:`lr_tensor` counts Littlewood-Richardson
-tableaux over 3-row partitions, while :func:`mono_mult` convolves weight
-multiplicity maps obtained from the alternating partition-function formula.
-All arithmetic is exact (Python integers; the convolution fast path uses
-int64 behind a rigorous overflow bound).
+tableaux over 3-row partitions, while :func:`mult_via_monomial` applies the
+Brauer-Klimyk rule to the weight multiplicities of one factor, obtained from
+the alternating partition-function formula.  :func:`monomial_to_weyl` reads
+Weyl coefficients off a multiplicity map by the alternant of Weyl's character
+formula.  All arithmetic is exact, in Python integers.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import heapq
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Tuple
 
-import numpy as np
-
 from .weights import Weight, dim_weyl, is_dominant
 
 BASES = ("weyl", "simple", "monomial")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def sort_key(w: Weight):
@@ -105,10 +108,19 @@ class Character:
 
     @classmethod
     def from_json(cls, data: dict) -> "Character":
-        return cls(
-            data["basis"],
-            {tuple(term["weight"]): term["coeff"] for term in data["terms"]},
-        )
+        """Inverse of :meth:`to_json`; a malformed or repeated term raises."""
+        coeffs: Dict[Weight, int] = {}
+        for term in data["terms"]:
+            w, c = term["weight"], term["coeff"]
+            if not (isinstance(w, (list, tuple)) and len(w) == 2
+                    and all(_is_int(v) for v in w)):
+                raise ValueError(f"weight must be two integers, got {w!r}")
+            if not _is_int(c):
+                raise ValueError(f"coefficient must be an integer, got {c!r}")
+            if tuple(w) in coeffs:
+                raise ValueError(f"repeated weight {list(w)}")
+            coeffs[tuple(w)] = c
+        return cls(data["basis"], coeffs)
 
     def __repr__(self):
         terms = " + ".join(f"{c}*[{w[0]},{w[1]}]" for w, c in self.items_sorted())
@@ -224,83 +236,69 @@ def _is_weyl_symmetric(c: Character) -> bool:
     return True
 
 
+# (rho - w(rho), sgn(w)) for each w in the finite Weyl group.
+_RHO_SHIFTS = tuple(
+    (tuple(1 - v for v in image(1, 1)), sign) for image, sign in _SIGNED_ORBIT
+)
+
+
 def monomial_to_weyl(c: Character) -> Character:
-    """Invert the monomial expansion by leading-term subtraction.
+    """Invert the monomial expansion by the alternant.
 
     The input must be symmetric under the finite Weyl group; the result is
     the unique integer combination of Weyl characters with that expansion.
+    By Weyl's character formula its coefficient at a dominant weight is
+    ``sum_w sgn(w) * m(lam + rho - w(rho))``.  A coefficient can be nonzero
+    where the multiplicity cancels to 0, so every ``mu - (rho - w(rho))``
+    over the support is a candidate, not only the dominant support.
     """
     if c.basis != "monomial":
         raise ValueError("expected a monomial-basis character")
     if not _is_weyl_symmetric(c):
         raise ValueError("monomial character is not Weyl-group symmetric")
-
-    def expand(lead: Weight, k: int):
-        if not is_dominant(lead):
-            raise ValueError(f"leading term {lead} is not dominant")
-        return _monomial_items(lead)
-
-    steps, _ = peel(c.coeffs, expand)
-    return Character("weyl", dict(steps))
+    m = c.coeffs
+    candidates = {
+        (x - dx, y - dy)
+        for x, y in m
+        for (dx, dy), _ in _RHO_SHIFTS
+        if x >= dx and y >= dy
+    }
+    out = {}
+    for x, y in candidates:
+        k = sum(sign * m.get((x + dx, y + dy), 0) for (dx, dy), sign in _RHO_SHIFTS)
+        if k:
+            out[(x, y)] = k
+    return Character("weyl", out)
 
 
 # ---------------------------------------------------------------------------
-# monomial-side product (convolution of multiplicity maps)
+# Brauer-Klimyk product
 # ---------------------------------------------------------------------------
-
-def _to_grid(c: Character):
-    xs = [w[0] for w in c.coeffs]
-    ys = [w[1] for w in c.coeffs]
-    x0, y0 = min(xs), min(ys)
-    grid = np.zeros((max(xs) - x0 + 1, max(ys) - y0 + 1), dtype=np.int64)
-    for (x, y), m in c.coeffs.items():
-        grid[x - x0, y - y0] = m
-    return grid, x0, y0
-
-
-def mono_mult(c1: Character, c2: Character) -> Character:
-    """Product of monomial characters: convolution of multiplicity maps."""
-    if c1.basis != "monomial" or c2.basis != "monomial":
-        raise ValueError("expected monomial-basis characters")
-    if not c1.coeffs or not c2.coeffs:
-        return Character("monomial", {})
-    max1 = max(abs(m) for m in c1.coeffs.values())
-    max2 = max(abs(m) for m in c2.coeffs.values())
-    overlap = min(len(c1.coeffs), len(c2.coeffs))
-    if max1 * max2 * overlap < 2**62:
-        small, big = (c1, c2) if len(c1.coeffs) <= len(c2.coeffs) else (c2, c1)
-        gb, bx0, by0 = _to_grid(big)
-        h, w = gb.shape
-        sxs = [p[0] for p in small.coeffs]
-        sys_ = [p[1] for p in small.coeffs]
-        out = np.zeros((h + max(sxs) - min(sxs), w + max(sys_) - min(sys_)),
-                       dtype=np.int64)
-        ox0, oy0 = bx0 + min(sxs), by0 + min(sys_)
-        for (x, y), m in small.coeffs.items():
-            ix, iy = x - min(sxs), y - min(sys_)
-            out[ix:ix + h, iy:iy + w] += m * gb
-        coeffs = {
-            (int(i) + ox0, int(j) + oy0): int(out[i, j])
-            for i, j in zip(*np.nonzero(out))
-        }
-        return Character("monomial", coeffs)
-    # exact fallback for coefficients beyond the int64 safety bound
-    coeffs: Dict[Weight, int] = {}
-    for (x1, y1), m1 in c1.coeffs.items():
-        for (x2, y2), m2 in c2.coeffs.items():
-            key = (x1 + x2, y1 + y2)
-            coeffs[key] = coeffs.get(key, 0) + m1 * m2
-    return Character("monomial", coeffs)
-
 
 def mult_via_monomial(c1: Character, c2: Character) -> Character:
-    """Weyl-basis product computed through weight multiplicities.
+    """Weyl-basis product by the Brauer-Klimyk rule.
 
-    Independent of the tableau route in :func:`lr_tensor`; the suite asserts
-    the two agree.
+    chi(top) * chi(small) = sum over the weights nu of chi(small), with
+    multiplicity m, of sgn(w) * m * chi(w(top + nu + rho) - rho), where w
+    makes the shifted weight dominant; shifted weights on a wall drop out.
+    The factor with the smaller Weyl dimension is expanded.  Independent of
+    the tableau route in :func:`lr_tensor`; the suite asserts the two agree.
     """
-    prod = mono_mult(weyl_char_to_monomial(c1), weyl_char_to_monomial(c2))
-    return monomial_to_weyl(prod)
+    if c1.basis != "weyl" or c2.basis != "weyl":
+        raise ValueError("expected weyl-basis characters")
+    out: Dict[Weight, int] = {}
+    for lam, k1 in c1.coeffs.items():
+        for mu, k2 in c2.coeffs.items():
+            small, top = sorted((lam, mu), key=dim_weyl)
+            r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
+            for (x, y), m in _monomial_items(small):
+                for image, sign in _SIGNED_ORBIT:
+                    r, s = image(r0 + x, s0 + y)
+                    if r > 0 and s > 0:
+                        nu = (r - 1, s - 1)
+                        out[nu] = out.get(nu, 0) + sign * k * m
+                        break
+    return Character("weyl", out)
 
 
 # ---------------------------------------------------------------------------

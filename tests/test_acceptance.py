@@ -140,7 +140,7 @@ def test_criterion_6_lr_oracle_equivalence():
         )
         assert direct == oracle, (lam, mu)
     elapsed = time.perf_counter() - start
-    _report(6, f"500 random pairs agree with the convolution oracle, {elapsed:.1f}s")
+    _report(6, f"500 random pairs agree with the Brauer–Klimyk oracle, {elapsed:.1f}s")
 
 
 def test_criterion_7_steinberg():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from sl3tensor.cli import main
 
@@ -166,3 +170,10 @@ def test_diagram_command(capsys):
     code, _, err = run(capsys, "diagram", "--p", "5", "--kind", "m",
                        "--weight", "0,0")
     assert code == 2 and err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, sl3tensor.cli; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

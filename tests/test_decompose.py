@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -250,10 +252,35 @@ def test_m_only_in_case3_small_sweep():
 
 
 def test_sweep_rejects_bad_prime():
-    with pytest.raises(ValueError):
-        sweep(4)
-    with pytest.raises(ValueError):
-        sweep(13)
+    for p in (4, 9):
+        with pytest.raises(ValueError, match="p must be a prime >= 5"):
+            sweep(p)
+
+
+def test_sweep_accepts_any_prime(monkeypatch):
+    # the package re-exports the function decompose under the module's name
+    decompose_module = importlib.import_module("sl3tensor.decompose")
+    seen = {}
+
+    def stub(p, pairs, run_verify):
+        seen.update(p=p, pairs=len(pairs), run_verify=run_verify)
+        return "stub"
+
+    monkeypatch.setattr(decompose_module, "_sweep_pairs", stub)
+    assert sweep(13, run_verify=False) == "stub"
+    assert seen == {"p": 13, "pairs": 13**4, "run_verify": False}
+
+
+def test_decompose_commutes_on_every_p5_pair():
+    def multiset(d):
+        return Counter((s.kind, s.weight, s.multiplicity) for s in d.summands)
+
+    weights = restricted_weights(5)
+    for i, nu in enumerate(weights):
+        for nu2 in weights[i + 1:]:
+            assert multiset(decompose(nu, nu2, 5)) == multiset(
+                decompose(nu2, nu, 5)
+            ), (nu, nu2)
 
 
 def test_sweep_no_verify_counts_match():

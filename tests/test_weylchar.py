@@ -8,7 +8,6 @@ from sl3tensor.weylchar import (
     Character,
     lr_tensor,
     monomial_to_weyl,
-    mono_mult,
     mult,
     mult_via_monomial,
     weyl_char_to_monomial,
@@ -122,11 +121,18 @@ def test_monomial_round_trip():
             for _ in range(5)
         })
         assert monomial_to_weyl(weyl_char_to_monomial(c)) == c
+    # a Weyl coefficient where the multiplicity cancels to 0
+    c = Character("weyl", {(1, 1): 1, (0, 0): -2})
+    mono = weyl_char_to_monomial(c)
+    assert (0, 0) not in mono.coeffs
+    assert monomial_to_weyl(mono) == c
 
 
 def test_monomial_product_natural_times_dual():
-    prod = mono_mult(weyl_to_monomial((1, 0)), weyl_to_monomial((0, 1)))
-    assert monomial_to_weyl(prod) == Character("weyl", {(1, 1): 1, (0, 0): 1})
+    prod = mult_via_monomial(
+        Character("weyl", {(1, 0): 1}), Character("weyl", {(0, 1): 1})
+    )
+    assert prod == Character("weyl", {(1, 1): 1, (0, 0): 1})
 
 
 def test_monomial_to_weyl_rejects_asymmetric():
@@ -134,13 +140,14 @@ def test_monomial_to_weyl_rejects_asymmetric():
         monomial_to_weyl(Character("monomial", {(1, 0): 1}))
 
 
-def test_mono_mult_overflow_fallback_matches():
+def test_monomial_product_exact_for_big_coefficients():
     big = 2**40
-    c1 = Character("monomial", {(0, 0): big, (1, 0): big})
-    c2 = Character("monomial", {(0, 0): big, (0, 1): -big})
-    out = mono_mult(c1, c2)
-    assert out.coeffs[(0, 0)] == big * big
-    assert out.coeffs[(1, 1)] == -big * big
+    a = Character("weyl", {(3, 1): big, (0, 2): 7 - big, (1, 1): 3})
+    b = Character("weyl", {(2, 2): big - 1, (0, 0): -big, (4, 0): 5})
+    prod = mult_via_monomial(a, b)
+    assert prod == mult(a, b)
+    assert prod.coeffs[(5, 3)] == big * (big - 1)
+    assert prod.dimension() == a.dimension() * b.dimension()
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +237,18 @@ def test_character_json_round_trip_and_order():
     assert data["basis"] == "weyl"
     assert [term["weight"] for term in data["terms"]] == [[6, 2], [4, 3], [0, 2]]
     assert Character.from_json(data) == c
+
+
+@pytest.mark.parametrize("terms", [
+    [{"weight": [1.7, 0], "coeff": 2}],
+    [{"weight": [1, 0], "coeff": 2.9}],
+    [{"weight": [1, 0, 4], "coeff": 1}],
+    [{"weight": [True, 0], "coeff": 1}],
+    [{"weight": [1, 0], "coeff": 1}, {"weight": [1, 0], "coeff": 2}],
+])
+def test_character_from_json_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        Character.from_json({"basis": "weyl", "terms": terms})
 
 
 def test_character_basis_validation():
