@@ -13,12 +13,16 @@ labels are plain strings:
 
 Classification is by the pairing triple ``(r, s, t)`` of a weight against
 the positive coroots: the cell indices ``(r // p, s // p)`` select a box and
-the sign of ``t - (i + j + 1) p`` selects its lower or upper triangle.
+the sign of ``t - (i + j + 1) p`` selects its lower or upper triangle; a
+wall is named by the alcoves half a step to either side, in doubled integer
+pairings.  ``classify`` and ``canonical_rep`` read one table per prime, built
+on first use over a box around the region (a, b < 3p, a+b+2 <= 4p); the same
+pass builds the block index of ``linked_weight`` and ``region_weights``, and
+weights outside the box are computed directly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -107,16 +111,16 @@ def sigma(label: str) -> str:
     raise ValueError(f"unknown facet label {label!r}")
 
 
-def _open_cell(r, s, t, p: int) -> Optional[str]:
-    """Alcove containing a regular point with (possibly fractional) pairings."""
+def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
+    """Alcove containing a regular point with the given integer pairings."""
     if r <= 0 or s <= 0:
         return None
-    i, j = int(r // p), int(s // p)
+    i, j = r // p, s // p
     return _CELLS.get((i, j, t > (i + j + 1) * p))
 
 
-def classify(w: Weight, p: int) -> str:
-    """Facet label of a dominant weight relative to p."""
+def _classify(w: Weight, p: int) -> str:
+    """Facet label of a dominant weight, computed from its pairings."""
     if not is_dominant(w):
         raise ValueError(f"non-dominant weight {w}")
     r, s, t = pairings(w)
@@ -131,13 +135,10 @@ def classify(w: Weight, p: int) -> str:
         return _open_cell(r, s, t, p) or OUT
     if singular > 1:
         return OUT
-    h = Fraction(1, 2)
-    if s % p == 0:
-        lower = _open_cell(r, s - h, t - h, p)
-        upper = _open_cell(r, s + h, t + h, p)
-    else:
-        lower = _open_cell(r - h, s, t - h, p)
-        upper = _open_cell(r + h, s, t + h, p)
+    # half a step to either side of the wall, in doubled pairings against 2p
+    dr, ds = (0, 1) if s % p == 0 else (1, 0)
+    lower = _open_cell(2 * r - dr, 2 * s - ds, 2 * t - 1, 2 * p)
+    upper = _open_cell(2 * r + dr, 2 * s + ds, 2 * t + 1, 2 * p)
     if lower is None or upper is None:
         return OUT
     label = _wall_label(
@@ -145,6 +146,14 @@ def classify(w: Weight, p: int) -> str:
     )
     assert label in WALLS, f"unexpected wall {label} at {w}, p={p}"
     return label
+
+
+def classify(w: Weight, p: int) -> str:
+    """Facet label of a dominant weight relative to p."""
+    try:
+        return _facet_table(p)[0][w][0]
+    except (KeyError, TypeError):  # outside the table, or a list
+        return _classify(w, p)
 
 
 def is_restricted(w: Weight, p: int) -> bool:
@@ -165,12 +174,7 @@ _WEYL_SHIFTED = (
 )
 
 
-def canonical_rep(w: Weight, p: int) -> Weight:
-    """The linkage-class representative in the closed bottom alcove.
-
-    Two weights are linked iff their representatives coincide.  The result
-    may be non-dominant (coordinates down to -1) for singular classes.
-    """
+def _canonical_rep(w: Weight, p: int) -> Weight:
     r, s, _ = pairings(w)
     while True:
         for image in _WEYL_SHIFTED:
@@ -189,31 +193,42 @@ def canonical_rep(w: Weight, p: int) -> Weight:
         s -= u
 
 
-def region_weights(p: int) -> List[Weight]:
-    """All dominant weights in the labelled region."""
-    found = []
-    for a in range(3 * p):
-        for b in range(3 * p):
-            if a + b + 2 > 4 * p:
-                continue
-            if classify((a, b), p) != OUT:
-                found.append((a, b))
-    return found
+def canonical_rep(w: Weight, p: int) -> Weight:
+    """The linkage-class representative in the closed bottom alcove.
+
+    Two weights are linked iff their representatives coincide.  The result
+    may be non-dominant (coordinates down to -1) for singular classes.
+    """
+    try:
+        return _facet_table(p)[0][w][1]
+    except (KeyError, TypeError):  # outside the table, or a list
+        return _canonical_rep(w, p)
 
 
 @lru_cache(maxsize=None)
-def _block_index(p: int) -> Dict[Tuple[Weight, str], Weight]:
+def _facet_table(p: int) -> Tuple[Dict[Weight, Tuple[str, Weight]], Dict]:
+    """``{w: (facet, rep)}`` over the weights with a, b < 3p and a+b+2 <= 4p,
+    and the block index ``{(rep, facet): w}`` of the in-region ones."""
+    table: Dict[Weight, Tuple[str, Weight]] = {}
     index: Dict[Tuple[Weight, str], Weight] = {}
-    for w in region_weights(p):
-        key = (canonical_rep(w, p), classify(w, p))
-        if key in index:
-            raise AssertionError(
-                f"facet {key[1]} holds two linked weights {index[key]} and {w}"
-            )
-        index[key] = w
-    return index
+    for a in range(3 * p):
+        for b in range(min(3 * p, 4 * p - 1 - a)):
+            w = (a, b)
+            label, rep = table[w] = (_classify(w, p), _canonical_rep(w, p))
+            if label == OUT:
+                continue
+            first = index.setdefault((rep, label), w)
+            if first != w:
+                raise AssertionError(
+                    f"facet {label} holds two linked weights {first} and {w}")
+    return table, index
+
+
+def region_weights(p: int) -> List[Weight]:
+    """All dominant weights in the labelled region."""
+    return list(_facet_table(p)[1].values())
 
 
 def linked_weight(w: Weight, target: str, p: int) -> Optional[Weight]:
     """The dominant in-region weight linked to w in the target facet, if any."""
-    return _block_index(p).get((canonical_rep(w, p), target))
+    return _facet_table(p)[1].get((canonical_rep(w, p), target))

@@ -46,11 +46,16 @@ class Character:
             raise ValueError(f"unknown basis {basis!r}")
         cleaned = {}
         for w, c in (coeffs or {}).items():
+            if not (isinstance(w, tuple) and len(w) == 2
+                    and _is_int(w[0]) and _is_int(w[1])):
+                raise ValueError(f"weight must be two integers, got {w!r}")
+            if not _is_int(c):
+                raise ValueError(f"coefficient must be an integer, got {c!r}")
             if c == 0:
                 continue
             if basis != "monomial" and not is_dominant(w):
                 raise ValueError(f"non-dominant support {w} in {basis} basis")
-            cleaned[(int(w[0]), int(w[1]))] = int(c)
+            cleaned[w] = c
         self.basis = basis
         self.coeffs = cleaned
 
@@ -111,15 +116,15 @@ class Character:
         """Inverse of :meth:`to_json`; a malformed or repeated term raises."""
         coeffs: Dict[Weight, int] = {}
         for term in data["terms"]:
-            w, c = term["weight"], term["coeff"]
-            if not (isinstance(w, (list, tuple)) and len(w) == 2
-                    and all(_is_int(v) for v in w)):
-                raise ValueError(f"weight must be two integers, got {w!r}")
-            if not _is_int(c):
-                raise ValueError(f"coefficient must be an integer, got {c!r}")
-            if tuple(w) in coeffs:
+            w = term["weight"]
+            w = tuple(w) if isinstance(w, list) else w
+            try:
+                repeated = w in coeffs
+            except TypeError:  # unhashable; never a weight
+                raise ValueError(f"weight must be two integers, got {w!r}") from None
+            if repeated:
                 raise ValueError(f"repeated weight {list(w)}")
-            coeffs[tuple(w)] = c
+            coeffs[w] = term["coeff"]
         return cls(data["basis"], coeffs)
 
     def __repr__(self):

@@ -7,6 +7,8 @@ from sl3tensor.alcoves import (
     OUT,
     VERTICES,
     WALLS,
+    _canonical_rep,
+    _classify,
     canonical_rep,
     classify,
     is_restricted,
@@ -26,8 +28,11 @@ def test_classify_examples():
     assert classify((8, 8), 5) == "C7"
     assert classify((9, 4), 5) == "V1"
     assert classify((4, 9), 5) == "V2"
+    assert classify([6, 2], 5) == "W3|4"  # a list weight works as a tuple
     with pytest.raises(ValueError):
         classify((-1, 0), 5)
+    with pytest.raises(ValueError):
+        classify([2, -1], 5)
 
 
 def test_classify_out_of_region():
@@ -92,6 +97,8 @@ def test_canonical_rep_examples():
     assert canonical_rep((0, 0), 5) == (0, 0)
     assert canonical_rep((2, 2), 5) == (1, 1)
     assert canonical_rep((7, 0), 5) == (0, 2)
+    assert canonical_rep([7, 0], 5) == (0, 2)
+    assert canonical_rep((-3, 1), 5) == (1, -1)  # non-dominant input
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -132,3 +139,19 @@ def test_is_restricted():
     assert is_restricted((4, 4), 5)
     assert not is_restricted((5, 0), 5)
     assert is_restricted((3, 1), 5)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+def test_table_matches_direct_computation(p):
+    """The per-prime table answers exactly as the direct computation, over a
+    box larger than the one it covers."""
+    region = []
+    for a in range(4 * p):
+        for b in range(4 * p):
+            w = (a, b)
+            assert classify(w, p) == _classify(w, p), w
+            assert canonical_rep(w, p) == _canonical_rep(w, p), w
+            in_box = a < 3 * p and b < 3 * p and a + b + 2 <= 4 * p
+            if in_box and _classify(w, p) != OUT:
+                region.append(w)
+    assert region_weights(p) == region

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl3tensor.alcoves import classify, region_weights, restricted_weights
 from sl3tensor.decompose import (
@@ -271,16 +273,33 @@ def test_sweep_accepts_any_prime(monkeypatch):
     assert seen == {"p": 13, "pairs": 13**4, "run_verify": False}
 
 
-def test_decompose_commutes_on_every_p5_pair():
-    def multiset(d):
-        return Counter((s.kind, s.weight, s.multiplicity) for s in d.summands)
+def summand_multiset(d):
+    return Counter((s.kind, s.weight, s.multiplicity) for s in d.summands)
 
+
+def test_decompose_commutes_on_every_p5_pair():
     weights = restricted_weights(5)
     for i, nu in enumerate(weights):
         for nu2 in weights[i + 1:]:
-            assert multiset(decompose(nu, nu2, 5)) == multiset(
+            assert summand_multiset(decompose(nu, nu2, 5)) == summand_multiset(
                 decompose(nu2, nu, 5)
             ), (nu, nu2)
+
+
+@st.composite
+def restricted_pair(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 19, 23]))
+    coord = st.integers(min_value=0, max_value=p - 1)
+    return p, (draw(coord), draw(coord)), (draw(coord), draw(coord))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(restricted_pair())
+def test_random_prime_pairs_verify_and_commute(case):
+    p, nu, nu2 = case
+    d = decompose(nu, nu2, p)
+    assert verify(d).passed, (p, nu, nu2)
+    assert summand_multiset(decompose(nu2, nu, p)) == summand_multiset(d)
 
 
 def test_sweep_no_verify_counts_match():

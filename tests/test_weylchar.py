@@ -251,6 +251,17 @@ def test_character_from_json_rejects_malformed_terms(terms):
         Character.from_json({"basis": "weyl", "terms": terms})
 
 
+@pytest.mark.parametrize("coeffs", [
+    {(1.7, 0): 2.9},
+    {(True, 0): 1},
+    {(1, 0): 2.5},
+    {(1, 0, 4): 1},
+])
+def test_character_rejects_malformed_terms(coeffs):
+    with pytest.raises(ValueError, match="must be"):
+        Character("weyl", coeffs)
+
+
 def test_character_basis_validation():
     with pytest.raises(ValueError):
         Character("weyl", {(-1, 0): 1})
