@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .weights import Weight, is_dominant, pairings
+from .weights import WEYL_GROUP, Weight, is_dominant, pairings
 
 ALCOVES = (
     "C1", "C2", "C3", "C3p", "C4", "C4p", "C5", "C6", "C6p",
@@ -71,10 +71,6 @@ def is_alcove(label: str) -> bool:
 
 def is_wall(label: str) -> bool:
     return label.startswith("W")
-
-
-def is_vertex(label: str) -> bool:
-    return label in VERTICES
 
 
 def wall_components(label: str) -> Tuple[Tuple[int, bool], Tuple[int, bool]]:
@@ -164,20 +160,10 @@ def restricted_weights(p: int) -> List[Weight]:
     return [(a, b) for a in range(p) for b in range(p)]
 
 
-_WEYL_SHIFTED = (
-    lambda r, s: (r, s),
-    lambda r, s: (-r, r + s),
-    lambda r, s: (r + s, -s),
-    lambda r, s: (s, -r - s),
-    lambda r, s: (-r - s, r),
-    lambda r, s: (-s, -r),
-)
-
-
 def _canonical_rep(w: Weight, p: int) -> Weight:
     r, s, _ = pairings(w)
     while True:
-        for image in _WEYL_SHIFTED:
+        for image, _ in WEYL_GROUP:
             rr, ss = image(r, s)
             if rr >= 0 and ss >= 0:
                 r, s = rr, ss

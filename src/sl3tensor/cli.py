@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from . import sprime, structures
 from .alcoves import OUT, classify, linked_weight
-from .decompose import IntegrityError, _check_prime, decompose, sweep, verify
-from .modchar import char_dim, m_char, simple_char, tilting_char, to_simple_basis
+from .decompose import _KIND_CHAR, IntegrityError, _check_prime, decompose, sweep, verify
+from .modchar import char_dim, to_simple_basis
 from .weights import Weight, dim_weyl, parse_weight
 from .weylchar import Character
 
@@ -35,16 +35,18 @@ def _prime(text: str) -> int:
     return int(text)
 
 
+def _jobs(text: str) -> int:
+    """argparse type of ``--jobs``: a worker count >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {n}")
+    return n
+
+
 def _kind_char(kind: str, w: Weight, p: int) -> Character:
     if kind == "weyl":
         return Character("weyl", {w: 1})
-    if kind == "simple":
-        return simple_char(w, p)
-    if kind == "tilting":
-        return tilting_char(w, p)
-    if kind == "m":
-        return m_char(w, p, basis="weyl")
-    raise ValueError(f"unknown kind {kind!r}")
+    return _KIND_CHAR[{"simple": "L", "tilting": "T", "m": "M"}[kind]](w, p)
 
 
 def cmd_facet(args) -> int:
@@ -243,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="decompose and verify all restricted pairs")
     add_p(sp)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_jobs, default=1,
+                    help="worker processes, capped by the CPU count")
     sp.add_argument("--no-verify", action="store_true",
                     help="skip per-pair verification")
     sp.add_argument("--json", action="store_true")

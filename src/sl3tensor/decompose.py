@@ -10,23 +10,26 @@ non-highest-weight module M; when exactly one factor lies in the second
 alcove, maximal second-alcove support is matched by simple characters
 instead.  Both greedy passes run the one triangular solver, ``weylchar.peel``.
 Any negative coefficient, non-integral solve, or nonzero remainder is
-reported as an integrity failure naming the offending block.  Results are
+reported as an integrity failure naming the offending block.
+:func:`decompose` is memoized by ``functools.lru_cache``
+(``decompose.cache_info()``); results and the characters behind them are
 immutable, so a memoized decomposition cannot be altered by its callers.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .alcoves import OUT, canonical_rep, classify, is_restricted, linked_weight
+from .alcoves import OUT, canonical_rep, classify, is_restricted
 from .modchar import (
+    floor_weights,
     m_char,
-    m_dim,
     simple_char,
     simple_dim,
     tilting_char,
-    tilting_dim,
     to_simple_basis,
 )
 from .weights import Weight, pairings, tau
@@ -82,8 +85,10 @@ class Decomposition:
         return " + ".join(str(s) for s in self.summands) or "0"
 
 
-# Weyl-basis character of one copy of each summand kind.
-_KIND_CHAR = {"T": tilting_char, "L": simple_char,
+# Weyl-basis character of one copy of each summand kind.  The names are
+# looked up at call time, so a wrapped (say, traced) function is seen.
+_KIND_CHAR = {"T": lambda w, p: tilting_char(w, p),
+              "L": lambda w, p: simple_char(w, p),
               "M": lambda w, p: m_char(w, p, basis="weyl")}
 
 
@@ -102,8 +107,7 @@ def summand_char(s: Summand, p: int) -> Character:
 
 
 def summand_dim(s: Summand, p: int) -> int:
-    base = {"T": tilting_dim, "L": simple_dim, "M": m_dim}[s.kind]
-    return s.multiplicity * base(s.weight, p)
+    return s.multiplicity * _KIND_CHAR[s.kind](s.weight, p).dimension()
 
 
 def _check_prime(p: int) -> None:
@@ -170,25 +174,14 @@ def _greedy_case2(block: Character, p: int) -> Tuple[List[Summand], Character]:
     return _greedy(block, p, lambda lead: "L" if classify(lead, p) == "C2" else "T")
 
 
-def case3_floor_solve(
-    a3: int, a3p: int, a2: int, a1: int,
-    present: Sequence[bool] = (True, True, True, True),
-) -> Tuple[int, int, int, int]:
+def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, int, int]:
     """Resolve a regular-block floor in the basis of the three tilting
     characters at the floor together with M plus its simple companion.
 
     Solves x + w = a3, y + w = a3p, 2x + 2y + z + 2w = a2,
-    x + y + 2z + 2w = a1 for nonnegative integers.  ``present`` masks
-    variables whose floor weight does not exist (the corresponding
-    coefficient must then be zero).  Infeasibility is an integrity error.
+    x + y + 2z + 2w = a1 for nonnegative integers.  Infeasibility is an
+    integrity error.
     """
-    p3, p3p, p2, p1 = present
-    if not (p2 and p1) and (a2 or a1):
-        raise IntegrityError("floor coefficients on absent weights")
-    if not p3 and a3:
-        raise IntegrityError("floor coefficient on absent alcove-3 weight")
-    if not p3p and a3p:
-        raise IntegrityError("floor coefficient on absent mirror weight")
     # z from combining the last two equations, then w from the third.
     num_z = a1 - a3 - a3p
     if num_z % 2:
@@ -203,18 +196,14 @@ def case3_floor_solve(
     solution = (x, y, z, w)
     if any(v < 0 for v in solution):
         raise IntegrityError(f"floor solve has negative part {solution}")
-    if (x and not p3) or (y and not p3p) or ((z or w) and not (p2 and p1)):
-        raise IntegrityError("floor solve uses an absent weight")
     return solution
 
 
 def _resolve_case3_regular(
     rep: Weight, block: Character, p: int
 ) -> List[Summand]:
-    anchor = min(block.coeffs, key=sort_key)
-    mus = tuple(linked_weight(anchor, f, p) for f in ("C3", "C3p", "C2", "C1"))
-    mu3, mu3p, mu2, mu1 = mus
-    floor = frozenset(mu for mu in mus if mu is not None)
+    mu3, mu3p, mu2, mu1 = mus = floor_weights(rep, p)
+    floor = frozenset(mus)
     summands, residual = greedy_tilting(block, p, floor)
     if residual:
         simple = to_simple_basis(residual, p)
@@ -224,18 +213,11 @@ def _resolve_case3_regular(
                 f"floor residual has support {sorted(extra)} off the floor",
                 block=rep,
             )
-
-        def coeff(mu: Optional[Weight]) -> int:
-            return simple.coeffs.get(mu, 0) if mu is not None else 0
-
         try:
             x, y, z, w = case3_floor_solve(
-                coeff(mu3), coeff(mu3p), coeff(mu2), coeff(mu1),
-                present=tuple(mu is not None for mu in mus),
-            )
+                *(simple.coeffs.get(mu, 0) for mu in mus))
         except IntegrityError as exc:
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
-        # the solve leaves every part on an absent weight zero
         for kind, mu, k in (("T", mu3, x), ("T", mu3p, y), ("T", mu2, z),
                             ("M", mu2, w), ("T", mu1, w)):
             if k:
@@ -247,15 +229,9 @@ def _is_regular_rep(rep: Weight, p: int) -> bool:
     return all(n % p for n in pairings(rep))
 
 
-_DECOMPOSE_CACHE: Dict[Tuple[int, Weight, Weight], Decomposition] = {}
-
-
+@lru_cache(maxsize=None)
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     """Decompose the tensor product of two restricted simple modules."""
-    key = (p, nu, nu2)
-    cached = _DECOMPOSE_CACHE.get(key)
-    if cached is not None:
-        return cached
     total = tensor_char(nu, nu2, p)
     in_c2 = (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
     case = 1 + in_c2
@@ -274,29 +250,18 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
             _require_zero(residual, rep)
         summands.extend(got)
 
-    merged: Dict[Tuple[str, Weight], int] = {}
-    for s in summands:
-        merged[(s.kind, s.weight)] = merged.get((s.kind, s.weight), 0) + s.multiplicity
-    ordered = [
-        Summand(kind, w, m)
-        for (kind, w), m in sorted(
-            merged.items(), key=lambda item: (sort_key(item[0][1]), item[0][0])
-        )
-        if m
-    ]
-    if any(s.multiplicity < 0 for s in ordered):
-        raise IntegrityError(f"negative summand multiplicity in {ordered}")
-
+    # kinds and weights are distinct and multiplicities positive: blocks
+    # are disjoint and every step records a lead once
+    summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
     result = Decomposition(
         p=p,
         left=nu,
         right=nu2,
         case=case,
-        summands=tuple(ordered),
+        summands=tuple(summands),
         dim_product=simple_dim(nu, p) * simple_dim(nu2, p),
     )
     _assert_character_sum(result, total)
-    _DECOMPOSE_CACHE[key] = result
     return result
 
 
@@ -434,23 +399,22 @@ def _sweep_pairs(p: int, pairs, run_verify: bool) -> SweepResult:
 
 
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
-    """Decompose and verify all p^2 x p^2 restricted pairs."""
+    """Decompose and verify all p^2 x p^2 restricted pairs, on at most
+    ``jobs`` worker processes (capped by the CPU count)."""
     _check_prime(p)
     weights = [(a, b) for a in range(p) for b in range(p)]
     pairs = [(nu, nu2) for nu in weights for nu2 in weights]
-    if jobs <= 1:
+    chunks = [[(nu, nu2) for nu2 in weights] for nu in weights]
+    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    if workers <= 1:
         return _sweep_pairs(p, pairs, run_verify)
 
     from concurrent.futures import ProcessPoolExecutor
 
-    chunks = [
-        [(nu, nu2) for nu2 in weights]
-        for nu in weights
-    ]
     counts = {"T": 0, "L": 0, "M": 0}
     m_pairs = 0
     failures: List[str] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_sweep_worker, [(p, chunk, run_verify) for chunk in chunks]):
             for kind, n in part.summand_counts.items():
                 counts[kind] += n

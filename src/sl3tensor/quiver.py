@@ -255,8 +255,6 @@ def _parse_relation(line: str) -> Relation:
     if rhs.strip() != "0":
         raise ValueError(f"relations must end in '= 0': {line!r}")
     terms: List[Tuple[int, Path]] = []
-    token = ""
-    sign = 1
     pieces = lhs.replace("-", " - ").replace("+", " + ").split()
     sign = 1
     for piece in pieces:
@@ -440,14 +438,10 @@ class FDModule:
         return sum(self.dims.values())
 
     def path_matrix(self, src: str, path: Path) -> Matrix:
-        q = self.pres.quiver
-        q.path_ends(path, src)
+        self.pres.quiver.path_ends(path, src)  # validates the path
         m = _identity(self.dims[src])
-        v = src
         for name in path:
-            arrow = q.by_name[name]
             m = _mat_mul(self.mats[name], m)
-            v = arrow.tgt
         return m
 
     def check_relations(self) -> None:

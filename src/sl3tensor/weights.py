@@ -21,6 +21,17 @@ THETA: Weight = (1, 1)
 
 ROOTS = {"a1": ALPHA1, "a2": ALPHA2, "theta": THETA}
 
+# The finite Weyl group as linear maps on fundamental-weight (or
+# rho-shifted) coordinates, each with its sign.
+WEYL_GROUP = (
+    (lambda x, y: (x, y), 1),
+    (lambda x, y: (-x, x + y), -1),
+    (lambda x, y: (x + y, -y), -1),
+    (lambda x, y: (y, -x - y), 1),
+    (lambda x, y: (-x - y, x), 1),
+    (lambda x, y: (-y, -x), -1),
+)
+
 
 def parse_weight(text: str) -> Weight:
     """Parse the ``a,b`` syntax: two base-10 integers, optional spaces."""

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .weights import Weight, dim_weyl, is_dominant
+from .weights import WEYL_GROUP, Weight, dim_weyl, is_dominant
 
 BASES = ("weyl", "simple", "monomial")
 
@@ -37,7 +38,11 @@ def sort_key(w: Weight):
 
 
 class Character:
-    """Finitely supported integer combination of weight-indexed symbols."""
+    """Finitely supported integer combination of weight-indexed symbols.
+
+    Immutable: ``coeffs`` is a read-only mapping and attributes cannot be
+    reassigned, so a memoized character cannot be altered by its callers.
+    """
 
     __slots__ = ("basis", "coeffs")
 
@@ -56,8 +61,13 @@ class Character:
             if basis != "monomial" and not is_dominant(w):
                 raise ValueError(f"non-dominant support {w} in {basis} basis")
             cleaned[w] = c
-        self.basis = basis
-        self.coeffs = cleaned
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+
+    def __setattr__(self, *_):
+        raise AttributeError("Character is immutable")
+
+    __delattr__ = __setattr__
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -74,7 +84,7 @@ class Character:
 
     def combine(self, terms: Iterable[Tuple[int, "Character"]]) -> "Character":
         """``self + sum(k * c for k, c in terms)``, built and validated once."""
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for k, other in terms:
             if other.basis != self.basis:
                 raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
@@ -87,9 +97,6 @@ class Character:
 
     def __sub__(self, other: "Character") -> "Character":
         return self.combine(((-1, other),))
-
-    def scale(self, k: int) -> "Character":
-        return Character(self.basis).combine(((k, self),))
 
     def items_sorted(self) -> List[Tuple[Weight, int]]:
         return sorted(self.coeffs.items(), key=lambda item: sort_key(item[0]))
@@ -133,7 +140,7 @@ class Character:
 
 
 def peel(
-    coeffs: Dict[Weight, int], expand: Callable, stop: frozenset = frozenset()
+    coeffs: Mapping[Weight, int], expand: Callable, stop: frozenset = frozenset()
 ) -> Tuple[List[Tuple[Weight, int]], Dict[Weight, int]]:
     """Triangular solve: at each lead of the support, in :func:`sort_key`
     order, stop if it is in ``stop``, else record ``(lead, k)`` and subtract
@@ -141,7 +148,7 @@ def peel(
     at the lead.  Returns the steps and the remainder.  An expansion lies
     below its lead in dominance, so at strictly smaller a+b: it sorts
     strictly later, and one pass over a heap is exact."""
-    remaining = dict(coeffs)
+    remaining = coeffs.copy()
     heap = [(sort_key(w), w) for w in remaining]
     heapq.heapify(heap)
     steps = []
@@ -177,22 +184,11 @@ def _kostant_partition(v1: int, v2: int) -> int:
     return min(n1 // 3, n2 // 3) + 1
 
 
-# Images of a shifted weight under the finite Weyl group, with signs.
-_SIGNED_ORBIT = (
-    (lambda r, s: (r, s), 1),
-    (lambda r, s: (-r, r + s), -1),
-    (lambda r, s: (r + s, -s), -1),
-    (lambda r, s: (s, -r - s), 1),
-    (lambda r, s: (-r - s, r), 1),
-    (lambda r, s: (-s, -r), -1),
-)
-
-
 @lru_cache(maxsize=None)
 def _monomial_items(lam: Weight) -> Tuple[Tuple[Weight, int], ...]:
     a, b = lam
     r, s = a + 1, b + 1
-    images = [(image(r, s), sign) for image, sign in _SIGNED_ORBIT]
+    images = [(image(r, s), sign) for image, sign in WEYL_GROUP]
     items = []
     for c1 in range(a + b + 1):
         for c2 in range(a + b + 1):
@@ -222,20 +218,9 @@ def weyl_char_to_monomial(c: Character) -> Character:
     return Character("monomial", out)
 
 
-# Linear (unshifted) action of the finite Weyl group on weights.
-_LINEAR_ORBIT = (
-    lambda x, y: (x, y),
-    lambda x, y: (-x, x + y),
-    lambda x, y: (x + y, -y),
-    lambda x, y: (y, -x - y),
-    lambda x, y: (-x - y, x),
-    lambda x, y: (-y, -x),
-)
-
-
 def _is_weyl_symmetric(c: Character) -> bool:
     for (x, y), m in c.coeffs.items():
-        for image in _LINEAR_ORBIT:
+        for image, _ in WEYL_GROUP:
             if c.coeffs.get(image(x, y), 0) != m:
                 return False
     return True
@@ -243,7 +228,7 @@ def _is_weyl_symmetric(c: Character) -> bool:
 
 # (rho - w(rho), sgn(w)) for each w in the finite Weyl group.
 _RHO_SHIFTS = tuple(
-    (tuple(1 - v for v in image(1, 1)), sign) for image, sign in _SIGNED_ORBIT
+    (tuple(1 - v for v in image(1, 1)), sign) for image, sign in WEYL_GROUP
 )
 
 
@@ -297,7 +282,7 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
             small, top = sorted((lam, mu), key=dim_weyl)
             r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
             for (x, y), m in _monomial_items(small):
-                for image, sign in _SIGNED_ORBIT:
+                for image, sign in WEYL_GROUP:
                     r, s = image(r0 + x, s0 + y)
                     if r > 0 and s > 0:
                         nu = (r - 1, s - 1)

@@ -135,6 +135,14 @@ def test_sweep_jobs_flag_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_sweep_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "sweep", "--p", "5", "--no-verify",
+                             "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert f"expected a worker count >= 1, got {jobs}" in err
+
+
 def test_quiver_verify(capsys):
     code, out, _ = run(capsys, "quiver", "verify")
     assert code == 0

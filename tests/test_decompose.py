@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import importlib
+import os
 import random
 from collections import Counter
 
@@ -7,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3tensor.alcoves import classify, region_weights, restricted_weights
+from sl3tensor.alcoves import canonical_rep, classify, region_weights, restricted_weights
 from sl3tensor.decompose import (
     IntegrityError,
     Summand,
+    _is_regular_rep,
     case3_floor_solve,
     decompose,
     greedy_tilting,
@@ -21,7 +24,7 @@ from sl3tensor.decompose import (
     tensor_char,
     verify,
 )
-from sl3tensor.modchar import tilting_char, to_simple_basis
+from sl3tensor.modchar import floor_weights, tilting_char, to_simple_basis
 from sl3tensor.weights import tau
 from sl3tensor.weylchar import Character, sort_key
 
@@ -137,9 +140,32 @@ def test_case3_floor_solve():
         case3_floor_solve(1, 1, 2, 1)
     with pytest.raises(IntegrityError):
         case3_floor_solve(0, 0, 1, 0)  # z = -..., negative part
-    # masked variables must carry zero coefficients
-    with pytest.raises(IntegrityError):
-        case3_floor_solve(1, 0, 0, 0, present=(False, True, True, True))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_every_regular_class_has_its_four_floor_weights(p):
+    # the case-3 floor solve relies on this: no floor weight is ever absent
+    reps = {canonical_rep(w, p) for w in region_weights(p)}
+    regular = [rep for rep in reps if _is_regular_rep(rep, p)]
+    assert len(regular) == (p - 1) * (p - 2) // 2  # the open bottom alcove
+    for rep in regular:
+        floor = floor_weights(rep, p)
+        assert [classify(mu, p) for mu in floor] == ["C3", "C3p", "C2", "C1"]
+
+
+def test_cached_characters_are_immutable():
+    c = tilting_char((1, 1), 5)
+    with pytest.raises(TypeError):
+        c.coeffs[(0, 0)] = 7
+    with pytest.raises(AttributeError):
+        c.coeffs = {(0, 0): 7}
+    with pytest.raises(AttributeError):
+        c.basis = "simple"
+    with pytest.raises(AttributeError):
+        del c.coeffs
+    assert c == Character("weyl", {(1, 1): 1})
+    # recomputed past the result cache, so the cached character is read
+    assert str(decompose.__wrapped__((1, 0), (0, 1), 5)) == "T(1,1) + T(0,0)"
 
 
 def test_decompose_case3_worked_example():
@@ -315,3 +341,29 @@ def test_sweep_parallel_agrees():
     serial = sweep(5, run_verify=False)
     parallel = sweep(5, run_verify=False, jobs=2)
     assert serial.to_json() == parallel.to_json()
+
+
+def test_sweep_caps_worker_processes(monkeypatch):
+    # a stand-in pool that records its size and maps in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = sweep(5, run_verify=False).to_json()
+    for cpus, jobs in ((2, 100000), (64, 100000), (None, 3), (8, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep(5, run_verify=False, jobs=jobs).to_json() == serial
+    # capped by the CPU count, then by the 25 chunks; one worker runs serially
+    assert sizes == [2, 25]
