@@ -18,6 +18,7 @@ from . import sprime, structures
 from .alcoves import OUT, classify, linked_weight
 from .decompose import _KIND_CHAR, IntegrityError, _check_prime, decompose, sweep, verify
 from .modchar import char_dim, to_simple_basis
+from .quiver import coefficient_quiver
 from .weights import Weight, dim_weyl, parse_weight
 from .weylchar import Character
 
@@ -131,7 +132,6 @@ def cmd_sweep(args) -> int:
 def cmd_quiver(args) -> int:
     if args.action == "verify":
         checks = sprime.report()
-        failed = 0
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}" + (f"  {detail}" if detail and not ok else ""))
         failed = sum(1 for _, ok, _ in checks if not ok)
@@ -142,42 +142,18 @@ def cmd_quiver(args) -> int:
         if target is None:
             print("dot needs a target module (P1, P2, P3, P3p, M2)", file=sys.stderr)
             return 2
-        from .quiver import coefficient_quiver
-
+        if target not in ("P1", "P2", "P3", "P3p", "M2"):
+            print(f"unknown module {target!r}", file=sys.stderr)
+            return 2
         alg = sprime.algebra()
-        if target == "M2":
-            module = sprime.module_m2(alg)
-            # quotients lose path labels; render coordinate labels instead
-            basis = {
-                v: [
-                    (f"{v}.{i}", tuple(
-                        1 if j == i else 0 for j in range(module.dims[v])
-                    ))
-                    for i in range(module.dims[v])
-                ]
-                for v in module.pres.quiver.vertices
-            }
-            print(coefficient_quiver(module, basis).to_dot("M2"))
-            return 0
-        if target in ("P1", "P2", "P3", "P3p"):
-            vertex = target[1:]
-            module = alg.projective(vertex)
-            if target == "P2":
-                names = tuple((args.basis or "b1'b1,b2'b2").split(","))
-                cq = sprime.p2_coefficient_quiver(names, alg)
-            else:
-                basis = {
-                    v: [
-                        (label, tuple(1 if j == i else 0 for j in range(module.dims[v])))
-                        for i, label in enumerate(module.basis_labels[v])
-                    ]
-                    for v in module.pres.quiver.vertices
-                }
-                cq = coefficient_quiver(module, basis)
-            print(cq.to_dot(target))
-            return 0
-        print(f"unknown module {target!r}", file=sys.stderr)
-        return 2
+        if target == "P2":
+            names = tuple((args.basis or "b1'b1,b2'b2").split(","))
+            cq = sprime.p2_coefficient_quiver(names, alg)
+        else:
+            module = sprime.module_m2(alg) if target == "M2" else alg.projective(target[1:])
+            cq = coefficient_quiver(module, module.coordinate_basis())
+        print(cq.to_dot(target))
+        return 0
     print(f"unknown quiver action {args.action!r}", file=sys.stderr)
     return 2
 

@@ -372,30 +372,39 @@ class SweepResult:
         }
 
 
+def _pair_result(p: int, nu: Weight, nu2: Weight, run_verify: bool) -> SweepResult:
+    """The sweep tally of one pair."""
+    tag = f"{nu[0]},{nu[1]} x {nu2[0]},{nu2[1]}"
+    try:
+        d = decompose(nu, nu2, p)
+    except IntegrityError as exc:
+        return SweepResult(p, 1, {}, 0, [f"{tag}: {exc}"])
+    counts = dict.fromkeys(KINDS, 0)
+    for s in d.summands:
+        counts[s.kind] += s.multiplicity
+    has_m = any(s.kind == "M" for s in d.summands)
+    failures = [f"{tag}: M summand outside case 3"] if has_m and d.case != 3 else []
+    if run_verify:
+        failures += [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()]
+    return SweepResult(p, 1, counts, int(has_m), failures)
+
+
+def _merge(p: int, parts) -> SweepResult:
+    """The sum of sweep tallies, failures sorted; the one aggregation of
+    both the serial and the pooled sweep."""
+    total = SweepResult(p, 0, dict.fromkeys(KINDS, 0), 0, [])
+    for part in parts:
+        total.pairs += part.pairs
+        for kind, n in part.summand_counts.items():
+            total.summand_counts[kind] += n
+        total.m_pairs += part.m_pairs
+        total.failures += part.failures
+    total.failures.sort()
+    return total
+
+
 def _sweep_pairs(p: int, pairs, run_verify: bool) -> SweepResult:
-    counts = {"T": 0, "L": 0, "M": 0}
-    m_pairs = 0
-    failures: List[str] = []
-    for nu, nu2 in pairs:
-        tag = f"{nu[0]},{nu[1]} x {nu2[0]},{nu2[1]}"
-        try:
-            d = decompose(nu, nu2, p)
-        except IntegrityError as exc:
-            failures.append(f"{tag}: {exc}")
-            continue
-        has_m = False
-        for s in d.summands:
-            counts[s.kind] += s.multiplicity
-            has_m = has_m or s.kind == "M"
-        if has_m:
-            m_pairs += 1
-            if d.case != 3:
-                failures.append(f"{tag}: M summand outside case 3")
-        if run_verify:
-            report = verify(d)
-            for c in report.failures():
-                failures.append(f"{tag}: {c.name} {c.detail}")
-    return SweepResult(p, len(pairs), counts, m_pairs, sorted(failures))
+    return _merge(p, (_pair_result(p, nu, nu2, run_verify) for nu, nu2 in pairs))
 
 
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
@@ -411,16 +420,8 @@ def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
 
     from concurrent.futures import ProcessPoolExecutor
 
-    counts = {"T": 0, "L": 0, "M": 0}
-    m_pairs = 0
-    failures: List[str] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_sweep_worker, [(p, chunk, run_verify) for chunk in chunks]):
-            for kind, n in part.summand_counts.items():
-                counts[kind] += n
-            m_pairs += part.m_pairs
-            failures.extend(part.failures)
-    return SweepResult(p, len(pairs), counts, m_pairs, sorted(failures))
+        return _merge(p, pool.map(_sweep_worker, [(p, chunk, run_verify) for chunk in chunks]))
 
 
 def _sweep_worker(args) -> SweepResult:

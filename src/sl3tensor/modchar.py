@@ -4,11 +4,12 @@ Simple characters are computed by the triangular recursion over the
 facet-indexed composition tables: the simple character at a weight is its
 Weyl character minus the simple characters of the lower composition factors.
 Tilting characters are sums of Weyl characters over the stored filtration
-factors.  Both are memoized per (weight, p) by ``functools.lru_cache``
-(``simple_char.cache_info()`` reports hits, misses and size); the cached
-characters are immutable, so callers cannot alter them.  The change of basis
-from Weyl to simple characters is the shared triangular solver
-:func:`~sl3tensor.weylchar.peel` with simple characters as the expansion.
+factors.  These and the M characters (:func:`m_char`, in either basis) are
+memoized by ``functools.lru_cache`` (``simple_char.cache_info()`` reports
+hits, misses and size); the cached characters are immutable, so callers
+cannot alter them.  The change of basis from Weyl to simple characters is
+the shared triangular solver :func:`~sl3tensor.weylchar.peel` with simple
+characters as the expansion.
 
 Weights whose facet data would be needed outside the fundamental region are
 rejected rather than extrapolated.
@@ -79,6 +80,7 @@ def floor_weights(w: Weight, p: int) -> Tuple[Weight, Weight, Weight, Weight]:
     return mus  # type: ignore[return-value]
 
 
+@lru_cache(maxsize=None)
 def m_char(w: Weight, p: int, basis: str = "simple") -> Character:
     """Character of the non-highest-weight indecomposable at a second-alcove
     weight: head and socle simple at w, heart the three wall-reflected

@@ -122,30 +122,6 @@ def _solve_in_basis(basis: Sequence[Vector], target: Sequence[Fraction]) -> Opti
     return tuple(coeffs)
 
 
-def _det(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # quivers, presentations, relations
 # ---------------------------------------------------------------------------
@@ -474,13 +450,21 @@ class FDModule:
                 acc = [Fraction(0)] * self.dims[end]
             elif end != tgt:
                 raise ValueError("paths in the combination end at different vertices")
-            unit = [Fraction(0)] * self.dims[gv]
-            unit[gi] = Fraction(1)
-            image = _mat_vec(self.path_matrix(gv, path), unit)
+            image = [row[gi] for row in self.path_matrix(gv, path)]  # path . generator
             acc = [a + coeff * b for a, b in zip(acc, image)]
         if tgt is None:
             raise ValueError("empty path combination")
         return tgt, tuple(acc)
+
+    def coordinate_basis(self) -> Dict[str, List[Tuple[str, Vector]]]:
+        """The unit vectors at each vertex, labelled by ``basis_labels``;
+        a quotient loses its path labels, so its vectors are labelled
+        ``vertex.index``."""
+        basis = {}
+        for v, n in self.dims.items():
+            labels = self.basis_labels[v] if self.basis_labels else [f"{v}.{i}" for i in range(n)]
+            basis[v] = list(zip(labels, _identity(n)))
+        return basis
 
     # -- submodules, quotients, series -------------------------------------
     def _full_spaces(self) -> Dict[str, List[Vector]]:
@@ -530,9 +514,7 @@ class FDModule:
                                 for j in range(self.dims[x])
                             ]
                         )
-                nxt[x] = _null_space(rows, self.dims[x]) if rows else [
-                    tuple(row) for row in _identity(self.dims[x])
-                ]
+                nxt[x] = _null_space(rows, self.dims[x])
             series.append(nxt)
             if all(len(nxt[v]) == self.dims[v] for v in q.vertices):
                 return series
@@ -558,17 +540,12 @@ class FDModule:
             layer = {v: len(spaces[v]) - len(prev[v]) for v in spaces}
             soc_layers.append({v: n for v, n in layer.items() if n})
             prev = spaces
-        rigid = len(rad) == len(soc)
-        if rigid:
-            depth = len(rad)
-            for i in range(1, depth):
-                # rad^i should equal soc^{depth-i}
-                for v in self.dims:
-                    if not _subspace_eq(rad[i][v], soc[depth - i - 1][v]):
-                        rigid = False
-                        break
-                if not rigid:
-                    break
+        depth = len(rad)
+        rigid = depth == len(soc) and all(
+            _subspace_eq(rad[i][v], soc[depth - i - 1][v])  # rad^i = soc^{depth-i}
+            for i in range(1, depth)
+            for v in self.dims
+        )
         return rad_layers, soc_layers, rigid
 
     def composition_multiset(self) -> Dict[str, int]:
@@ -598,19 +575,12 @@ class FDModule:
         section: Dict[str, Matrix] = {}
         new_dims: Dict[str, int] = {}
         for v in q.vertices:
-            reduced, pivots = _rref([list(x) for x in spaces[v]])
+            _, pivots = _rref([list(x) for x in spaces[v]])
             free = [c for c in range(self.dims[v]) if c not in pivots]
             new_dims[v] = len(free)
             # projection: v -> coordinates at the free indices after killing
-            # the pivot components
-            rows = []
-            for f in free:
-                row = [Fraction(0)] * self.dims[v]
-                row[f] = Fraction(1)
-                for rr, pc in zip(reduced, pivots):
-                    row[pc] = -rr[f]
-                rows.append(tuple(row))
-            proj[v] = tuple(rows)
+            # the pivot components; its rows are the kernel basis of the span
+            proj[v] = tuple(_null_space(spaces[v], self.dims[v]))
             section[v] = tuple(
                 tuple(Fraction(1 if i == f else 0) for f in free)
                 for i in range(self.dims[v])
@@ -670,9 +640,7 @@ def hom_space(m: FDModule, n: FDModule) -> List[Dict[str, Matrix]]:
                 for k in range(n.dims[x]):
                     row[offsets[x] + k * m.dims[x] + j] -= n.mats[a.name][i][k]
                 rows.append(row)
-    basis = _null_space(rows, total) if rows else [
-        tuple(row) for row in _identity(total)
-    ]
+    basis = _null_space(rows, total)
     result = []
     for vec in basis:
         phi: Dict[str, Matrix] = {}
@@ -685,20 +653,24 @@ def hom_space(m: FDModule, n: FDModule) -> List[Dict[str, Matrix]]:
     return result
 
 
-def is_isomorphic(m: FDModule, n: FDModule, size_cutoff: int = 14) -> bool:
+_ISO_DIM_LIMIT = 14
+
+
+def is_isomorphic(m: FDModule, n: FDModule) -> bool:
     """Exact isomorphism test by hom-space search.
 
     The product of the per-vertex determinants is a polynomial on the hom
     space; evaluating it on an integer grid one larger than its per-variable
-    degree decides whether an invertible homomorphism exists.  Declared
-    inapplicable above the size cutoff.
+    degree decides whether an invertible homomorphism exists.  A block is
+    invertible exactly when its rank is full, so each grid point is tested
+    by row reduction.  Declared inapplicable above the dimension limit.
     """
     if m.dims != n.dims:
         return False
     if m.total_dim == 0:
         return True
-    if m.total_dim > size_cutoff:
-        raise ValueError(f"isomorphism search limited to dimension {size_cutoff}")
+    if m.total_dim > _ISO_DIM_LIMIT:
+        raise ValueError(f"isomorphism search limited to dimension {_ISO_DIM_LIMIT}")
     basis = hom_space(m, n)
     if not basis:
         return False
@@ -717,7 +689,7 @@ def is_isomorphic(m: FDModule, n: FDModule, size_cutoff: int = 14) -> bool:
                 )
                 for i in range(m.dims[v])
             )
-            if _det(block) == 0:
+            if len(_rref(block)[1]) < m.dims[v]:
                 invertible = False
                 break
         if invertible:

@@ -10,7 +10,6 @@ rigid, contravariantly self-dual, with head and socle at vertex 2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .quiver import (
@@ -50,19 +49,14 @@ def presentation() -> Presentation:
     return parse_presentation(PRESENTATION_TEXT, duality=DUALITY)
 
 
-def algebra(length_bound: int = 6) -> PathAlgebra:
-    return PathAlgebra(presentation(), length_bound)
+def algebra() -> PathAlgebra:
+    return PathAlgebra(presentation(), 6)
 
 
-def projective(vertex: str, alg: PathAlgebra | None = None) -> FDModule:
-    return (alg or algebra()).projective(vertex)
-
-
-def module_m2(alg: PathAlgebra | None = None) -> FDModule:
+def module_m2(alg: PathAlgebra) -> FDModule:
     """Quotient of the vertex-2 projective by the difference of the two
     length-two return paths; the unique self-dual dimension-5 quotient."""
-    p2 = projective("2", alg)
-    return p2.quotient_by(((1, ("b1'", "b1")), (-1, ("b2'", "b2"))))
+    return alg.projective("2").quotient_by(((1, ("b1'", "b1")), (-1, ("b2'", "b2"))))
 
 
 def middle_basis(p2: FDModule, names: Tuple[str, str]) -> Dict[str, List[Tuple[str, object]]]:
@@ -78,42 +72,24 @@ def middle_basis(p2: FDModule, names: Tuple[str, str]) -> Dict[str, List[Tuple[s
     }
     if len(names) != 2 or any(n not in combos for n in names) or names[0] == names[1]:
         raise ValueError(f"basis must pick two distinct of {sorted(combos)}")
-    vecs = {}
+    basis = p2.coordinate_basis()
+    gv, gi = p2.generator
+    basis["2"] = [basis[gv][gi]]
     for n in names:
         vertex, vec = p2.eval_path_combo(combos[n])
         assert vertex == "2"
-        vecs[n] = vec
-    e2 = [Fraction(0)] * p2.dims["2"]
-    e2[p2.generator[1]] = Fraction(1)
-    basis = {
-        "1": [("a'", _unit_vector(p2, "1", "a'"))],
-        "3": [("b1'", _unit_vector(p2, "3", "b1'"))],
-        "3p": [("b2'", _unit_vector(p2, "3p", "b2'"))],
-        "2": [("e2", tuple(e2)), (names[0], vecs[names[0]]), (names[1], vecs[names[1]])],
-    }
+        basis["2"].append((n, vec))
     return basis
 
 
-def _unit_vector(module: FDModule, vertex: str, label: str):
-    labels = module.basis_labels[vertex]
-    index = labels.index(label)
-    vec = [Fraction(0)] * module.dims[vertex]
-    vec[index] = Fraction(1)
-    return tuple(vec)
-
-
-def p2_coefficient_quiver(names: Tuple[str, str], alg: PathAlgebra | None = None) -> CoefficientQuiver:
-    p2 = projective("2", alg)
+def p2_coefficient_quiver(names: Tuple[str, str], alg: PathAlgebra) -> CoefficientQuiver:
+    p2 = alg.projective("2")
     return coefficient_quiver(p2, middle_basis(p2, names))
 
 
 # ---------------------------------------------------------------------------
 # the full invariant suite over this algebra
 # ---------------------------------------------------------------------------
-
-def _layers_as_sets(layers: List[Dict[str, int]]) -> List[Dict[str, int]]:
-    return [dict(sorted(layer.items())) for layer in layers]
-
 
 def report() -> List[Tuple[str, bool, str]]:
     """Run every structural check; returns (name, ok, detail) triples."""
@@ -136,17 +112,18 @@ def report() -> List[Tuple[str, bool, str]]:
             add(f"relations-P{v}", False, str(exc))
 
     p1, p2, p3, p3p = (projectives[v] for v in ("1", "2", "3", "3p"))
-    rad1, _, rigid1 = p1.loewy()
-    add("P1-uniserial-121", _layers_as_sets(rad1) == [{"1": 1}, {"2": 1}, {"1": 1}])
+    loewy = {v: mod.loewy() for v, mod in projectives.items()}
+    rad1, _, rigid1 = loewy["1"]
+    add("P1-uniserial-121", rad1 == [{"1": 1}, {"2": 1}, {"1": 1}])
     add("P1-rigid", rigid1)
-    rad3, _, rigid3 = p3.loewy()
-    add("P3-delta", _layers_as_sets(rad3) == [{"3": 1}, {"2": 1}] and rigid3)
-    rad3p, _, rigid3p = p3p.loewy()
-    add("P3p-delta", _layers_as_sets(rad3p) == [{"3p": 1}, {"2": 1}] and rigid3p)
-    rad2, soc2, rigid2 = p2.loewy()
+    rad3, _, rigid3 = loewy["3"]
+    add("P3-delta", rad3 == [{"3": 1}, {"2": 1}] and rigid3)
+    rad3p, _, rigid3p = loewy["3p"]
+    add("P3p-delta", rad3p == [{"3p": 1}, {"2": 1}] and rigid3p)
+    rad2, _, rigid2 = loewy["2"]
     add(
         "P2-loewy",
-        _layers_as_sets(rad2) == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 2}],
+        rad2 == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 2}],
         str(rad2),
     )
     add("P2-rigid", rigid2)
@@ -155,7 +132,7 @@ def report() -> List[Tuple[str, bool, str]]:
     # layer reciprocity: multiplicity of a vertex simple in layer i of one
     # projective equals the mirrored multiplicity
     vertices = ("1", "2", "3", "3p")
-    rads = {v: projectives[v].loewy()[0] for v in vertices}
+    rads = {v: loewy[v][0] for v in vertices}
     recp_ok = True
     for mu in vertices:
         for lam in vertices:
@@ -197,11 +174,11 @@ def report() -> List[Tuple[str, bool, str]]:
     add("dual-P2-not-P2", not is_isomorphic(p2.contravariant_dual(), p2))
 
     m2 = module_m2(alg)
-    radm, socm, rigidm = m2.loewy()
+    radm, _, rigidm = m2.loewy()
     add("M2-dim", m2.total_dim == 5, str(m2.total_dim))
     add(
         "M2-loewy",
-        _layers_as_sets(radm) == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 1}],
+        radm == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 1}],
         str(radm),
     )
     add("M2-rigid", rigidm)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sl3tensor.cli import main
 
@@ -157,6 +160,24 @@ def test_quiver_dot(capsys):
     assert "(-1)" in out
     code, _, err = run(capsys, "quiver", "dot", "P9")
     assert code == 2 and "unknown module" in err
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("dot", "P1"), "e96c71bf2578ddfdef024a8a409171f9b369525106417d44fb37664019723282"),
+    (("dot", "P2"), "fa0b8934b6d0a2f49d3f007b38425ef82241b512e4e03a8804bd662293a13197"),
+    (("dot", "P2", "--basis", "a'a,b1'b1"),
+     "65cc875cb200daf75265dad1f069bdefe02cc8f19130b960a2cc7bf34f7cd182"),
+    (("dot", "P2", "--basis", "a'a,b2'b2"),
+     "3a21551b79651ff4380ccfd5586451a4f591e070c288fead099dc53597326382"),
+    (("dot", "P3"), "0f90dabc81fe045697a625a22b5df0fd1f32acc2cde8c91f01708b9c7b84846e"),
+    (("dot", "P3p"), "e579be49f5ce58a64d659e59328d59346f17935482d9c567821f894288619587"),
+    (("dot", "M2"), "f40c3467ffa632d6a9a506501f382e7dcc5eb23032906ce43efb24af86b3c84f"),
+    (("verify",), "07c4108e10b140793d22329c2fa3041eb404a24c531e8fef11d672db79944915"),
+])
+def test_quiver_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "quiver", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_diagram_command(capsys):

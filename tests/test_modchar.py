@@ -114,6 +114,16 @@ def test_m_char_requires_second_alcove():
         m_char((4, 1), 5)  # wall weight
 
 
+def test_m_char_is_memoized():
+    first = m_char((1, 3), 5, basis="weyl")
+    hits = m_char.cache_info().hits
+    assert m_char((1, 3), 5, basis="weyl") is first
+    assert m_char.cache_info().hits == hits + 1
+    for _ in range(2):  # errors are not cached: each call raises again
+        with pytest.raises(ValueError):
+            m_char((0, 0), 5)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_tilting_simple_expansion_is_effective(p):
     """Composition multiplicities of a tilting module are honest counts:

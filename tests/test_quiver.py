@@ -5,6 +5,7 @@ import pytest
 from sl3tensor import sprime
 from sl3tensor.quiver import (
     Arrow,
+    FDModule,
     PathAlgebra,
     Presentation,
     Quiver,
@@ -203,6 +204,16 @@ def test_hom_space_dimensions(projectives):
     assert len(hom_space(p3, p3)) == 1
     assert len(hom_space(p2, p3)) == 1
     assert len(hom_space(p3, p2)) == 1
+
+
+def test_hom_space_between_vertex_simples():
+    # no arrow acts on a vertex simple, so the hom equations have no rows
+    pres = sprime.presentation()
+    s1 = FDModule(pres, {"1": 1}, {})
+    s2 = FDModule(pres, {"2": 1}, {})
+    assert hom_space(s1, s1) == [{"1": ((1,),), "2": (), "3": (), "3p": ()}]
+    assert hom_space(s1, s2) == []
+    assert is_isomorphic(s1, s1)
 
 
 def test_coefficient_quiver_shapes(alg):
