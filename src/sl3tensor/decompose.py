@@ -2,13 +2,13 @@
 
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
-linkage blocks, and resolve each block greedily against tilting characters.
-When both factors lie in the second alcove, the four lowest linked weights
-of a regular block (alcoves 3, 3', 2, 1) are withheld from the greedy pass
-and resolved by a closed-form linear solve whose basis adds the
-non-highest-weight module M; when exactly one factor lies in the second
-alcove, maximal second-alcove support is matched by simple characters
-instead.  Both greedy passes run the one triangular solver, ``weylchar.peel``.
+linkage blocks, and resolve each block (one routine, ``_resolve_block``)
+greedily against tilting characters.  When both factors lie in the second
+alcove, the four lowest linked weights of a regular block (alcoves 3, 3', 2,
+1) are withheld from the greedy pass and resolved by a closed-form linear
+solve whose basis adds the non-highest-weight module M; when exactly one
+factor lies in the second alcove, maximal second-alcove support is matched by
+simple characters instead.  Both greedy passes run ``weylchar.peel``.
 Any negative coefficient, non-integral solve, or nonzero remainder is
 reported as an integrity failure naming the offending block.
 :func:`decompose` is memoized by ``functools.lru_cache``
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .alcoves import OUT, canonical_rep, classify, is_restricted
+from .alcoves import OUT, canonical_rep, classify, is_restricted, restricted_weights
 from .modchar import (
     floor_weights,
     m_char,
@@ -32,7 +32,7 @@ from .modchar import (
     tilting_char,
     to_simple_basis,
 )
-from .weights import Weight, pairings, tau
+from .weights import Weight, is_dominant, pairings, tau
 from .weylchar import Character, mult, peel, sort_key
 
 KINDS = ("T", "L", "M")
@@ -102,10 +102,6 @@ def summands_char(summands: Sequence[Summand], p: int) -> Character:
     return Character("weyl").combine(terms)
 
 
-def summand_char(s: Summand, p: int) -> Character:
-    return summands_char((s,), p)
-
-
 def summand_dim(s: Summand, p: int) -> int:
     return s.multiplicity * _KIND_CHAR[s.kind](s.weight, p).dimension()
 
@@ -169,11 +165,6 @@ def greedy_tilting(
     return _greedy(block, p, lambda lead: "T", floor)
 
 
-def _greedy_case2(block: Character, p: int) -> Tuple[List[Summand], Character]:
-    """Greedy pass that matches maximal second-alcove weights by simples."""
-    return _greedy(block, p, lambda lead: "L" if classify(lead, p) == "C2" else "T")
-
-
 def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, int, int]:
     """Resolve a regular-block floor in the basis of the three tilting
     characters at the floor together with M plus its simple companion.
@@ -199,34 +190,44 @@ def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, in
     return solution
 
 
-def _resolve_case3_regular(
-    rep: Weight, block: Character, p: int
-) -> List[Summand]:
-    mu3, mu3p, mu2, mu1 = mus = floor_weights(rep, p)
-    floor = frozenset(mus)
-    summands, residual = greedy_tilting(block, p, floor)
-    if residual:
-        simple = to_simple_basis(residual, p)
-        extra = set(simple.coeffs) - floor
-        if extra:
-            raise IntegrityError(
-                f"floor residual has support {sorted(extra)} off the floor",
-                block=rep,
-            )
-        try:
-            x, y, z, w = case3_floor_solve(
-                *(simple.coeffs.get(mu, 0) for mu in mus))
-        except IntegrityError as exc:
-            raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
-        for kind, mu, k in (("T", mu3, x), ("T", mu3p, y), ("T", mu2, z),
-                            ("M", mu2, w), ("T", mu1, w)):
-            if k:
-                summands.append(Summand(kind, mu, k))
-    return summands
-
-
 def _is_regular_rep(rep: Weight, p: int) -> bool:
     return all(n % p for n in pairings(rep))
+
+
+def _resolve_block(rep: Weight, block: Character, case: int, p: int) -> List[Summand]:
+    """Summands of the linkage block of ``rep``: case 2 matches maximal
+    second-alcove weights by simples, else tiltings peel down to the floor
+    (the floor weights of a regular case-3 block, otherwise empty), and
+    :func:`case3_floor_solve` resolves what is left on the floor."""
+    floor = floor_weights(rep, p) if case == 3 and _is_regular_rep(rep, p) else ()
+    if case == 2:
+        summands, residual = _greedy(
+            block, p, lambda lead: "L" if classify(lead, p) == "C2" else "T")
+    else:
+        summands, residual = greedy_tilting(block, p, frozenset(floor))
+    if not residual:
+        return summands
+    if not floor:
+        raise IntegrityError(
+            f"nonzero remainder {residual.coeffs} in block {rep}", block=rep
+        )
+    simple = to_simple_basis(residual, p)
+    extra = set(simple.coeffs) - set(floor)
+    if extra:
+        raise IntegrityError(
+            f"floor residual has support {sorted(extra)} off the floor",
+            block=rep,
+        )
+    try:
+        x, y, z, w = case3_floor_solve(*(simple.coeffs.get(mu, 0) for mu in floor))
+    except IntegrityError as exc:
+        raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
+    mu3, mu3p, mu2, mu1 = floor
+    for kind, mu, k in (("T", mu3, x), ("T", mu3p, y), ("T", mu2, z),
+                        ("M", mu2, w), ("T", mu1, w)):
+        if k:
+            summands.append(Summand(kind, mu, k))
+    return summands
 
 
 @lru_cache(maxsize=None)
@@ -236,19 +237,9 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     in_c2 = (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
     case = 1 + in_c2
 
-    summands: List[Summand] = []
     blocks = split_blocks(total, p)
-    for rep in sorted(blocks):
-        block = blocks[rep]
-        if case == 3 and _is_regular_rep(rep, p):
-            got = _resolve_case3_regular(rep, block, p)
-        elif case == 2:
-            got, residual = _greedy_case2(block, p)
-            _require_zero(residual, rep)
-        else:
-            got, residual = greedy_tilting(block, p)
-            _require_zero(residual, rep)
-        summands.extend(got)
+    summands = [s for rep in sorted(blocks)
+                for s in _resolve_block(rep, blocks[rep], case, p)]
 
     # kinds and weights are distinct and multiplicities positive: blocks
     # are disjoint and every step records a lead once
@@ -263,13 +254,6 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     )
     _assert_character_sum(result, total)
     return result
-
-
-def _require_zero(residual: Character, rep: Weight) -> None:
-    if residual:
-        raise IntegrityError(
-            f"nonzero remainder {residual.coeffs} in block {rep}", block=rep
-        )
 
 
 def _assert_character_sum(d: Decomposition, total: Character) -> None:
@@ -306,32 +290,32 @@ class Report:
         return [c for c in self.checks if not c.ok]
 
 
+def _misshapen(s: Summand, p: int) -> str:
+    """Why a summand cannot occur in a decomposition; empty if it can."""
+    facet = classify(s.weight, p) if is_dominant(s.weight) else OUT
+    if s.kind not in KINDS or s.multiplicity <= 0 or facet == OUT:
+        return str(s)
+    return f"{s} at facet {facet}" if s.kind != "T" and facet != "C2" else ""
+
+
 def verify(d: Decomposition) -> Report:
     """Re-check a decomposition: character sum, dimension count, summand
-    shape, and equivariance under the diagram involution."""
+    shape, and equivariance under the diagram involution.  A misshapen
+    summand fails the first two checks without computing them."""
     report = Report()
     p = d.p
 
-    total = tensor_char(d.left, d.right, p)
-    report.add("character-sum", summands_char(d.summands, p) == total)
-
-    dims = sum(summand_dim(s, p) for s in d.summands)
-    report.add("dimension", dims == d.dim_product,
-               f"{dims} vs {d.dim_product}")
-
-    shape_ok = True
-    detail = ""
-    for s in d.summands:
-        facet = classify(s.weight, p)
-        if s.multiplicity <= 0 or s.kind not in KINDS or facet == OUT:
-            shape_ok = False
-            detail = str(s)
-            break
-        if s.kind in ("L", "M") and facet != "C2":
-            shape_ok = False
-            detail = f"{s} at facet {facet}"
-            break
-    report.add("summand-shape", shape_ok, detail)
+    bad = next(filter(None, (_misshapen(s, p) for s in d.summands)), "")
+    if bad:
+        report.add("character-sum", False, f"misshapen summand {bad}")
+        report.add("dimension", False, f"misshapen summand {bad}")
+    else:
+        total = tensor_char(d.left, d.right, p)
+        report.add("character-sum", summands_char(d.summands, p) == total)
+        dims = sum(summand_dim(s, p) for s in d.summands)
+        report.add("dimension", dims == d.dim_product,
+                   f"{dims} vs {d.dim_product}")
+    report.add("summand-shape", not bad, bad)
 
     try:
         mirrored = decompose(tau(d.right), tau(d.left), p)
@@ -411,7 +395,7 @@ def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
     """Decompose and verify all p^2 x p^2 restricted pairs, on at most
     ``jobs`` worker processes (capped by the CPU count)."""
     _check_prime(p)
-    weights = [(a, b) for a in range(p) for b in range(p)]
+    weights = restricted_weights(p)
     pairs = [(nu, nu2) for nu in weights for nu2 in weights]
     chunks = [[(nu, nu2) for nu2 in weights] for nu in weights]
     workers = min(jobs, os.cpu_count() or 1, len(chunks))

@@ -95,10 +95,6 @@ def m_char(w: Weight, p: int, basis: str = "simple") -> Character:
     return Character("simple", {w: 2, mu3: 1, mu3p: 1, mu1: 1})
 
 
-def m_dim(w: Weight, p: int) -> int:
-    return m_char(w, p, basis="weyl").dimension()
-
-
 def to_simple_basis(c: Character, p: int) -> Character:
     """Exact change of basis from Weyl to simple characters."""
     if c.basis != "weyl":
@@ -114,12 +110,3 @@ def from_simple_basis(c: Character, p: int) -> Character:
     return Character("weyl").combine(
         (k, simple_char(w, p)) for w, k in c.coeffs.items()
     )
-
-
-def char_dim(c: Character, p: int | None = None) -> int:
-    """Dimension of a character in any basis (simple basis needs p)."""
-    if c.basis == "simple":
-        if p is None:
-            raise ValueError("simple-basis dimension needs p")
-        return sum(k * simple_dim(w, p) for w, k in c.coeffs.items())
-    return c.dimension()

@@ -107,6 +107,13 @@ def _subspace_eq(a: Sequence[Vector], b: Sequence[Vector]) -> bool:
     return ra == rb and pa == pb
 
 
+def _require_progress(before: Dict[str, List[Vector]], after: Dict[str, List[Vector]]) -> None:
+    """Loewy layers are nested, so equal dimensions mean the series has
+    stalled, which happens only when the arrows do not act nilpotently."""
+    if sum(map(len, before.values())) == sum(map(len, after.values())):
+        raise ValueError("Loewy series does not end: the arrows do not act nilpotently")
+
+
 def _solve_in_basis(basis: Sequence[Vector], target: Sequence[Fraction]) -> Optional[Vector]:
     """Coefficients expressing target in the given linearly independent basis."""
     if not basis:
@@ -488,6 +495,7 @@ class FDModule:
         series = [self._full_spaces()]
         while any(series[-1][v] for v in series[-1]):
             series.append(self._radical_of(series[-1]))
+            _require_progress(series[-2], series[-1])
         return series[:-1]
 
     def socle_series(self) -> List[Dict[str, List[Vector]]]:
@@ -495,7 +503,7 @@ class FDModule:
         q = self.pres.quiver
         series: List[Dict[str, List[Vector]]] = []
         current: Dict[str, List[Vector]] = {v: [] for v in q.vertices}
-        while True:
+        while sum(map(len, current.values())) < self.total_dim:
             annihilators = {
                 v: _null_space(
                     [list(vec) for vec in current[v]], self.dims[v]
@@ -515,10 +523,10 @@ class FDModule:
                             ]
                         )
                 nxt[x] = _null_space(rows, self.dims[x])
+            _require_progress(current, nxt)
             series.append(nxt)
-            if all(len(nxt[v]) == self.dims[v] for v in q.vertices):
-                return series
             current = nxt
+        return series
 
     def loewy(self) -> Tuple[List[Dict[str, int]], List[Dict[str, int]], bool]:
         """(radical layers, socle layers, rigid?).

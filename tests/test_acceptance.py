@@ -103,6 +103,7 @@ def test_criterion_4_sweeps():
     t5 = time.perf_counter() - start
     assert res5.pairs == 625
     assert res5.failures == []
+    assert res5.m_pairs == 36  # ((p-1)(p-2)/2)^2: every case-3 pair
     assert t5 < 60.0
     assert _sweep_digests(res5) == GOLDEN_SWEEP_DIGESTS[5]
 
@@ -111,6 +112,7 @@ def test_criterion_4_sweeps():
     t7 = time.perf_counter() - start
     assert res7.pairs == 2401
     assert res7.failures == []
+    assert res7.m_pairs == 225
     assert t7 < 600.0
     assert _sweep_digests(res7) == GOLDEN_SWEEP_DIGESTS[7]
     _report(4, f"sweep p=5: 625 pairs 0 failures {t5:.1f}s; "

@@ -44,6 +44,11 @@ def test_dim_command(capsys):
     assert code == 0 and out.strip() == "125"
     code, out, _ = run(capsys, "dim", "--p", "5", "--weight", "1,3", "--kind", "m")
     assert code == 0 and out.strip() == "63"
+    code, out, _ = run(capsys, "dim", "--p", "5", "--weight", "6,2", "--kind", "tilting")
+    assert code == 0 and out.strip() == "165"
+    # a Weyl module needs no facet data, so a weight outside the region works
+    code, out, _ = run(capsys, "dim", "--p", "5", "--weight", "20,20", "--kind", "weyl")
+    assert code == 0 and out.strip() == "9261"
 
 
 def test_char_command(capsys):

@@ -18,8 +18,8 @@ from sl3tensor.decompose import (
     decompose,
     greedy_tilting,
     split_blocks,
-    summand_char,
     summand_dim,
+    summands_char,
     sweep,
     tensor_char,
     verify,
@@ -230,6 +230,24 @@ def test_verify_catches_perturbation():
     assert "character-sum" in names
 
 
+@pytest.mark.parametrize("bad", [
+    Summand("X", (0, 0), 1),
+    Summand("M", (0, 0), 1),
+    Summand("T", (99, 0), 1),
+    Summand("T", (-1, 0), 1),
+    Summand("L", (1, 0), 1),  # off C2, but its character computes
+])
+def test_verify_reports_misshapen_summand(bad):
+    d = decompose((1, 0), (0, 0), 5)
+    assert verify(d).passed
+    report = verify(dataclasses.replace(d, summands=(bad,)))
+    assert [c.name for c in report.checks] == [
+        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
+    failed = {c.name: c.detail for c in report.failures()}
+    for name in ("character-sum", "dimension", "summand-shape"):
+        assert str(bad) in failed[name]
+
+
 def test_cached_decomposition_is_immutable():
     d = decompose((3, 1), (3, 1), 5)
     text, data = str(d), d.to_json()
@@ -246,7 +264,7 @@ def test_summand_char_consistency():
     d = decompose((3, 1), (3, 1), 5)
     total = Character("weyl", {})
     for s in d.summands:
-        total = total + summand_char(s, 5)
+        total = total + summands_char((s,), 5)
     assert total == tensor_char((3, 1), (3, 1), 5)
 
 

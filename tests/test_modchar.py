@@ -2,10 +2,8 @@ import pytest
 
 from sl3tensor.alcoves import classify, linked_weight, region_weights
 from sl3tensor.modchar import (
-    char_dim,
     from_simple_basis,
     m_char,
-    m_dim,
     simple_char,
     simple_dim,
     tilting_char,
@@ -98,8 +96,8 @@ def test_tilting_char_top_and_tau(p):
 def test_m_char_examples():
     c = m_char((1, 3), 5)
     assert c == Character("simple", {(1, 3): 2, (7, 0): 1, (0, 5): 1, (0, 2): 1})
-    assert m_dim((1, 3), 5) == 63
-    assert char_dim(c, 5) == 63
+    assert m_char((1, 3), 5, basis="weyl").dimension() == 63
+    assert from_simple_basis(c, 5).dimension() == 63
     assert m_char((1, 3), 5, basis="weyl") == Character(
         "weyl", {(7, 0): 1, (0, 5): 1, (0, 2): 1}
     )

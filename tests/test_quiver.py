@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,36 @@ def test_quotient_edge_cases(alg):
     assert p2.quotient_by(((1, ()),)).total_dim == 0
     zero_combo = ((1, ("b1'", "b1")), (-1, ("b1'", "b1")))
     assert p2.quotient_by(zero_combo) is p2
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when a series never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("series", ["radical_series", "socle_series", "loewy"])
+def test_loewy_series_reject_non_nilpotent_arrows(series):
+    loop = FDModule(parse_presentation("x: 1 -> 1\n"), {"1": 1}, {"x": ((1,),)})
+    with _deadline(5), pytest.raises(ValueError, match="nilpotent"):
+        getattr(loop, series)()
+
+
+def test_zero_module_has_empty_loewy_series(alg):
+    zero = alg.projective("2").quotient_by(((1, ()),))
+    with _deadline(5):
+        assert zero.radical_series() == []
+        assert zero.socle_series() == []
+        assert zero.loewy() == ([], [], True)
 
 
 def test_m2_not_isomorphic_to_other_quotients(alg):
