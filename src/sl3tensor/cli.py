@@ -61,7 +61,10 @@ def cmd_facet(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    print(_kind_char(args.kind, parse_weight(args.weight), args.p).dimension())
+    w = parse_weight(args.weight)
+    dim = _kind_char(args.kind, w, args.p).dimension()
+    print(_json_dumps({"p": args.p, "kind": args.kind, "weight": list(w), "dim": dim})
+          if args.json else dim)
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .alcoves import OUT, canonical_rep, classify, is_restricted, restricted_weights
+from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import (
     floor_weights,
     m_char,
@@ -102,8 +102,13 @@ def summands_char(summands: Sequence[Summand], p: int) -> Character:
     return Character("weyl").combine(terms)
 
 
+@lru_cache(maxsize=None)
+def _kind_dim(kind: str, w: Weight, p: int) -> int:
+    return _KIND_CHAR[kind](w, p).dimension()
+
+
 def summand_dim(s: Summand, p: int) -> int:
-    return s.multiplicity * _KIND_CHAR[s.kind](s.weight, p).dimension()
+    return s.multiplicity * _kind_dim(s.kind, s.weight, p)
 
 
 def _check_prime(p: int) -> None:
@@ -127,12 +132,14 @@ def split_blocks(c: Character, p: int) -> Dict[Weight, Character]:
     """
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
+    table = _facet_table(p)[0]  # holds every weight of the region
     buckets: Dict[Weight, Dict[Weight, int]] = {}
     for w, k in c.coeffs.items():
-        if classify(w, p) == OUT:
+        facet, rep = table.get(w, (OUT, None))
+        if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
-        buckets.setdefault(canonical_rep(w, p), {})[w] = k
-    return {rep: Character("weyl", coeffs) for rep, coeffs in buckets.items()}
+        buckets.setdefault(rep, {})[w] = k
+    return {rep: Character._trusted("weyl", coeffs) for rep, coeffs in buckets.items()}
 
 
 def _greedy(block: Character, p: int, kind_at, floor=frozenset()):
@@ -150,7 +157,7 @@ def _greedy(block: Character, p: int, kind_at, floor=frozenset()):
         return _KIND_CHAR[kind](lead, p).coeffs.items()
 
     _, remaining = peel(block.coeffs, expand, floor)
-    return summands, Character("weyl", remaining)
+    return summands, Character._trusted("weyl", remaining)
 
 
 def greedy_tilting(

@@ -56,6 +56,7 @@ def simple_char(w: Weight, p: int) -> Character:
     return result
 
 
+@lru_cache(maxsize=None)
 def simple_dim(w: Weight, p: int) -> int:
     return simple_char(w, p).dimension()
 
@@ -100,7 +101,7 @@ def to_simple_basis(c: Character, p: int) -> Character:
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
     steps, _ = peel(c.coeffs, lambda lead, k: simple_char(lead, p).coeffs.items())
-    return Character("simple", dict(steps))
+    return Character._trusted("simple", dict(steps))
 
 
 def from_simple_basis(c: Character, p: int) -> Character:

@@ -9,11 +9,14 @@ symbols indexed by weights, in one of three bases:
 
 Products are available along two independent routes and the test suite pins
 them against each other: :func:`lr_tensor` counts Littlewood-Richardson
-tableaux over 3-row partitions, while :func:`mult_via_monomial` applies the
-Brauer-Klimyk rule to the weight multiplicities of one factor, obtained from
-the alternating partition-function formula.  :func:`monomial_to_weyl` reads
-Weyl coefficients off a multiplicity map by the alternant of Weyl's character
-formula.  All arithmetic is exact, in Python integers.
+tableaux over 3-row partitions (each count in closed form), while
+:func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
+multiplicities of one factor, obtained from the alternating partition-function
+formula.  :func:`monomial_to_weyl` reads Weyl coefficients off a multiplicity
+map by the alternant of Weyl's character formula.  All arithmetic is exact, in
+Python integers.  ``Character(...)`` and ``from_json`` check every term; the
+library builds characters from valid ones (sums, blocks, remainders, changes
+of basis) with the unchecked ``Character._trusted``.
 """
 
 from __future__ import annotations
@@ -51,18 +54,28 @@ class Character:
             raise ValueError(f"unknown basis {basis!r}")
         cleaned = {}
         for w, c in (coeffs or {}).items():
-            if not (isinstance(w, tuple) and len(w) == 2
+            # exact types first; the general test only on a miss
+            if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
+                    and type(w[1]) is int or isinstance(w, tuple) and len(w) == 2
                     and _is_int(w[0]) and _is_int(w[1])):
                 raise ValueError(f"weight must be two integers, got {w!r}")
-            if not _is_int(c):
+            if type(c) is not int and not _is_int(c):
                 raise ValueError(f"coefficient must be an integer, got {c!r}")
             if c == 0:
                 continue
-            if basis != "monomial" and not is_dominant(w):
+            if basis != "monomial" and (w[0] < 0 or w[1] < 0):
                 raise ValueError(f"non-dominant support {w} in {basis} basis")
             cleaned[w] = c
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+
+    @classmethod
+    def _trusted(cls, basis: str, coeffs: Dict[Weight, int]) -> "Character":
+        """Unchecked, for terms from valid characters: drops zeros only."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "coeffs", MappingProxyType({w: c for w, c in coeffs.items() if c}))
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Character is immutable")
@@ -83,14 +96,16 @@ class Character:
         return hash((self.basis, frozenset(self.coeffs.items())))
 
     def combine(self, terms: Iterable[Tuple[int, "Character"]]) -> "Character":
-        """``self + sum(k * c for k, c in terms)``, built and validated once."""
+        """``self + sum(k * c for k, c in terms)``; checks only bases and k."""
         out = self.coeffs.copy()
         for k, other in terms:
             if other.basis != self.basis:
                 raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
+            if not isinstance(k, int):
+                raise ValueError(f"coefficient must be an integer, got {k!r}")
             for w, c in other.coeffs.items():
                 out[w] = out.get(w, 0) + k * c
-        return Character(self.basis, out)
+        return Character._trusted(self.basis, out)
 
     def __add__(self, other: "Character") -> "Character":
         return self.combine(((1, other),))
@@ -298,32 +313,26 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 def _lr_count(nu, P, Q) -> int:
     """LR skew tableaux of shape nu/P and content Q, all with <= 3 rows.
 
-    Row fillings are encoded by value counts per row; the ballot condition
-    forces row 1 to contain only 1s and all 3s to sit in row 3, leaving a
-    single free parameter.
+    Row fillings are encoded by value counts n_ij (value j in row i); the
+    ballot condition forces row 1 to contain only 1s and all 3s to sit in row
+    3, leaving one free parameter n21.  Row 3's length |Q| - skew1 - skew2
+    does not involve n21 and every other condition bounds n21 linearly, so
+    the count is the length of an interval.
     """
     skew1 = nu[0] - P[0]
     skew2 = nu[1] - P[1]
     skew3 = nu[2]
-    if skew1 < 0 or skew2 < 0 or skew3 < 0:
+    if (skew1 < 0 or skew2 < 0 or skew3 < 0
+            or Q[0] + Q[1] + Q[2] - skew1 - skew2 != skew3):
         return 0
-    n11 = skew1
-    n33 = Q[2]
-    count = 0
-    for n21 in range(min(skew2, P[0] - P[1], Q[0] - n11) + 1):
-        n22 = skew2 - n21
-        n31 = Q[0] - n11 - n21
-        n32 = Q[1] - n22
-        if n31 < 0 or n32 < 0 or n31 + n32 + n33 != skew3:
-            continue
-        # column strictness against the row above
-        if n31 > P[1] or n31 + n32 > P[1] + n21:
-            continue
-        # ballot condition row by row
-        if n22 > n11 or n22 + n32 > n11 + n21 or n33 > n22:
-            continue
-        count += 1
-    return count
+    n11 = skew1  # n22 = skew2 - n21, n31 = Q[0] - n11 - n21, n32 = Q[1] - n22, n33 = Q[2]
+    hi = min(P[0] - P[1], Q[0] - n11,  # n31 >= 0
+             skew2 - Q[2])  # ballot: n33 <= n22, so n22 >= 0
+    lo = max(0, skew2 - Q[1],  # n32 >= 0
+             Q[0] - n11 - P[1],  # column strictness: n31 <= P[1]
+             Q[0] + Q[1] - n11 - skew2 - P[1],  # n31 + n32 <= P[1] + n21
+             skew2 - n11, Q[1] - n11)  # ballot: n22 <= n11, n22 + n32 <= n11 + n21
+    return max(0, hi - lo + 1)
 
 
 @lru_cache(maxsize=None)
@@ -332,11 +341,11 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
     Q = (mu[0] + mu[1], mu[1], 0)
     total = sum(P) + sum(Q)
     items = []
-    for nu3 in range(total // 3 + 1):
-        for nu2 in range(max(P[1], nu3), (total - nu3) // 2 + 1):
-            nu1 = total - nu2 - nu3
-            if nu1 < max(P[0], nu2):
-                continue
+    # nu1 = P[0] + skew1, 0 <= skew1 <= Q[0]; nu3 <= n31 + n32 <= P[1] + Q[1]
+    for nu3 in range(min(total // 3, P[1] + Q[1]) + 1):
+        top = min(P[0] + Q[0], total - nu3 - max(P[1], nu3))
+        for nu1 in range(top, max(P[0], (total - nu3 + 1) // 2) - 1, -1):
+            nu2 = total - nu1 - nu3
             c = _lr_count((nu1, nu2, nu3), P, Q)
             if c:
                 items.append(((nu1 - nu2, nu2 - nu3), c))

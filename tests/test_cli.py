@@ -49,6 +49,10 @@ def test_dim_command(capsys):
     # a Weyl module needs no facet data, so a weight outside the region works
     code, out, _ = run(capsys, "dim", "--p", "5", "--weight", "20,20", "--kind", "weyl")
     assert code == 0 and out.strip() == "9261"
+    code, out, _ = run(capsys, "dim", "--p", "7", "--kind", "simple", "--weight",
+                       "6,6", "--json")
+    assert code == 0
+    assert json.loads(out) == {"p": 7, "kind": "simple", "weight": [6, 6], "dim": 343}
 
 
 def test_char_command(capsys):

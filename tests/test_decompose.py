@@ -13,6 +13,7 @@ from sl3tensor.alcoves import canonical_rep, classify, region_weights, restricte
 from sl3tensor.decompose import (
     IntegrityError,
     Summand,
+    _greedy,
     _is_regular_rep,
     case3_floor_solve,
     decompose,
@@ -80,6 +81,10 @@ def test_split_blocks_trivial_and_case2():
     # each block carries a single simple character
     for block in blocks.values():
         assert len(to_simple_basis(block, 5).coeffs) == 1
+    # out of the region: inside the facet table, and past it
+    for w in ((14, 0), (30, 30)):
+        with pytest.raises(ValueError, match="outside the region"):
+            split_blocks(Character("weyl", {w: 1}), 5)
 
 
 def test_greedy_tilting_examples():
@@ -315,6 +320,40 @@ def test_sweep_accepts_any_prime(monkeypatch):
     monkeypatch.setattr(decompose_module, "_sweep_pairs", stub)
     assert sweep(13, run_verify=False) == "stub"
     assert seen == {"p": 13, "pairs": 13**4, "run_verify": False}
+
+
+def _as_if_checked(c):
+    """A character from the unchecked internal constructor is exactly what
+    the checked one builds from its terms: no zero term, and immutable."""
+    assert c == Character(c.basis, dict(c.coeffs))
+    assert 0 not in c.coeffs.values()
+    with pytest.raises(TypeError):
+        c.coeffs[(0, 0)] = 1
+    with pytest.raises(AttributeError):
+        c.basis = "monomial"
+
+
+def test_internal_characters_match_checked_construction_on_every_p5_pair():
+    p = 5
+    weights = restricted_weights(p)
+    for nu in weights:
+        for nu2 in weights:
+            total = tensor_char(nu, nu2, p)
+            _as_if_checked(total)
+            case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
+            for rep, block in split_blocks(total, p).items():
+                _as_if_checked(block)
+                if case == 2:
+                    _, residual = _greedy(
+                        block, p, lambda w: "L" if classify(w, p) == "C2" else "T")
+                else:
+                    floor = (floor_weights(rep, p)
+                             if case == 3 and _is_regular_rep(rep, p) else ())
+                    _, residual = greedy_tilting(block, p, frozenset(floor))
+                _as_if_checked(residual)
+                if residual:
+                    _as_if_checked(to_simple_basis(residual, p))
+            _as_if_checked(summands_char(decompose(nu, nu2, p).summands, p))
 
 
 def summand_multiset(d):

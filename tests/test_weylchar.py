@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sl3tensor.weights import dim_weyl, tau
 from sl3tensor.weylchar import (
     Character,
+    _lr_count,
     lr_tensor,
     monomial_to_weyl,
     mult,
@@ -231,6 +233,41 @@ def test_lr_matches_monomial_convolution_sample():
         assert mult(a, b) == mult_via_monomial(a, b)
 
 
+def test_lr_matches_monomial_on_a_full_grid():
+    # every pair in the box pins the closed-form LR count, each bound of it
+    grid = [(a, b) for a in range(6) for b in range(6)]
+    for lam in grid:
+        for mu in grid:
+            assert lr_tensor(lam, mu) == mult_via_monomial(
+                Character("weyl", {lam: 1}), Character("weyl", {mu: 1})
+            ), (lam, mu)
+
+
+def _lr_count_by_loop(nu, P, Q):
+    """Reference: the closed form's enumeration over the free parameter n21."""
+    skew1, skew2, skew3 = nu[0] - P[0], nu[1] - P[1], nu[2]
+    if skew1 < 0 or skew2 < 0 or skew3 < 0:
+        return 0
+    n11, n33, count = skew1, Q[2], 0
+    for n21 in range(min(skew2, P[0] - P[1], Q[0] - n11) + 1):
+        n22 = skew2 - n21
+        n31, n32 = Q[0] - n11 - n21, Q[1] - n22
+        count += (n31 >= 0 and n32 >= 0 and n31 + n32 + n33 == skew3
+                  and n31 <= P[1] and n31 + n32 <= P[1] + n21  # columns
+                  and n22 <= n11 and n22 + n32 <= n11 + n21 and n33 <= n22)  # ballot
+    return count
+
+
+def test_lr_count_matches_the_loop_on_partitions():
+    # content with a third row too, which lr_tensor never passes
+    parts = [(a, b, c) for a in range(7) for b in range(a + 1) for c in range(b + 1)]
+    for P in (q for q in parts if q[2] == 0):
+        for Q in (q for q in parts if q[0] <= 4):
+            for nu in parts:
+                if sum(nu) == sum(P) + sum(Q):
+                    assert _lr_count(nu, P, Q) == _lr_count_by_loop(nu, P, Q), (nu, P, Q)
+
+
 def test_character_json_round_trip_and_order():
     c = Character("weyl", {(6, 2): 1, (0, 2): 2, (4, 3): 1})
     data = c.to_json()
@@ -260,6 +297,23 @@ def test_character_from_json_rejects_malformed_terms(terms):
 def test_character_rejects_malformed_terms(coeffs):
     with pytest.raises(ValueError, match="must be"):
         Character("weyl", coeffs)
+
+
+def test_character_checks_accept_int_and_tuple_subclasses():
+    # the exact-type fast path falls back to the general test, not to a refusal
+    class Int(int):
+        pass
+
+    W = namedtuple("W", "a b")
+    assert Character("weyl", {W(Int(1), 0): Int(2)}) == Character("weyl", {(1, 0): 2})
+    with pytest.raises(ValueError, match="non-dominant support"):
+        Character("weyl", {W(Int(-1), 0): 1})
+
+
+def test_combine_rejects_a_non_integer_factor():
+    c = Character("weyl", {(1, 0): 2})
+    with pytest.raises(ValueError, match="must be an integer"):
+        Character("weyl").combine([(0.5, c)])
 
 
 def test_character_basis_validation():
