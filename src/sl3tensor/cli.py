@@ -38,9 +38,12 @@ def _prime(text: str) -> int:
 
 def _jobs(text: str) -> int:
     """argparse type of ``--jobs``: a worker count >= 1."""
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text}")
     return n
 
 
@@ -194,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--kind", default="simple",
                     choices=("weyl", "simple", "tilting", "m"))
-    sp.add_argument("--basis", default=None, choices=(None, "weyl", "simple"))
+    sp.add_argument("--basis", default=None, choices=("weyl", "simple"))
     sp.set_defaults(func=cmd_char)
 
     sp = sub.add_parser("decompose", help="decompose a tensor product")

@@ -12,8 +12,10 @@ simple characters instead.  Both greedy passes run ``weylchar.peel``.
 Any negative coefficient, non-integral solve, or nonzero remainder is
 reported as an integrity failure naming the offending block.
 :func:`decompose` is memoized by ``functools.lru_cache``
-(``decompose.cache_info()``); results and the characters behind them are
-immutable, so a memoized decomposition cannot be altered by its callers.
+(``decompose.cache_info()``), and so is ``_resolve_block``, keyed on the
+block's representative, its flat coefficient items, the case and p: a sweep
+resolves each distinct block once.  Results and the characters behind them
+are immutable, so a memoized decomposition cannot be altered by its callers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
@@ -130,6 +133,12 @@ def split_blocks(c: Character, p: int) -> Dict[Weight, Character]:
 
     Keys are the canonical linkage representatives of the support.
     """
+    return {rep: Character._trusted("weyl", coeffs)
+            for rep, coeffs in _buckets(c, p).items()}
+
+
+def _buckets(c: Character, p: int) -> Dict[Weight, Dict[Weight, int]]:
+    """The coefficients of each linkage block, keyed by its representative."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
     table = _facet_table(p)[0]  # holds every weight of the region
@@ -139,7 +148,7 @@ def split_blocks(c: Character, p: int) -> Dict[Weight, Character]:
         if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
         buckets.setdefault(rep, {})[w] = k
-    return {rep: Character._trusted("weyl", coeffs) for rep, coeffs in buckets.items()}
+    return buckets
 
 
 def _greedy(block: Character, p: int, kind_at, floor=frozenset()):
@@ -201,11 +210,14 @@ def _is_regular_rep(rep: Weight, p: int) -> bool:
     return all(n % p for n in pairings(rep))
 
 
-def _resolve_block(rep: Weight, block: Character, case: int, p: int) -> List[Summand]:
-    """Summands of the linkage block of ``rep``: case 2 matches maximal
-    second-alcove weights by simples, else tiltings peel down to the floor
-    (the floor weights of a regular case-3 block, otherwise empty), and
+@lru_cache(maxsize=None)
+def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summand, ...]:
+    """Summands of the linkage block of ``rep`` with coefficients ``items``
+    (flat: w0, k0, w1, k1, ...): case 2 matches maximal second-alcove
+    weights by simples, else tiltings peel down to the floor (the floor
+    weights of a regular case-3 block, otherwise empty), and
     :func:`case3_floor_solve` resolves what is left on the floor."""
+    block = Character._trusted("weyl", dict(zip(items[::2], items[1::2])))
     floor = floor_weights(rep, p) if case == 3 and _is_regular_rep(rep, p) else ()
     if case == 2:
         summands, residual = _greedy(
@@ -213,7 +225,7 @@ def _resolve_block(rep: Weight, block: Character, case: int, p: int) -> List[Sum
     else:
         summands, residual = greedy_tilting(block, p, frozenset(floor))
     if not residual:
-        return summands
+        return tuple(summands)
     if not floor:
         raise IntegrityError(
             f"nonzero remainder {residual.coeffs} in block {rep}", block=rep
@@ -234,7 +246,7 @@ def _resolve_block(rep: Weight, block: Character, case: int, p: int) -> List[Sum
                         ("M", mu2, w), ("T", mu1, w)):
         if k:
             summands.append(Summand(kind, mu, k))
-    return summands
+    return tuple(summands)
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +256,9 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     in_c2 = (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
     case = 1 + in_c2
 
-    blocks = split_blocks(total, p)
-    summands = [s for rep in sorted(blocks)
-                for s in _resolve_block(rep, blocks[rep], case, p)]
+    blocks = _buckets(total, p)
+    summands = [s for rep in sorted(blocks) for s in _resolve_block(
+        rep, tuple(chain.from_iterable(blocks[rep].items())), case, p)]
 
     # kinds and weights are distinct and multiplicities positive: blocks
     # are disjoint and every step records a lead once

@@ -155,6 +155,23 @@ def test_sweep_rejects_jobs_below_one(capsys):
         assert f"expected a worker count >= 1, got {jobs}" in err
 
 
+def test_sweep_rejects_non_integer_jobs(capsys):
+    for jobs in ("x", "1.5", ""):
+        code, out, err = run(capsys, "sweep", "--p", "5", "--no-verify",
+                             "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert f"argument --jobs: expected a worker count >= 1, got {jobs}\n" in err
+        assert "_jobs" not in err
+
+
+def test_char_help_lists_the_bases(capsys):
+    code, out, _ = run(capsys, "char", "--help")
+    assert code == 0
+    assert "[--basis {weyl,simple}]" in out and "None" not in out
+    code, _, err = run(capsys, "char", "--p", "5", "--weight", "1,1", "--basis", "None")
+    assert code == 2 and "invalid choice: 'None'" in err
+
+
 def test_quiver_verify(capsys):
     code, out, _ = run(capsys, "quiver", "verify")
     assert code == 0

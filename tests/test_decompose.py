@@ -4,6 +4,7 @@ import importlib
 import os
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from sl3tensor.decompose import (
     Summand,
     _greedy,
     _is_regular_rep,
+    _resolve_block,
     case3_floor_solve,
     decompose,
     greedy_tilting,
@@ -356,6 +358,43 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
             _as_if_checked(summands_char(decompose(nu, nu2, p).summands, p))
 
 
+def _block_keys(p):
+    """``(rep, flat items, case)`` of every block of every pair at p, in
+    sweep order, as ``decompose`` keys its block memo."""
+    for nu in restricted_weights(p):
+        for nu2 in restricted_weights(p):
+            case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
+            for rep, block in split_blocks(tensor_char(nu, nu2, p), p).items():
+                yield rep, tuple(chain.from_iterable(block.coeffs.items())), case
+
+
+def test_block_memo_matches_unmemoized_resolution_on_every_p5_pair():
+    for rep, items, case in _block_keys(5):
+        got = _resolve_block(rep, items, case, 5)
+        assert type(got) is tuple
+        assert got == _resolve_block.__wrapped__(rep, items, case, 5), (rep, case)
+
+
+def test_sweep_resolves_each_distinct_block_once():
+    decompose.cache_clear()
+    _resolve_block.cache_clear()
+    sweep(5, run_verify=False)
+    keys = list(_block_keys(5))
+    info = _resolve_block.cache_info()
+    assert info.misses == len(set(keys))
+    assert info.hits == len(keys) - len(set(keys)) > 0
+
+
+def test_block_memo_keys_on_case_and_prime():
+    # X(3,1) + X(2,0) is T(3,1) at p=5; (3,1) lies in C2 there, so case 2
+    # takes L(3,1) first.  At p=7 both weights lie in C1: two tiltings.
+    items = ((3, 1), 1, (2, 0), 1)
+    t31, l31, t20 = Summand("T", (3, 1), 1), Summand("L", (3, 1), 1), Summand("T", (2, 0), 2)
+    assert _resolve_block((2, 0), items, 1, 5) == (t31,)
+    assert _resolve_block((2, 0), items, 2, 5) == (l31, t20)
+    assert _resolve_block((2, 0), items, 1, 7) == (t31, Summand("T", (2, 0), 1))
+
+
 def summand_multiset(d):
     return Counter((s.kind, s.weight, s.multiplicity) for s in d.summands)
 
@@ -383,6 +422,7 @@ def test_random_prime_pairs_verify_and_commute(case):
     d = decompose(nu, nu2, p)
     assert verify(d).passed, (p, nu, nu2)
     assert summand_multiset(decompose(nu2, nu, p)) == summand_multiset(d)
+    assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
 
 
 def test_sweep_no_verify_counts_match():
