@@ -31,8 +31,8 @@ def _prime(text: str) -> int:
     """argparse type of ``--p``: a prime >= 5."""
     try:
         _check_prime(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"p must be a prime >= 5, got {text}") from None
     return int(text)
 
 

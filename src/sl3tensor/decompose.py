@@ -2,20 +2,20 @@
 
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
-linkage blocks, and resolve each block (one routine, ``_resolve_block``)
-greedily against tilting characters.  When both factors lie in the second
-alcove, the four lowest linked weights of a regular block (alcoves 3, 3', 2,
-1) are withheld from the greedy pass and resolved by a closed-form linear
-solve whose basis adds the non-highest-weight module M; when exactly one
-factor lies in the second alcove, maximal second-alcove support is matched by
-simple characters instead.  Both greedy passes run ``weylchar.peel``.
-Any negative coefficient, non-integral solve, or nonzero remainder is
-reported as an integrity failure naming the offending block.
-:func:`decompose` is memoized by ``functools.lru_cache``
-(``decompose.cache_info()``), and so is ``_resolve_block``, keyed on the
-block's representative, its flat coefficient items, the case and p: a sweep
-resolves each distinct block once.  Results and the characters behind them
-are immutable, so a memoized decomposition cannot be altered by its callers.
+linkage blocks, and resolve each block greedily against tilting characters.
+When both factors lie in the second alcove, the four lowest linked weights of
+a regular block (alcoves 3, 3', 2, 1) are withheld from the greedy pass and
+resolved by a closed-form linear solve whose basis adds the non-highest-weight
+module M; when exactly one factor lies in the second alcove, maximal
+second-alcove support is matched by simple characters instead.  Both greedy
+passes run ``weylchar.peel``.  Any negative coefficient, non-integral solve,
+or nonzero remainder is reported as an integrity failure naming the
+offending block.  Memoized by ``functools.lru_cache``: :func:`decompose`;
+``_resolve_block``, keyed on the block's weights, case and p; and behind it
+``_resolve_pattern``, keyed on which facets carry which coefficients, the
+case and p, since a resolution depends on nothing else: it runs on one
+witness class per set of in-region facets.  Results and the characters
+behind them are immutable, so a memoized decomposition cannot be altered.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class IntegrityError(RuntimeError):
         self.block = block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summand:
     kind: str  # "T", "L" or "M"
     weight: Weight
@@ -211,9 +211,51 @@ def _is_regular_rep(rep: Weight, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _witnesses(p: int) -> Dict[Weight, Weight]:
+    """Each class representative to the first, in ``_facet_table`` order,
+    whose class has the same in-region facets."""
+    facets: Dict[Weight, set] = {}
+    for rep, facet in _facet_table(p)[1]:
+        facets.setdefault(rep, set()).add(facet)
+    first: Dict[FrozenSet[str], Weight] = {}
+    return {rep: first.setdefault(frozenset(fs), rep) for rep, fs in facets.items()}
+
+
+@lru_cache(maxsize=None)
 def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summand, ...]:
     """Summands of the linkage block of ``rep`` with coefficients ``items``
-    (flat: w0, k0, w1, k1, ...): case 2 matches maximal second-alcove
+    (flat: w0, k0, w1, k1, ...), sorted.  A block of one linkage class is
+    resolved by its facet pattern on a witness class and translated back;
+    any other block, or one whose witness fails, by its weights, so that a
+    failure names the real block."""
+    table, index = _facet_table(p)
+    cells = [table.get(w, (OUT, None)) for w in items[::2]]
+    summands = None
+    if all(r == rep and f != OUT for f, r in cells):
+        pattern = tuple(chain.from_iterable(sorted(zip([f for f, _ in cells], items[1::2]))))
+        try:
+            summands = [Summand(kind, index[rep, f], k) for kind, f, k in
+                        _resolve_pattern(_witnesses(p)[rep], pattern, case, p)]
+        except IntegrityError:
+            pass  # resolved below, so that the failure names this block
+    if summands is None:
+        summands = _resolve_weights(rep, items, case, p)
+    return tuple(sorted(summands, key=lambda s: (sort_key(s.weight), s.kind)))
+
+
+@lru_cache(maxsize=None)
+def _resolve_pattern(witness: Weight, pattern: Tuple, case: int, p: int) -> Tuple:
+    """``(kind, facet, k)`` of the resolved block of the class of ``witness``
+    with coefficients ``pattern`` (flat, by facet: f0, k0, f1, k1, ...)."""
+    table, index = _facet_table(p)
+    items = list(pattern)
+    items[::2] = [index[witness, f] for f in pattern[::2]]
+    return tuple((s.kind, table[s.weight][0], s.multiplicity)
+                 for s in _resolve_weights(witness, tuple(items), case, p))
+
+
+def _resolve_weights(rep: Weight, items: Tuple, case: int, p: int) -> List[Summand]:
+    """The block resolver on weights: case 2 matches maximal second-alcove
     weights by simples, else tiltings peel down to the floor (the floor
     weights of a regular case-3 block, otherwise empty), and
     :func:`case3_floor_solve` resolves what is left on the floor."""
@@ -225,7 +267,7 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
     else:
         summands, residual = greedy_tilting(block, p, frozenset(floor))
     if not residual:
-        return tuple(summands)
+        return summands
     if not floor:
         raise IntegrityError(
             f"nonzero remainder {residual.coeffs} in block {rep}", block=rep
@@ -246,7 +288,7 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
                         ("M", mu2, w), ("T", mu1, w)):
         if k:
             summands.append(Summand(kind, mu, k))
-    return tuple(summands)
+    return summands
 
 
 @lru_cache(maxsize=None)

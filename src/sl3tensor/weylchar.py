@@ -310,44 +310,33 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 # Littlewood-Richardson product
 # ---------------------------------------------------------------------------
 
-def _lr_count(nu, P, Q) -> int:
-    """LR skew tableaux of shape nu/P and content Q, all with <= 3 rows.
-
-    Row fillings are encoded by value counts n_ij (value j in row i); the
-    ballot condition forces row 1 to contain only 1s and all 3s to sit in row
-    3, leaving one free parameter n21.  Row 3's length |Q| - skew1 - skew2
-    does not involve n21 and every other condition bounds n21 linearly, so
-    the count is the length of an interval.
-    """
-    skew1 = nu[0] - P[0]
-    skew2 = nu[1] - P[1]
-    skew3 = nu[2]
-    if (skew1 < 0 or skew2 < 0 or skew3 < 0
-            or Q[0] + Q[1] + Q[2] - skew1 - skew2 != skew3):
-        return 0
-    n11 = skew1  # n22 = skew2 - n21, n31 = Q[0] - n11 - n21, n32 = Q[1] - n22, n33 = Q[2]
-    hi = min(P[0] - P[1], Q[0] - n11,  # n31 >= 0
-             skew2 - Q[2])  # ballot: n33 <= n22, so n22 >= 0
-    lo = max(0, skew2 - Q[1],  # n32 >= 0
-             Q[0] - n11 - P[1],  # column strictness: n31 <= P[1]
-             Q[0] + Q[1] - n11 - skew2 - P[1],  # n31 + n32 <= P[1] + n21
-             skew2 - n11, Q[1] - n11)  # ballot: n22 <= n11, n22 + n32 <= n11 + n21
-    return max(0, hi - lo + 1)
-
-
 @lru_cache(maxsize=None)
 def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
-    P = (lam[0] + lam[1], lam[1], 0)
-    Q = (mu[0] + mu[1], mu[1], 0)
+    """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each.
+
+    Row fillings are encoded by value counts n_ij (value j in row i); the
+    ballot condition forces row 1 to contain only 1s, leaving one free
+    parameter n21 once the skews s1 = nu1 - P[0] = n11 and s2 = nu2 - P[1]
+    are fixed.  Every condition bounds n21 linearly, so each count is the
+    length of an interval.
+    """
+    P = (lam[0] + lam[1], lam[1])
+    Q = (mu[0] + mu[1], mu[1])
     total = sum(P) + sum(Q)
     items = []
-    # nu1 = P[0] + skew1, 0 <= skew1 <= Q[0]; nu3 <= n31 + n32 <= P[1] + Q[1]
+    # nu1 = P[0] + s1, 0 <= s1 <= Q[0]; nu3 <= n31 + n32 <= P[1] + Q[1]
     for nu3 in range(min(total // 3, P[1] + Q[1]) + 1):
         top = min(P[0] + Q[0], total - nu3 - max(P[1], nu3))
         for nu1 in range(top, max(P[0], (total - nu3 + 1) // 2) - 1, -1):
             nu2 = total - nu1 - nu3
-            c = _lr_count((nu1, nu2, nu3), P, Q)
-            if c:
+            s1, s2 = nu1 - P[0], nu2 - P[1]
+            # n22 = s2 - n21, n31 = Q[0] - s1 - n21, n32 = Q[1] - n22
+            c = (min(P[0] - P[1], Q[0] - s1, s2)  # columns; n31, n22 >= 0
+                 - max(0, s2 - Q[1],  # n32 >= 0
+                       Q[0] - s1 - P[1], nu3 - P[1],  # columns: n31, n31 + n32
+                       s2 - s1, Q[1] - s1)  # ballot: n22 <= n11, n22 + n32 <= n11 + n21
+                 + 1)
+            if c > 0:
                 items.append(((nu1 - nu2, nu2 - nu3), c))
     return tuple(items)
 

@@ -108,18 +108,30 @@ def test_decompose_rejects_unrestricted(capsys):
     assert code == 2 and "restricted" in err
 
 
+COMMANDS_TAKING_P = (
+    ["facet", "--weight", "1,1"],
+    ["dim", "--kind", "simple", "--weight", "1,1"],
+    ["char", "--weight", "1,1"],
+    ["decompose", "--lhs", "1,1", "--rhs", "1,1"],
+    ["sweep"],
+    ["diagram", "--kind", "delta", "--weight", "1,1"],
+)
+
+
 def test_every_command_rejects_a_non_prime(capsys):
-    for argv in (
-        ["facet", "--weight", "1,1"],
-        ["dim", "--kind", "simple", "--weight", "1,1"],
-        ["char", "--weight", "1,1"],
-        ["decompose", "--lhs", "1,1", "--rhs", "1,1"],
-        ["sweep"],
-        ["diagram", "--kind", "delta", "--weight", "1,1"],
-    ):
+    for argv in COMMANDS_TAKING_P:
         code, out, err = run(capsys, argv[0], "--p", "9", *argv[1:])
         assert code == 2 and out == "", argv
         assert "p must be a prime >= 5, got 9" in err, argv
+
+
+def test_every_command_rejects_a_non_integer_prime(capsys):
+    for argv in COMMANDS_TAKING_P:
+        for p in ("x", "1.5", ""):
+            code, out, err = run(capsys, argv[0], "--p", p, *argv[1:])
+            assert code == 2 and out == "", (argv, p)
+            assert f"argument --p: p must be a prime >= 5, got {p}\n" in err, (argv, p)
+            assert "int()" not in err and "_prime" not in err, (argv, p)
 
 
 def test_sweep_rejects_non_prime(capsys):

@@ -17,6 +17,9 @@ from sl3tensor.decompose import (
     _greedy,
     _is_regular_rep,
     _resolve_block,
+    _resolve_pattern,
+    _resolve_weights,
+    _witnesses,
     case3_floor_solve,
     decompose,
     greedy_tilting,
@@ -368,21 +371,49 @@ def _block_keys(p):
                 yield rep, tuple(chain.from_iterable(block.coeffs.items())), case
 
 
-def test_block_memo_matches_unmemoized_resolution_on_every_p5_pair():
-    for rep, items, case in _block_keys(5):
-        got = _resolve_block(rep, items, case, 5)
-        assert type(got) is tuple
-        assert got == _resolve_block.__wrapped__(rep, items, case, 5), (rep, case)
+def _assert_resolves_as_by_weights(rep, items, case, p):
+    """The memoized resolver, which goes through a witness class, gives the
+    weight-level resolver's summands, sorted."""
+    got = _resolve_block(rep, items, case, p)
+    assert type(got) is tuple
+    assert list(got) == sorted(got, key=lambda s: (sort_key(s.weight), s.kind))
+    assert Counter(got) == Counter(_resolve_weights(rep, items, case, p)), (p, rep, case)
+
+
+def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
+    for p in (5, 7):
+        for rep, items, case in dict.fromkeys(_block_keys(p)):
+            _assert_resolves_as_by_weights(rep, items, case, p)
 
 
 def test_sweep_resolves_each_distinct_block_once():
     decompose.cache_clear()
     _resolve_block.cache_clear()
+    _resolve_pattern.cache_clear()
     sweep(5, run_verify=False)
     keys = list(_block_keys(5))
     info = _resolve_block.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
+    # blocks of different classes share a facet pattern
+    assert _resolve_pattern.cache_info().misses < info.misses
+
+
+def test_block_failure_names_the_real_block_not_its_witness():
+    # two blocks of L(3,1) x L(3,1), each resolved through another class,
+    # with one coefficient negated: a greedy and a floor-solve failure
+    blocks = split_blocks(tensor_char((3, 1), (3, 1), 5), 5)
+    expected = {
+        ((-1, 1), (6, 2)): "negative multiplicity -1 at (6, 2) during greedy pass",
+        ((0, 2), (0, 2)): "floor solve has negative part (1, 1, -2, 0) in block (0, 2)",
+    }
+    for (rep, w), message in expected.items():
+        assert _witnesses(5)[rep] != rep
+        coeffs = dict(blocks[rep].coeffs)
+        coeffs[w] = -coeffs[w]
+        with pytest.raises(IntegrityError) as exc:
+            _resolve_block(rep, tuple(chain.from_iterable(coeffs.items())), 3, 5)
+        assert str(exc.value) == message and exc.value.block == w
 
 
 def test_block_memo_keys_on_case_and_prime():
@@ -423,6 +454,9 @@ def test_random_prime_pairs_verify_and_commute(case):
     assert verify(d).passed, (p, nu, nu2)
     assert summand_multiset(decompose(nu2, nu, p)) == summand_multiset(d)
     assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
+    for rep, block in split_blocks(tensor_char(nu, nu2, p), p).items():
+        items = tuple(chain.from_iterable(block.coeffs.items()))
+        _assert_resolves_as_by_weights(rep, items, d.case, p)
 
 
 def test_sweep_no_verify_counts_match():

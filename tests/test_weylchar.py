@@ -7,7 +7,7 @@ import pytest
 from sl3tensor.weights import dim_weyl, tau
 from sl3tensor.weylchar import (
     Character,
-    _lr_count,
+    _lr_items,
     lr_tensor,
     monomial_to_weyl,
     mult,
@@ -258,14 +258,23 @@ def _lr_count_by_loop(nu, P, Q):
     return count
 
 
-def test_lr_count_matches_the_loop_on_partitions():
-    # content with a third row too, which lr_tensor never passes
-    parts = [(a, b, c) for a in range(7) for b in range(a + 1) for c in range(b + 1)]
-    for P in (q for q in parts if q[2] == 0):
-        for Q in (q for q in parts if q[0] <= 4):
-            for nu in parts:
-                if sum(nu) == sum(P) + sum(Q):
-                    assert _lr_count(nu, P, Q) == _lr_count_by_loop(nu, P, Q), (nu, P, Q)
+def test_lr_items_match_the_loop_on_the_grid():
+    # every partition of the right size, with its count by the loop
+    grid = [(a, b) for a in range(9) for b in range(9)]
+    for lam in grid:
+        P = (lam[0] + lam[1], lam[1], 0)
+        for mu in grid:
+            Q = (mu[0] + mu[1], mu[1], 0)
+            total = sum(P) + sum(Q)
+            expect = {}
+            for nu3 in range(total // 3 + 1):
+                for nu2 in range(nu3, (total - nu3) // 2 + 1):
+                    nu = (total - nu2 - nu3, nu2, nu3)
+                    count = _lr_count_by_loop(nu, P, Q)
+                    if count:
+                        expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
+            items = _lr_items(lam, mu)
+            assert len(items) == len(expect) and dict(items) == expect, (lam, mu)
 
 
 def test_character_json_round_trip_and_order():
