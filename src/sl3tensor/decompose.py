@@ -36,7 +36,7 @@ from .modchar import (
     to_simple_basis,
 )
 from .weights import Weight, is_dominant, pairings, tau
-from .weylchar import Character, mult, peel, sort_key
+from .weylchar import Character, _is_int, mult, peel, sort_key
 
 KINDS = ("T", "L", "M")
 
@@ -115,7 +115,7 @@ def summand_dim(s: Summand, p: int) -> int:
 
 
 def _check_prime(p: int) -> None:
-    if p < 5 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not _is_int(p) or p < 5 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
@@ -291,7 +291,7 @@ def _resolve_weights(rep: Weight, items: Tuple, case: int, p: int) -> List[Summa
     return summands
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     """Decompose the tensor product of two restricted simple modules."""
     total = tensor_char(nu, nu2, p)

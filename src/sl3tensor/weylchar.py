@@ -11,8 +11,8 @@ Products are available along two independent routes and the test suite pins
 them against each other: :func:`lr_tensor` counts Littlewood-Richardson
 tableaux over 3-row partitions (each count in closed form), while
 :func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
-multiplicities of one factor, obtained from the alternating partition-function
-formula.  :func:`monomial_to_weyl` reads Weyl coefficients off a multiplicity
+multiplicities of one factor, in closed form too (one more per hexagonal
+shell).  :func:`monomial_to_weyl` reads Weyl coefficients off a multiplicity
 map by the alternant of Weyl's character formula.  All arithmetic is exact, in
 Python integers.  ``Character(...)`` and ``from_json`` check every term; the
 library builds characters from valid ones (sums, blocks, remainders, changes
@@ -33,6 +33,11 @@ BASES = ("weyl", "simple", "monomial")
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_weight(w) -> None:
+    if not (isinstance(w, tuple) and len(w) == 2 and _is_int(w[0]) and _is_int(w[1])):
+        raise ValueError(f"weight must be two integers, got {w!r}")
 
 
 def sort_key(w: Weight):
@@ -56,9 +61,8 @@ class Character:
         for w, c in (coeffs or {}).items():
             # exact types first; the general test only on a miss
             if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
-                    and type(w[1]) is int or isinstance(w, tuple) and len(w) == 2
-                    and _is_int(w[0]) and _is_int(w[1])):
-                raise ValueError(f"weight must be two integers, got {w!r}")
+                    and type(w[1]) is int):
+                _check_weight(w)
             if type(c) is not int and not _is_int(c):
                 raise ValueError(f"coefficient must be an integer, got {c!r}")
             if c == 0:
@@ -190,34 +194,33 @@ def peel(
 # monomial expansion of a Weyl character
 # ---------------------------------------------------------------------------
 
-def _kostant_partition(v1: int, v2: int) -> int:
-    """Ways to write (v1, v2) as c1*alpha1 + c2*alpha2 + m*theta, all >= 0."""
-    n1 = 2 * v1 + v2
-    n2 = v1 + 2 * v2
-    if n1 < 0 or n2 < 0 or n1 % 3 or n2 % 3:
-        return 0
-    return min(n1 // 3, n2 // 3) + 1
-
-
 @lru_cache(maxsize=None)
 def _monomial_items(lam: Weight) -> Tuple[Tuple[Weight, int], ...]:
+    """Weight multiplicities of the Weyl character at ``lam = (a, b)``: one
+    more per hexagonal shell until the shells become triangles (Fulton-Harris
+    13.2).  mu = lam - c1*alpha1 - c2*alpha2 has e-coordinates (x, y, c2) =
+    (a+b-c1, b+c1-c2, c2); lam - dom(mu) = d1*alpha1 + d2*alpha2 with d1 =
+    a+b-max, d2 = min of them; m(mu) = min(d1, d2, a, b) + 1 if both >= 0."""
     a, b = lam
-    r, s = a + 1, b + 1
-    images = [(image(r, s), sign) for image, sign in WEYL_GROUP]
+    n, cap = a + b, min(a, b)
     items = []
-    for c1 in range(a + b + 1):
-        for c2 in range(a + b + 1):
-            mu = (a - 2 * c1 + c2, b + c1 - 2 * c2)
-            mult = 0
-            for (ir, is_), sign in images:
-                mult += sign * _kostant_partition(ir - mu[0] - 1, is_ - mu[1] - 1)
-            if mult:
-                items.append((mu, mult))
+    for c1 in range(n + 1):
+        x = n - c1
+        for c2 in range(max(0, c1 - a), min(n, c1 + b) + 1):  # 0 <= y <= n
+            y = b + c1 - c2
+            lo, hi = (c2, y) if c2 < y else (y, c2)
+            if x < lo:
+                lo = x
+            elif x > hi:
+                hi = x
+            d = n - hi if n - hi < lo else lo
+            items.append(((x - y, y - c2), (d if d < cap else cap) + 1))
     return tuple(items)
 
 
 def weyl_to_monomial(lam: Weight) -> Character:
     """Weight multiplicity map of the Weyl character at a dominant weight."""
+    _check_weight(lam)
     if not is_dominant(lam):
         raise ValueError(f"non-dominant weight {lam}")
     return Character("monomial", dict(_monomial_items(lam)))
@@ -297,12 +300,18 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
             small, top = sorted((lam, mu), key=dim_weyl)
             r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
             for (x, y), m in _monomial_items(small):
-                for image, sign in WEYL_GROUP:
-                    r, s = image(r0 + x, s0 + y)
-                    if r > 0 and s > 0:
-                        nu = (r - 1, s - 1)
-                        out[nu] = out.get(nu, 0) + sign * k * m
-                        break
+                # sort the e-coordinates (r+s, s, 0) downwards: a swap is a
+                # reflection, an equal pair a wall
+                u, v, w, sign = r0 + x + s0 + y, s0 + y, 0, k * m
+                if u < v:
+                    u, v, sign = v, u, -sign
+                if v < w:
+                    v, w, sign = w, v, -sign
+                    if u < v:
+                        u, v, sign = v, u, -sign
+                if u != v and v != w:
+                    nu = (u - v - 1, v - w - 1)
+                    out[nu] = out.get(nu, 0) + sign
     return Character("weyl", out)
 
 
@@ -324,25 +333,35 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
     Q = (mu[0] + mu[1], mu[1])
     total = sum(P) + sum(Q)
     items = []
-    # nu1 = P[0] + s1, 0 <= s1 <= Q[0]; nu3 <= n31 + n32 <= P[1] + Q[1]
-    for nu3 in range(min(total // 3, P[1] + Q[1]) + 1):
-        top = min(P[0] + Q[0], total - nu3 - max(P[1], nu3))
-        for nu1 in range(top, max(P[0], (total - nu3 + 1) // 2) - 1, -1):
-            nu2 = total - nu1 - nu3
-            s1, s2 = nu1 - P[0], nu2 - P[1]
-            # n22 = s2 - n21, n31 = Q[0] - s1 - n21, n32 = Q[1] - n22
-            c = (min(P[0] - P[1], Q[0] - s1, s2)  # columns; n31, n22 >= 0
-                 - max(0, s2 - Q[1],  # n32 >= 0
-                       Q[0] - s1 - P[1], nu3 - P[1],  # columns: n31, n31 + n32
-                       s2 - s1, Q[1] - s1)  # ballot: n22 <= n11, n22 + n32 <= n11 + n21
-                 + 1)
-            if c > 0:
-                items.append(((nu1 - nu2, nu2 - nu3), c))
+    # With R = nu1 + nu2, n21 is bounded above by P[0] - P[1] (columns),
+    # Q[0] - s1 (n31 >= 0) and s2 (n22 >= 0); below by 0 and nu3 - P[1]
+    # (columns: n31 + n32), s2 - Q[1] (n32 >= 0), Q[0] - s1 - P[1] (columns:
+    # n31), Q[1] - s1 and s2 - s1 (ballot).  The bounds that fall by one per
+    # unit of nu1 merge into `up` and `down`, constant for each nu3.
+    width = P[0] - P[1]
+    low_q = P[0] + Q[0] - P[1] if Q[0] - Q[1] > P[1] else P[0] + Q[1]
+    last = total // 3 if total // 3 < P[1] + Q[1] else P[1] + Q[1]
+    for nu3 in range(last + 1):  # nu3 <= n31 + n32 <= P[1] + Q[1]
+        R = total - nu3
+        up = P[0] + Q[0] if P[0] + Q[0] < R - P[1] else R - P[1]
+        down = R - P[1] - Q[1] if R - Q[1] > low_q + P[1] else low_q
+        floor, ballot = (nu3 - P[1] if nu3 > P[1] else 0), R - P[1] + P[0]
+        top = up if up < R - nu3 else R - nu3  # nu1 = P[0] + s1, s1 <= Q[0]
+        bottom = (R + 1) // 2 if (R + 1) // 2 > P[0] else P[0]
+        for nu1 in range(top, bottom - 1, -1):
+            hi = up - nu1 if up - nu1 < width else width
+            lo = down - nu1 if down - nu1 > floor else floor
+            if lo < ballot - 2 * nu1:
+                lo = ballot - 2 * nu1
+            if hi >= lo:
+                items.append(((2 * nu1 - R, R - nu1 - nu3), hi - lo + 1))
     return tuple(items)
 
 
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
     """Weyl-basis character of the tensor product of two Weyl characters."""
+    _check_weight(lam)
+    _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
     return Character("weyl", dict(_lr_items(lam, mu)))

@@ -313,6 +313,15 @@ def test_sweep_rejects_bad_prime():
             sweep(p)
 
 
+def test_float_prime_is_rejected_whatever_the_cache_holds():
+    decompose.cache_clear()
+    for _ in range(2):  # cold, then with the p=5 pair cached
+        for p in (5.0, True):
+            with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+                decompose((1, 0), (0, 1), p)
+        assert decompose((1, 0), (0, 1), 5).p == 5
+
+
 def test_sweep_accepts_any_prime(monkeypatch):
     # the package re-exports the function decompose under the module's name
     decompose_module = importlib.import_module("sl3tensor.decompose")

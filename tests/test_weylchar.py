@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from sl3tensor.weights import dim_weyl, tau
+from sl3tensor.weights import WEYL_GROUP, dim_weyl, tau
 from sl3tensor.weylchar import (
     Character,
     _lr_items,
+    _monomial_items,
     lr_tensor,
     monomial_to_weyl,
     mult,
@@ -46,7 +47,7 @@ def _dominant_image(w):
 
 def freudenthal(lam):
     """Weight multiplicities of the irreducible character, by the recursion
-    on norms of shifted weights; independent of the partition-function path."""
+    on norms of shifted weights; independent of the closed form."""
     a, b = lam
     dominants = []
     for c1 in range(a + b + 1):
@@ -103,6 +104,42 @@ def test_weyl_to_monomial_examples():
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, 2), (3, 1), (4, 4), (5, 2)])
 def test_weyl_to_monomial_matches_freudenthal(lam):
     assert weyl_to_monomial(lam).coeffs == freudenthal(lam)
+
+
+def test_weyl_to_monomial_matches_freudenthal_on_the_grid():
+    # every cap min(a, b) and shell depth up to 8, then deeper and tilted shells
+    extra = [(12, 12), (12, 0), (0, 12), (13, 5)]
+    for lam in [(a, b) for a in range(9) for b in range(9)] + extra:
+        assert weyl_to_monomial(lam).coeffs == freudenthal(lam), lam
+
+
+def _kostant_partition(v1, v2):
+    """Ways to write (v1, v2) as c1*alpha1 + c2*alpha2 + m*theta, all >= 0."""
+    n1, n2 = 2 * v1 + v2, v1 + 2 * v2
+    if n1 < 0 or n2 < 0 or n1 % 3 or n2 % 3:
+        return 0
+    return min(n1 // 3, n2 // 3) + 1
+
+
+def _monomial_items_by_partition(lam):
+    """Reference: Kostant's alternating partition-function formula at every
+    point of the (a+b+1)^2 grid of weights lam - c1*alpha1 - c2*alpha2."""
+    a, b = lam
+    images = [(image(a + 1, b + 1), sign) for image, sign in WEYL_GROUP]
+    items = []
+    for c1 in range(a + b + 1):
+        for c2 in range(a + b + 1):
+            x, y = a - 2 * c1 + c2, b + c1 - 2 * c2
+            m = sum(sign * _kostant_partition(r - x - 1, s - y - 1)
+                    for (r, s), sign in images)
+            if m:
+                items.append(((x, y), m))
+    return items
+
+
+def test_monomial_items_match_the_partition_formula_on_the_grid():
+    for lam in [(a, b) for a in range(21) for b in range(21)]:
+        assert sorted(_monomial_items(lam)) == sorted(_monomial_items_by_partition(lam)), lam
 
 
 def test_weyl_to_monomial_dimension_is_weyl_formula():
@@ -275,6 +312,14 @@ def test_lr_items_match_the_loop_on_the_grid():
                         expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
             items = _lr_items(lam, mu)
             assert len(items) == len(expect) and dict(items) == expect, (lam, mu)
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), (True, 0), (0, False), (1, 0, 0)])
+def test_product_entry_points_reject_malformed_weights(bad):
+    for call in (lambda: lr_tensor(bad, (0, 1)), lambda: lr_tensor((0, 1), bad),
+                 lambda: weyl_to_monomial(bad)):
+        with pytest.raises(ValueError, match="weight must be two integers, got"):
+            call()
 
 
 def test_character_json_round_trip_and_order():
