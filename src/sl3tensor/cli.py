@@ -14,11 +14,10 @@ import json
 import sys
 from typing import List, Optional
 
-from . import sprime, structures
+from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .decompose import _KIND_CHAR, IntegrityError, _check_prime, decompose, sweep, verify
 from .modchar import to_simple_basis
-from .quiver import coefficient_quiver
 from .weights import Weight, parse_weight
 from .weylchar import Character
 
@@ -125,6 +124,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_quiver(args) -> int:
+    # the quiver engine loads only here, so no other command pays for it
+    from . import sprime
+    from .quiver import coefficient_quiver
+
     if args.action == "verify":
         checks = sprime.report()
         for name, ok, detail in checks:

@@ -21,10 +21,9 @@ behind them are immutable, so a memoized decomposition cannot be altered.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import (
@@ -36,7 +35,7 @@ from .modchar import (
     to_simple_basis,
 )
 from .weights import Weight, is_dominant, pairings, tau
-from .weylchar import Character, _is_int, mult, peel, sort_key
+from .weylchar import Character, _check_weight, _is_int, mult, peel, sort_key
 
 KINDS = ("T", "L", "M")
 
@@ -49,11 +48,33 @@ class IntegrityError(RuntimeError):
         self.block = block
 
 
-@dataclass(frozen=True, slots=True)
 class Summand:
-    kind: str  # "T", "L" or "M"
-    weight: Weight
-    multiplicity: int
+    """``multiplicity`` copies of the ``kind`` ("T", "L" or "M") module at
+    ``weight``.  Immutable, like :class:`Character`."""
+
+    __slots__ = ("kind", "weight", "multiplicity")
+
+    def __init__(self, kind: str, weight: Weight, multiplicity: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "multiplicity", multiplicity)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Summand is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickled through __init__; its fields key == and hash
+        return Summand, (self.kind, self.weight, self.multiplicity)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Summand and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        return "Summand(kind={!r}, weight={!r}, multiplicity={!r})".format(*self.__reduce__()[1])
 
     def __str__(self) -> str:
         text = f"{self.kind}({self.weight[0]},{self.weight[1]})"
@@ -62,8 +83,7 @@ class Summand:
         return text
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     p: int
     left: Weight
     right: Weight
@@ -291,9 +311,16 @@ def _resolve_weights(rep: Weight, items: Tuple, case: int, p: int) -> List[Summa
     return summands
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
-    """Decompose the tensor product of two restricted simple modules."""
+    """Decompose the tensor product of two restricted simple modules.  The
+    weights are checked before the cache lookup: (1.0, 0) hashes as (1, 0)."""
+    _check_weight(nu)
+    _check_weight(nu2)
+    return _decompose(nu, nu2, p)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
+def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     total = tensor_char(nu, nu2, p)
     in_c2 = (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
     case = 1 + in_c2
@@ -317,6 +344,11 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     return result
 
 
+# the cache and, as __wrapped__, the uncached computation
+decompose.cache_info, decompose.cache_clear, decompose.__wrapped__ = (
+    _decompose.cache_info, _decompose.cache_clear, _decompose.__wrapped__)
+
+
 def _assert_character_sum(d: Decomposition, total: Character) -> None:
     if summands_char(d.summands, d.p) != total:
         raise IntegrityError(
@@ -329,16 +361,24 @@ def _assert_character_sum(d: Decomposition, total: Character) -> None:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class _Record:
+    """Field-wise ``==`` and ``repr`` for a plain mutable record."""
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
-@dataclass
-class Report:
-    checks: List[Check] = field(default_factory=list)
+class Check(_Record):
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
+
+
+class Report(_Record):
+    def __init__(self):
+        self.checks: List[Check] = []
 
     @property
     def passed(self) -> bool:
@@ -395,13 +435,11 @@ def verify(d: Decomposition) -> Report:
 # exhaustive sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepResult:
-    p: int
-    pairs: int
-    summand_counts: Dict[str, int]
-    m_pairs: int
-    failures: List[str]
+class SweepResult(_Record):
+    def __init__(self, p: int, pairs: int, summand_counts: Dict[str, int],
+                 m_pairs: int, failures: List[str]):
+        self.p, self.pairs, self.summand_counts = p, pairs, summand_counts
+        self.m_pairs, self.failures = m_pairs, failures
 
     @property
     def passed(self) -> bool:

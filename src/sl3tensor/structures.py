@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .alcoves import ALL_FACETS, OUT
 
 KINDS = ("delta", "tilting", "m")
 
 
-@dataclass(frozen=True)
-class AlperinDiagram:
+class AlperinDiagram(NamedTuple):
     facet: str
     kind: str
     layers: Tuple[Tuple[str, ...], ...]

@@ -240,7 +240,18 @@ def test_diagram_command(capsys):
 
 
 def test_cli_import_does_not_load_numpy():
+    """A fresh interpreter loads only what its command runs: neither the
+    package nor the CLI loads numpy, dataclasses or the quiver engine, and
+    ``quiver`` still finds the engine in a clean process."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, sl3tensor.cli; assert 'numpy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    unused = ("numpy", "dataclasses", "inspect", "fractions",
+              "sl3tensor.quiver", "sl3tensor.sprime")
+    for module in ("sl3tensor", "sl3tensor.cli"):
+        code = f"import sys, {module}; print(sorted(set({unused!r}) & set(sys.modules)))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", (module, out)
+    proc = subprocess.run([sys.executable, "-m", "sl3tensor.cli", "quiver", "verify"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and "32/32 checks passed" in proc.stdout

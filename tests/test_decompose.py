@@ -1,7 +1,7 @@
 import concurrent.futures
-import dataclasses
 import importlib
 import os
+import pickle
 import random
 from collections import Counter
 from itertools import chain
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from sl3tensor.alcoves import canonical_rep, classify, region_weights, restricted_weights
 from sl3tensor.decompose import (
+    Decomposition,
     IntegrityError,
     Summand,
+    SweepResult,
     _greedy,
     _is_regular_rep,
     _resolve_block,
@@ -250,7 +252,8 @@ def test_verify_catches_perturbation():
 def test_verify_reports_misshapen_summand(bad):
     d = decompose((1, 0), (0, 0), 5)
     assert verify(d).passed
-    report = verify(dataclasses.replace(d, summands=(bad,)))
+    report = verify(Decomposition(p=d.p, left=d.left, right=d.right, case=d.case,
+                                  summands=(bad,), dim_product=d.dim_product))
     assert [c.name for c in report.checks] == [
         "character-sum", "dimension", "summand-shape", "tau-equivariance"]
     failed = {c.name: c.detail for c in report.failures()}
@@ -263,11 +266,51 @@ def test_cached_decomposition_is_immutable():
     text, data = str(d), d.to_json()
     with pytest.raises(AttributeError):
         d.summands.clear()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         d.summands = ()
     again = decompose((3, 1), (3, 1), 5)
     assert str(again) == text and again.to_json() == data
     assert verify(again).passed
+
+
+@pytest.mark.parametrize("record, fields", [
+    (Summand("M", (1, 3), 2), ("kind", "weight", "multiplicity")),
+    (Decomposition(p=5, left=(3, 1), right=(3, 1), case=3,
+                   summands=(Summand("M", (1, 3), 1),), dim_product=324),
+     ("p", "left", "right", "case", "summands", "dim_product")),
+])
+def test_records_are_frozen(record, fields):
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_records_compare_hash_print_and_pickle():
+    s = Summand("M", (1, 3), 2)
+    assert s == Summand("M", (1, 3), 2) != Summand("M", (1, 3), 1)
+    assert s != ("M", (1, 3), 2)
+    assert hash(s) == hash(("M", (1, 3), 2))
+    assert repr(s) == "Summand(kind='M', weight=(1, 3), multiplicity=2)"
+    assert str(s) == "2*M(1,3)"
+
+    d = decompose((3, 1), (3, 1), 5)
+    assert repr(d) == (
+        "Decomposition(p=5, left=(3, 1), right=(3, 1), case=3, summands=("
+        "Summand(kind='T', weight=(6, 2), multiplicity=1), "
+        "Summand(kind='T', weight=(4, 3), multiplicity=1), "
+        "Summand(kind='M', weight=(1, 3), multiplicity=1), "
+        "Summand(kind='T', weight=(0, 2), multiplicity=1)), dim_product=324)")
+    assert hash(d) == hash(decompose.__wrapped__((3, 1), (3, 1), 5))
+
+    r = SweepResult(5, 2, {"T": 3}, 1, ["x"])
+    assert r == SweepResult(5, 2, {"T": 3}, 1, ["x"]) != SweepResult(5, 2, {}, 1, ["x"])
+    assert repr(r) == ("SweepResult(p=5, pairs=2, summand_counts={'T': 3}, "
+                       "m_pairs=1, failures=['x'])")
+    for record in (s, d, r):
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and type(again) is type(record)
 
 
 def test_summand_char_consistency():
@@ -320,6 +363,19 @@ def test_float_prime_is_rejected_whatever_the_cache_holds():
             with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
                 decompose((1, 0), (0, 1), p)
         assert decompose((1, 0), (0, 1), 5).p == 5
+
+
+@pytest.mark.parametrize("cached_first", [False, True])
+@pytest.mark.parametrize("weight", [(1.0, 0), (True, 0)])
+def test_float_or_bool_weight_is_rejected_whatever_the_cache_holds(weight, cached_first):
+    decompose.cache_clear()
+    if cached_first:  # both orders, so that a cache hit would answer
+        decompose((1, 0), (0, 1), 5), decompose((0, 1), (1, 0), 5)
+    for args in ((weight, (0, 1)), ((0, 1), weight)):
+        with pytest.raises(ValueError, match="weight must be two integers, got"):
+            decompose(*args, 5)
+    assert decompose.cache_info().currsize == (2 if cached_first else 0)
+    assert decompose((1, 0), (0, 1), 5).left == (1, 0)
 
 
 def test_sweep_accepts_any_prime(monkeypatch):
