@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import (
@@ -48,9 +48,41 @@ class IntegrityError(RuntimeError):
         self.block = block
 
 
-class Summand:
-    """``multiplicity`` copies of the ``kind`` ("T", "L" or "M") module at
-    ``weight``.  Immutable, like :class:`Character`."""
+class _Record:
+    """Field-wise ``==`` and ``repr`` over the ``__slots__`` fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A hashable record; ``__init__`` sets its fields by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # pickled through __init__, fields in slot order
+        return type(self), self._values()
+
+
+class Summand(_Frozen):
+    """``multiplicity`` copies of the ``kind`` ("T", "L" or "M") module at ``weight``."""
 
     __slots__ = ("kind", "weight", "multiplicity")
 
@@ -59,23 +91,6 @@ class Summand:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "multiplicity", multiplicity)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Summand is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # pickled through __init__; its fields key == and hash
-        return Summand, (self.kind, self.weight, self.multiplicity)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Summand and self.__reduce__() == other.__reduce__()
-
-    def __hash__(self):
-        return hash(self.__reduce__()[1])
-
-    def __repr__(self) -> str:
-        return "Summand(kind={!r}, weight={!r}, multiplicity={!r})".format(*self.__reduce__()[1])
-
     def __str__(self) -> str:
         text = f"{self.kind}({self.weight[0]},{self.weight[1]})"
         if self.multiplicity != 1:
@@ -83,13 +98,15 @@ class Summand:
         return text
 
 
-class Decomposition(NamedTuple):
-    p: int
-    left: Weight
-    right: Weight
-    case: int
-    summands: Tuple[Summand, ...]
-    dim_product: int
+class Decomposition(_Frozen):
+    """The summands of the product of the simple modules at ``left`` and ``right``."""
+
+    __slots__ = ("p", "left", "right", "case", "summands", "dim_product")
+
+    def __init__(self, p: int, left: Weight, right: Weight, case: int,
+                 summands: Tuple[Summand, ...], dim_product: int):
+        for k, v in zip(self.__slots__, (p, left, right, case, summands, dim_product)):
+            object.__setattr__(self, k, v)
 
     def to_json(self) -> dict:
         return {
@@ -361,22 +378,16 @@ def _assert_character_sum(d: Decomposition, total: Character) -> None:
 # verification
 # ---------------------------------------------------------------------------
 
-class _Record:
-    """Field-wise ``==`` and ``repr`` for a plain mutable record."""
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and vars(other) == vars(self)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-
 class Check(_Record):
+    __slots__ = ("name", "ok", "detail")
+
     def __init__(self, name: str, ok: bool, detail: str = ""):
         self.name, self.ok, self.detail = name, ok, detail
 
 
 class Report(_Record):
+    __slots__ = ("checks",)
+
     def __init__(self):
         self.checks: List[Check] = []
 
@@ -436,6 +447,8 @@ def verify(d: Decomposition) -> Report:
 # ---------------------------------------------------------------------------
 
 class SweepResult(_Record):
+    __slots__ = ("p", "pairs", "summand_counts", "m_pairs", "failures")
+
     def __init__(self, p: int, pairs: int, summand_counts: Dict[str, int],
                  m_pairs: int, failures: List[str]):
         self.p, self.pairs, self.summand_counts = p, pairs, summand_counts

@@ -17,8 +17,8 @@ through the Weyl-module tables.
 from __future__ import annotations
 
 import json
+import pkgutil
 from collections import Counter
-from importlib import resources
 from typing import Dict, List, NamedTuple, Tuple
 
 from .alcoves import ALL_FACETS, OUT
@@ -38,7 +38,7 @@ class AlperinDiagram(NamedTuple):
 
 def _load() -> Tuple[Dict[str, List[str]], Dict[str, List[str]],
                      Dict[Tuple[str, str], AlperinDiagram]]:
-    text = resources.files("sl3tensor").joinpath("data/structures.json").read_text()
+    text = pkgutil.get_data("sl3tensor", "data/structures.json")
     delta: Dict[str, List[str]] = {}
     tilting: Dict[str, List[str]] = {}
     diagrams: Dict[Tuple[str, str], AlperinDiagram] = {}

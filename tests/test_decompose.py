@@ -303,12 +303,15 @@ def test_records_compare_hash_print_and_pickle():
         "Summand(kind='M', weight=(1, 3), multiplicity=1), "
         "Summand(kind='T', weight=(0, 2), multiplicity=1)), dim_product=324)")
     assert hash(d) == hash(decompose.__wrapped__((3, 1), (3, 1), 5))
+    assert d != (d.p, d.left, d.right, d.case, d.summands, d.dim_product)
 
     r = SweepResult(5, 2, {"T": 3}, 1, ["x"])
     assert r == SweepResult(5, 2, {"T": 3}, 1, ["x"]) != SweepResult(5, 2, {}, 1, ["x"])
     assert repr(r) == ("SweepResult(p=5, pairs=2, summand_counts={'T': 3}, "
                        "m_pairs=1, failures=['x'])")
-    for record in (s, d, r):
+    report = verify(d)
+    assert repr(report.checks[0]) == "Check(name='character-sum', ok=True, detail='')"
+    for record in (s, d, r, report):
         again = pickle.loads(pickle.dumps(record))
         assert again == record and type(again) is type(record)
 
