@@ -10,7 +10,6 @@ from .decompose import (
     case3_floor_solve,
     decompose,
     greedy_tilting,
-    split_blocks,
     sweep,
     tensor_char,
     verify,
@@ -37,10 +36,8 @@ from .weights import (
 from .weylchar import (
     Character,
     lr_tensor,
-    monomial_to_weyl,
     mult,
     mult_via_monomial,
-    weyl_to_monomial,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +63,6 @@ __all__ = [
     "linked_weight",
     "lr_tensor",
     "m_char",
-    "monomial_to_weyl",
     "mult",
     "mult_via_monomial",
     "pairings",
@@ -74,7 +70,6 @@ __all__ = [
     "sigma",
     "simple_char",
     "simple_dim",
-    "split_blocks",
     "sweep",
     "tau",
     "tensor_char",
@@ -83,5 +78,4 @@ __all__ = [
     "to_simple_basis",
     "verify",
     "weyl_comp_factors",
-    "weyl_to_monomial",
 ]

@@ -165,15 +165,6 @@ def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
     return mult(simple_char(nu, p), simple_char(nu2, p))
 
 
-def split_blocks(c: Character, p: int) -> Dict[Weight, Character]:
-    """Partition a Weyl-basis character into linkage blocks.
-
-    Keys are the canonical linkage representatives of the support.
-    """
-    return {rep: Character._trusted("weyl", coeffs)
-            for rep, coeffs in _buckets(c, p).items()}
-
-
 def _buckets(c: Character, p: int) -> Dict[Weight, Dict[Weight, int]]:
     """The coefficients of each linkage block, keyed by its representative."""
     if c.basis != "weyl":

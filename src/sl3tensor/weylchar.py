@@ -1,22 +1,20 @@
 """Exact character algebra for SL3.
 
 A :class:`Character` is a finitely supported integer combination of basis
-symbols indexed by weights, in one of three bases:
+symbols indexed by dominant weights, in one of two bases:
 
-* ``weyl``      Weyl-module characters,
-* ``simple``    simple-module characters (interpreted per prime; see modchar),
-* ``monomial``  raw weight multiplicities.
+* ``weyl``    Weyl-module characters,
+* ``simple``  simple-module characters (interpreted per prime; see modchar).
 
 Products are available along two independent routes and the test suite pins
 them against each other: :func:`lr_tensor` counts Littlewood-Richardson
 tableaux over 3-row partitions (each count in closed form), while
 :func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
 multiplicities of one factor, in closed form too (one more per hexagonal
-shell).  :func:`monomial_to_weyl` reads Weyl coefficients off a multiplicity
-map by the alternant of Weyl's character formula.  All arithmetic is exact, in
-Python integers.  ``Character(...)`` and ``from_json`` check every term; the
-library builds characters from valid ones (sums, blocks, remainders, changes
-of basis) with the unchecked ``Character._trusted``.
+shell).  All arithmetic is exact, in Python integers.  ``Character(...)`` and
+``from_json`` check every term; the library builds characters from valid ones
+(sums, blocks, remainders, changes of basis) with the unchecked
+``Character._trusted``.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
-from .weights import WEYL_GROUP, Weight, dim_weyl, is_dominant
+from .weights import Weight, dim_weyl, is_dominant
 
-BASES = ("weyl", "simple", "monomial")
+BASES = ("weyl", "simple")
 
 
 def _is_int(v) -> bool:
@@ -67,7 +65,7 @@ class Character:
                 raise ValueError(f"coefficient must be an integer, got {c!r}")
             if c == 0:
                 continue
-            if basis != "monomial" and (w[0] < 0 or w[1] < 0):
+            if w[0] < 0 or w[1] < 0:
                 raise ValueError(f"non-dominant support {w} in {basis} basis")
             cleaned[w] = c
         object.__setattr__(self, "basis", basis)
@@ -121,11 +119,9 @@ class Character:
         return sorted(self.coeffs.items(), key=lambda item: sort_key(item[0]))
 
     def dimension(self) -> int:
-        """Total dimension; weyl and monomial bases only (simple needs p)."""
+        """Total dimension; weyl basis only (simple needs p)."""
         if self.basis == "weyl":
             return sum(c * dim_weyl(w) for w, c in self.coeffs.items())
-        if self.basis == "monomial":
-            return sum(self.coeffs.values())
         raise ValueError("dimension of a simple-basis character depends on p")
 
     def to_json(self) -> dict:
@@ -216,67 +212,6 @@ def _monomial_items(lam: Weight) -> Tuple[Tuple[Weight, int], ...]:
             d = n - hi if n - hi < lo else lo
             items.append(((x - y, y - c2), (d if d < cap else cap) + 1))
     return tuple(items)
-
-
-def weyl_to_monomial(lam: Weight) -> Character:
-    """Weight multiplicity map of the Weyl character at a dominant weight."""
-    _check_weight(lam)
-    if not is_dominant(lam):
-        raise ValueError(f"non-dominant weight {lam}")
-    return Character("monomial", dict(_monomial_items(lam)))
-
-
-def weyl_char_to_monomial(c: Character) -> Character:
-    if c.basis != "weyl":
-        raise ValueError("expected a weyl-basis character")
-    out: Dict[Weight, int] = {}
-    for lam, k in c.coeffs.items():
-        for mu, m in _monomial_items(lam):
-            out[mu] = out.get(mu, 0) + k * m
-    return Character("monomial", out)
-
-
-def _is_weyl_symmetric(c: Character) -> bool:
-    for (x, y), m in c.coeffs.items():
-        for image, _ in WEYL_GROUP:
-            if c.coeffs.get(image(x, y), 0) != m:
-                return False
-    return True
-
-
-# (rho - w(rho), sgn(w)) for each w in the finite Weyl group.
-_RHO_SHIFTS = tuple(
-    (tuple(1 - v for v in image(1, 1)), sign) for image, sign in WEYL_GROUP
-)
-
-
-def monomial_to_weyl(c: Character) -> Character:
-    """Invert the monomial expansion by the alternant.
-
-    The input must be symmetric under the finite Weyl group; the result is
-    the unique integer combination of Weyl characters with that expansion.
-    By Weyl's character formula its coefficient at a dominant weight is
-    ``sum_w sgn(w) * m(lam + rho - w(rho))``.  A coefficient can be nonzero
-    where the multiplicity cancels to 0, so every ``mu - (rho - w(rho))``
-    over the support is a candidate, not only the dominant support.
-    """
-    if c.basis != "monomial":
-        raise ValueError("expected a monomial-basis character")
-    if not _is_weyl_symmetric(c):
-        raise ValueError("monomial character is not Weyl-group symmetric")
-    m = c.coeffs
-    candidates = {
-        (x - dx, y - dy)
-        for x, y in m
-        for (dx, dy), _ in _RHO_SHIFTS
-        if x >= dx and y >= dy
-    }
-    out = {}
-    for x, y in candidates:
-        k = sum(sign * m.get((x + dx, y + dy), 0) for (dx, dy), sign in _RHO_SHIFTS)
-        if k:
-            out[(x, y)] = k
-    return Character("weyl", out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from sl3tensor.decompose import (
     IntegrityError,
     Summand,
     SweepResult,
+    _buckets,
     _greedy,
     _is_regular_rep,
     _resolve_block,
@@ -25,7 +26,6 @@ from sl3tensor.decompose import (
     case3_floor_solve,
     decompose,
     greedy_tilting,
-    split_blocks,
     summand_dim,
     summands_char,
     sweep,
@@ -66,32 +66,34 @@ def test_tensor_char_rejects_bad_input():
         tensor_char((0, 0), (0, 0), 9)
 
 
-def test_split_blocks_case3():
+def test_buckets_case3():
     tc = tensor_char((3, 1), (3, 1), 5)
-    blocks = split_blocks(tc, 5)
-    supports = sorted(tuple(sorted(b.coeffs)) for b in blocks.values())
+    blocks = _buckets(tc, 5)
+    # keyed by the canonical linkage representative of each support weight
+    for rep, b in blocks.items():
+        assert all(canonical_rep(w, 5) == rep for w in b)
+    supports = sorted(tuple(sorted(b)) for b in blocks.values())
     assert supports == [
         ((0, 2), (0, 5), (7, 0)),
         ((2, 4), (6, 2)),
         ((4, 3),),
     ]
-    total = Character("weyl", {})
-    for b in blocks.values():
-        total = total + b
+    total = Character("weyl").combine(
+        (1, Character._trusted("weyl", b)) for b in blocks.values())
     assert total == tc
 
 
-def test_split_blocks_trivial_and_case2():
-    assert len(split_blocks(Character("weyl", {(0, 0): 1}), 5)) == 1
-    blocks = split_blocks(tensor_char((2, 2), (1, 1), 5), 5)
+def test_buckets_trivial_and_case2():
+    assert len(_buckets(Character("weyl", {(0, 0): 1}), 5)) == 1
+    blocks = _buckets(tensor_char((2, 2), (1, 1), 5), 5)
     assert len(blocks) == 4
     # each block carries a single simple character
-    for block in blocks.values():
-        assert len(to_simple_basis(block, 5).coeffs) == 1
+    for coeffs in blocks.values():
+        assert len(to_simple_basis(Character._trusted("weyl", coeffs), 5).coeffs) == 1
     # out of the region: inside the facet table, and past it
     for w in ((14, 0), (30, 30)):
         with pytest.raises(ValueError, match="outside the region"):
-            split_blocks(Character("weyl", {w: 1}), 5)
+            _buckets(Character("weyl", {w: 1}), 5)
 
 
 def test_greedy_tilting_examples():
@@ -403,7 +405,7 @@ def _as_if_checked(c):
     with pytest.raises(TypeError):
         c.coeffs[(0, 0)] = 1
     with pytest.raises(AttributeError):
-        c.basis = "monomial"
+        c.basis = "simple"
 
 
 def test_internal_characters_match_checked_construction_on_every_p5_pair():
@@ -414,7 +416,8 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
             total = tensor_char(nu, nu2, p)
             _as_if_checked(total)
             case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-            for rep, block in split_blocks(total, p).items():
+            for rep, coeffs in _buckets(total, p).items():
+                block = Character._trusted("weyl", coeffs)
                 _as_if_checked(block)
                 if case == 2:
                     _, residual = _greedy(
@@ -435,8 +438,8 @@ def _block_keys(p):
     for nu in restricted_weights(p):
         for nu2 in restricted_weights(p):
             case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-            for rep, block in split_blocks(tensor_char(nu, nu2, p), p).items():
-                yield rep, tuple(chain.from_iterable(block.coeffs.items())), case
+            for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
+                yield rep, tuple(chain.from_iterable(coeffs.items())), case
 
 
 def _assert_resolves_as_by_weights(rep, items, case, p):
@@ -470,14 +473,14 @@ def test_sweep_resolves_each_distinct_block_once():
 def test_block_failure_names_the_real_block_not_its_witness():
     # two blocks of L(3,1) x L(3,1), each resolved through another class,
     # with one coefficient negated: a greedy and a floor-solve failure
-    blocks = split_blocks(tensor_char((3, 1), (3, 1), 5), 5)
+    blocks = _buckets(tensor_char((3, 1), (3, 1), 5), 5)
     expected = {
         ((-1, 1), (6, 2)): "negative multiplicity -1 at (6, 2) during greedy pass",
         ((0, 2), (0, 2)): "floor solve has negative part (1, 1, -2, 0) in block (0, 2)",
     }
     for (rep, w), message in expected.items():
         assert _witnesses(5)[rep] != rep
-        coeffs = dict(blocks[rep].coeffs)
+        coeffs = dict(blocks[rep])
         coeffs[w] = -coeffs[w]
         with pytest.raises(IntegrityError) as exc:
             _resolve_block(rep, tuple(chain.from_iterable(coeffs.items())), 3, 5)
@@ -522,8 +525,8 @@ def test_random_prime_pairs_verify_and_commute(case):
     assert verify(d).passed, (p, nu, nu2)
     assert summand_multiset(decompose(nu2, nu, p)) == summand_multiset(d)
     assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
-    for rep, block in split_blocks(tensor_char(nu, nu2, p), p).items():
-        items = tuple(chain.from_iterable(block.coeffs.items()))
+    for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
+        items = tuple(chain.from_iterable(coeffs.items()))
         _assert_resolves_as_by_weights(rep, items, d.case, p)
 
 

@@ -10,11 +10,8 @@ from sl3tensor.weylchar import (
     _lr_items,
     _monomial_items,
     lr_tensor,
-    monomial_to_weyl,
     mult,
     mult_via_monomial,
-    weyl_char_to_monomial,
-    weyl_to_monomial,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,26 +88,26 @@ def freudenthal(lam):
 # monomial expansion
 # ---------------------------------------------------------------------------
 
-def test_weyl_to_monomial_examples():
-    assert weyl_to_monomial((1, 0)).coeffs == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
-    adjoint = weyl_to_monomial((1, 1))
-    assert adjoint.coeffs[(0, 0)] == 2
-    assert adjoint.dimension() == 8
-    c = weyl_to_monomial((2, 2))
-    assert c.dimension() == 27
-    assert c.coeffs[(0, 0)] == 3
+def test_monomial_items_examples():
+    assert dict(_monomial_items((1, 0))) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+    adjoint = dict(_monomial_items((1, 1)))
+    assert adjoint[(0, 0)] == 2
+    assert sum(adjoint.values()) == 8
+    c = dict(_monomial_items((2, 2)))
+    assert sum(c.values()) == 27
+    assert c[(0, 0)] == 3
 
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, 2), (3, 1), (4, 4), (5, 2)])
-def test_weyl_to_monomial_matches_freudenthal(lam):
-    assert weyl_to_monomial(lam).coeffs == freudenthal(lam)
+def test_monomial_items_match_freudenthal(lam):
+    assert dict(_monomial_items(lam)) == freudenthal(lam)
 
 
-def test_weyl_to_monomial_matches_freudenthal_on_the_grid():
+def test_monomial_items_match_freudenthal_on_the_grid():
     # every cap min(a, b) and shell depth up to 8, then deeper and tilted shells
     extra = [(12, 12), (12, 0), (0, 12), (13, 5)]
     for lam in [(a, b) for a in range(9) for b in range(9)] + extra:
-        assert weyl_to_monomial(lam).coeffs == freudenthal(lam), lam
+        assert dict(_monomial_items(lam)) == freudenthal(lam), lam
 
 
 def _kostant_partition(v1, v2):
@@ -142,29 +139,11 @@ def test_monomial_items_match_the_partition_formula_on_the_grid():
         assert sorted(_monomial_items(lam)) == sorted(_monomial_items_by_partition(lam)), lam
 
 
-def test_weyl_to_monomial_dimension_is_weyl_formula():
+def test_monomial_items_dimension_is_weyl_formula():
     for a in range(7):
         for b in range(7):
-            assert weyl_to_monomial((a, b)).dimension() == dim_weyl((a, b))
-
-
-def test_monomial_round_trip():
-    for lam in [(0, 0), (1, 0), (3, 1), (12, 12), (12, 0)]:
-        back = monomial_to_weyl(weyl_to_monomial(lam))
-        assert back == Character("weyl", {lam: 1})
-    # integer combinations: lower terms cancel or grow below the lead
-    rng = random.Random(13)
-    for _ in range(30):
-        c = Character("weyl", {
-            (rng.randint(0, 12), rng.randint(0, 12)): rng.randint(-3, 3)
-            for _ in range(5)
-        })
-        assert monomial_to_weyl(weyl_char_to_monomial(c)) == c
-    # a Weyl coefficient where the multiplicity cancels to 0
-    c = Character("weyl", {(1, 1): 1, (0, 0): -2})
-    mono = weyl_char_to_monomial(c)
-    assert (0, 0) not in mono.coeffs
-    assert monomial_to_weyl(mono) == c
+            lam = (a, b)
+            assert sum(m for _, m in _monomial_items(lam)) == dim_weyl(lam)
 
 
 def test_monomial_product_natural_times_dual():
@@ -172,11 +151,6 @@ def test_monomial_product_natural_times_dual():
         Character("weyl", {(1, 0): 1}), Character("weyl", {(0, 1): 1})
     )
     assert prod == Character("weyl", {(1, 1): 1, (0, 0): 1})
-
-
-def test_monomial_to_weyl_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        monomial_to_weyl(Character("monomial", {(1, 0): 1}))
 
 
 def test_monomial_product_exact_for_big_coefficients():
@@ -316,10 +290,18 @@ def test_lr_items_match_the_loop_on_the_grid():
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (True, 0), (0, False), (1, 0, 0)])
 def test_product_entry_points_reject_malformed_weights(bad):
-    for call in (lambda: lr_tensor(bad, (0, 1)), lambda: lr_tensor((0, 1), bad),
-                 lambda: weyl_to_monomial(bad)):
+    for call in (lambda: lr_tensor(bad, (0, 1)), lambda: lr_tensor((0, 1), bad)):
         with pytest.raises(ValueError, match="weight must be two integers, got"):
             call()
+
+
+def test_package_exports_exist_and_omit_the_removed_names():
+    import sl3tensor
+
+    missing = [name for name in sl3tensor.__all__ if not hasattr(sl3tensor, name)]
+    assert missing == []
+    for name in ("monomial_to_weyl", "weyl_to_monomial", "split_blocks"):
+        assert not hasattr(sl3tensor, name), name
 
 
 def test_character_json_round_trip_and_order():
@@ -373,7 +355,10 @@ def test_combine_rejects_a_non_integer_factor():
 def test_character_basis_validation():
     with pytest.raises(ValueError):
         Character("weyl", {(-1, 0): 1})
-    Character("monomial", {(-1, 0): 1})  # fine
+    with pytest.raises(ValueError, match="unknown basis"):
+        Character("monomial", {(1, 0): 1})
+    with pytest.raises(ValueError, match="unknown basis"):
+        Character.from_json({"basis": "monomial", "terms": []})
     with pytest.raises(ValueError):
         Character("schur", {})
     a = Character("weyl", {(1, 0): 1})
