@@ -5,11 +5,11 @@ facet-indexed composition tables: the simple character at a weight is its
 Weyl character minus the simple characters of the lower composition factors.
 Tilting characters are sums of Weyl characters over the stored filtration
 factors.  These and the M characters (:func:`m_char`, in either basis) are
-memoized by ``functools.lru_cache`` (``simple_char.cache_info()`` reports
-hits, misses and size); the cached characters are immutable, so callers
-cannot alter them.  The change of basis from Weyl to simple characters is
-the shared triangular solver :func:`~sl3tensor.weylchar.peel` with simple
-characters as the expansion.
+memoized by ``functools.lru_cache`` behind a check of the weight and p
+(``simple_char.cache_info()`` reports hits, misses and size); the cached
+characters are immutable.  The change of basis from Weyl to simple
+characters is the shared triangular solver
+:func:`~sl3tensor.weylchar.peel` with simple characters as the expansion.
 
 Weights whose facet data would be needed outside the fundamental region are
 rejected rather than extrapolated.
@@ -18,13 +18,31 @@ rejected rather than extrapolated.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, List, Tuple
 
 from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .weights import Weight, dominance_leq
-from .weylchar import Character, peel
+from .weylchar import Character, _check_weight, _is_int, peel
+
+
+def _checked_cache(body):
+    """``lru_cache(body)``, checking the weight and p before the lookup:
+    (1.0, 0) and (True, 0) hash as (1, 0).  ``basis`` is m_char's."""
+    cached = lru_cache(maxsize=None)(body)
+
+    @wraps(body)
+    def checked(w, p, basis=None):
+        if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
+                and type(w[1]) is int and type(p) is int):
+            _check_weight(w)
+            if not _is_int(p):
+                raise ValueError(f"p must be an integer, got {p!r}")
+        return cached(w, p) if basis is None else cached(w, p, basis)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
 
 
 def _linked_below(w: Weight, p: int, entries_of) -> Iterator[Weight]:
@@ -46,7 +64,7 @@ def weyl_comp_factors(w: Weight, p: int) -> List[Weight]:
     return list(_linked_below(w, p, structures.delta_factors))
 
 
-@lru_cache(maxsize=None)
+@_checked_cache
 def simple_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the simple module at w."""
     result = Character("weyl", {w: 1}).combine(
@@ -56,12 +74,12 @@ def simple_char(w: Weight, p: int) -> Character:
     return result
 
 
-@lru_cache(maxsize=None)
+@_checked_cache
 def simple_dim(w: Weight, p: int) -> int:
     return simple_char(w, p).dimension()
 
 
-@lru_cache(maxsize=None)
+@_checked_cache
 def tilting_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the indecomposable tilting module at w."""
     result = Character(
@@ -81,7 +99,7 @@ def floor_weights(w: Weight, p: int) -> Tuple[Weight, Weight, Weight, Weight]:
     return mus  # type: ignore[return-value]
 
 
-@lru_cache(maxsize=None)
+@_checked_cache
 def m_char(w: Weight, p: int, basis: str = "simple") -> Character:
     """Character of the non-highest-weight indecomposable at a second-alcove
     weight: head and socle simple at w, heart the three wall-reflected

@@ -255,8 +255,14 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
-    """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each.
+def _weight(a: int, b: int) -> Weight:  # one shared tuple per weight
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, ...]]:
+    """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each:
+    flat tuples of the weights nu (each a shared :func:`_weight`) and counts.
 
     Row fillings are encoded by value counts n_ij (value j in row i); the
     ballot condition forces row 1 to contain only 1s, leaving one free
@@ -267,7 +273,7 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
     P = (lam[0] + lam[1], lam[1])
     Q = (mu[0] + mu[1], mu[1])
     total = sum(P) + sum(Q)
-    items = []
+    weights, counts = [], []
     # With R = nu1 + nu2, n21 is bounded above by P[0] - P[1] (columns),
     # Q[0] - s1 (n31 >= 0) and s2 (n22 >= 0); below by 0 and nu3 - P[1]
     # (columns: n31 + n32), s2 - Q[1] (n32 >= 0), Q[0] - s1 - P[1] (columns:
@@ -289,8 +295,9 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, int], ...]:
             if lo < ballot - 2 * nu1:
                 lo = ballot - 2 * nu1
             if hi >= lo:
-                items.append(((2 * nu1 - R, R - nu1 - nu3), hi - lo + 1))
-    return tuple(items)
+                weights.append(_weight(2 * nu1 - R, R - nu1 - nu3))
+                counts.append(hi - lo + 1)
+    return tuple(weights), tuple(counts)
 
 
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
@@ -299,7 +306,7 @@ def lr_tensor(lam: Weight, mu: Weight) -> Character:
     _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
-    return Character("weyl", dict(_lr_items(lam, mu)))
+    return Character("weyl", dict(zip(*_lr_items(lam, mu))))
 
 
 def mult(c1: Character, c2: Character) -> Character:
@@ -310,6 +317,6 @@ def mult(c1: Character, c2: Character) -> Character:
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
             k = k1 * k2
-            for nu, c in _lr_items(lam, mu):
+            for nu, c in zip(*_lr_items(lam, mu)):
                 out[nu] = out.get(nu, 0) + k * c
     return Character("weyl", out)

@@ -284,8 +284,18 @@ def test_lr_items_match_the_loop_on_the_grid():
                     count = _lr_count_by_loop(nu, P, Q)
                     if count:
                         expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
-            items = _lr_items(lam, mu)
-            assert len(items) == len(expect) and dict(items) == expect, (lam, mu)
+            weights, counts = items = _lr_items(lam, mu)
+            assert len(weights) == len(counts) == len(expect), (lam, mu)
+            assert dict(zip(*items)) == expect, (lam, mu)
+
+
+def test_lr_items_share_one_tuple_per_weight():
+    # the cache holds each distinct weight once, across every entry
+    grid = [(a, b) for a in range(7) for b in range(7)]
+    entries = [_lr_items(lam, mu) for lam in grid for mu in grid]
+    weights = [w for ws, _ in entries for w in ws]
+    assert len({id(w) for w in weights}) == len(set(weights))
+    assert all(type(c) is int and c > 0 for _, cs in entries for c in cs)
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (True, 0), (0, False), (1, 0, 0)])
