@@ -9,7 +9,6 @@ from .decompose import (
     Summand,
     case3_floor_solve,
     decompose,
-    greedy_tilting,
     sweep,
     tensor_char,
     verify,
@@ -58,7 +57,6 @@ __all__ = [
     "dominance_leq",
     "dot_reflect",
     "from_simple_basis",
-    "greedy_tilting",
     "is_restricted",
     "linked_weight",
     "lr_tensor",

@@ -2,40 +2,33 @@
 
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
-linkage blocks, and resolve each block greedily against tilting characters.
-When both factors lie in the second alcove, the four lowest linked weights of
-a regular block (alcoves 3, 3', 2, 1) are withheld from the greedy pass and
-resolved by a closed-form linear solve whose basis adds the non-highest-weight
-module M; when exactly one factor lies in the second alcove, maximal
-second-alcove support is matched by simple characters instead.  Both greedy
-passes run ``weylchar.peel``.  Any negative coefficient, non-integral solve,
-or nonzero remainder is reported as an integrity failure naming the
-offending block.  Memoized by ``functools.lru_cache``: :func:`decompose`;
-``_resolve_block``, keyed on the block's weights, case and p; and behind it
-``_resolve_pattern``, keyed on which facets carry which coefficients, the
-case and p, since a resolution depends on nothing else: it runs on one
-witness class per set of in-region facets.  Results and the characters
-behind them are immutable, so a memoized decomposition cannot be altered.
+linkage blocks, and resolve each block by a table that holds no p.  Its rows,
+derived once from the structure data, give the Weyl character at each facet
+in the summand basis of the case: tilting characters; simple characters at
+the second alcove when exactly one factor lies there; and, when both do,
+simple-basis coordinates at the floor of a regular block (alcoves 3, 3', 2,
+1), which a closed-form linear solve resolves in a basis that adds the
+non-highest-weight module M.  A negative multiplicity or an infeasible solve
+is reported as an integrity failure naming the offending block.  Memoized by
+``functools.lru_cache``: :func:`decompose`; ``_resolve_block``, keyed on the
+block's weights, case and p; and the rows, ``_row``, keyed on the case and
+the facet (at most 3 x 33).  Results and the characters behind them are
+immutable, so a memoized decomposition cannot be altered.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
-from .modchar import (
-    floor_weights,
-    m_char,
-    simple_char,
-    simple_dim,
-    tilting_char,
-    to_simple_basis,
-)
-from .weights import Weight, is_dominant, pairings, tau
-from .weylchar import Character, _check_weight, _is_int, mult, peel, sort_key
+from .modchar import FLOOR_FACETS, m_char, simple_char, simple_dim, tilting_char
+from .structures import delta_factors, tilting_delta_factors
+from .weights import Weight, is_dominant, tau
+from .weylchar import Character, _check_weight, _is_int, mult, sort_key
 
 KINDS = ("T", "L", "M")
 
@@ -179,36 +172,6 @@ def _buckets(c: Character, p: int) -> Dict[Weight, Dict[Weight, int]]:
     return buckets
 
 
-def _greedy(block: Character, p: int, kind_at, floor=frozenset()):
-    """Peel ``kind_at(lead)`` characters ("T" or "L") off a block."""
-    summands: List[Summand] = []
-
-    def expand(lead: Weight, k: int):
-        if k < 0:
-            raise IntegrityError(
-                f"negative multiplicity {k} at {lead} during greedy pass",
-                block=lead,
-            )
-        kind = kind_at(lead)
-        summands.append(Summand(kind, lead, k))
-        return _KIND_CHAR[kind](lead, p).coeffs.items()
-
-    _, remaining = peel(block.coeffs, expand, floor)
-    return summands, Character._trusted("weyl", remaining)
-
-
-def greedy_tilting(
-    block: Character, p: int, floor: FrozenSet[Weight] = frozenset()
-) -> Tuple[List[Summand], Character]:
-    """Strip tilting characters off the top of a block.
-
-    Repeatedly subtracts the full multiplicity of the maximal support weight
-    outside ``floor`` (order: decreasing (t, r)); stops once the support is
-    contained in the floor.  A negative multiplicity is an integrity error.
-    """
-    return _greedy(block, p, lambda lead: "T", floor)
-
-
 def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, int, int]:
     """Resolve a regular-block floor in the basis of the three tilting
     characters at the floor together with M plus its simple companion.
@@ -234,89 +197,67 @@ def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, in
     return solution
 
 
-def _is_regular_rep(rep: Weight, p: int) -> bool:
-    return all(n % p for n in pairings(rep))
+def _weyl_expansion(kind: str, facet: str) -> Counter:
+    """The Weyl factors, by facet, of the ``kind`` module ("T" or "L") at a
+    facet: the stored filtration of T; for L, the Weyl module less the
+    simples of its lower composition factors."""
+    if kind == "T":
+        return Counter(tilting_delta_factors(facet))
+    out = Counter({facet: 1})
+    for g in delta_factors(facet):
+        if g != facet:
+            out.subtract(_weyl_expansion("L", g))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _witnesses(p: int) -> Dict[Weight, Weight]:
-    """Each class representative to the first, in ``_facet_table`` order,
-    whose class has the same in-region facets."""
-    facets: Dict[Weight, set] = {}
-    for rep, facet in _facet_table(p)[1]:
-        facets.setdefault(rep, set()).add(facet)
-    first: Dict[FrozenSet[str], Weight] = {}
-    return {rep: first.setdefault(frozenset(fs), rep) for rep, fs in facets.items()}
+def _row(case: int, facet: str) -> Tuple[Tuple[str, str, int], ...]:
+    """The Weyl character at ``facet`` as ``(kind, facet, k)`` terms of the
+    case's summand basis, derived from the structure data with no p: the
+    summand at the facet (L at C2 in case 2, else T) less the rows of the
+    other Weyl factors of its character.  In case 3 the floor facets are
+    simple-basis coordinates, ``("L", g, k)``, for the floor solve."""
+    if case == 3 and facet in FLOOR_FACETS:
+        return tuple(("L", g, 1) for g in delta_factors(facet))
+    kind = "L" if case == 2 and facet == "C2" else "T"
+    lower = _weyl_expansion(kind, facet)
+    lead = lower.pop(facet)
+    assert lead == 1, f"{kind} at {facet} has no unit lead"
+    row = Counter({(kind, facet): 1})
+    for g, c in lower.items():
+        for term_kind, f, k in _row(case, g):
+            row[term_kind, f] -= c * k
+    return tuple((term_kind, f, k) for (term_kind, f), k in row.items() if k)
 
 
 @lru_cache(maxsize=None)
 def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summand, ...]:
-    """Summands of the linkage block of ``rep`` with coefficients ``items``
-    (flat: w0, k0, w1, k1, ...), sorted.  A block of one linkage class is
-    resolved by its facet pattern on a witness class and translated back;
-    any other block, or one whose witness fails, by its weights, so that a
-    failure names the real block."""
+    """Summands of the linkage block of ``rep`` (one class, as ``_buckets``
+    builds it) with coefficients ``items`` (flat: w0, k0, w1, k1, ...),
+    sorted: the sum of each weight's coefficient times the row of its facet,
+    with the case-3 floor coordinates resolved by :func:`case3_floor_solve`,
+    and each facet mapped back to the class's weight there."""
     table, index = _facet_table(p)
-    cells = [table.get(w, (OUT, None)) for w in items[::2]]
-    summands = None
-    if all(r == rep and f != OUT for f, r in cells):
-        pattern = tuple(chain.from_iterable(sorted(zip([f for f, _ in cells], items[1::2]))))
+    terms: Dict[Tuple[str, str], int] = {}
+    for w, k in zip(items[::2], items[1::2]):
+        for kind, f, m in _row(case, table[w][0]):
+            terms[kind, f] = terms.get((kind, f), 0) + k * m
+    floor = [terms.pop(("L", f), 0) for f in FLOOR_FACETS] if case == 3 else ()
+    # the first negative part that a greedy pass from the top would meet
+    negative = [(sort_key(index[rep, f]), index[rep, f], k)
+                for (_, f), k in terms.items() if k < 0]
+    if negative:
+        _, lead, k = min(negative)
+        raise IntegrityError(f"negative multiplicity {k} at {lead} during greedy pass", block=lead)
+    if any(floor):
         try:
-            summands = [Summand(kind, index[rep, f], k) for kind, f, k in
-                        _resolve_pattern(_witnesses(p)[rep], pattern, case, p)]
-        except IntegrityError:
-            pass  # resolved below, so that the failure names this block
-    if summands is None:
-        summands = _resolve_weights(rep, items, case, p)
-    return tuple(sorted(summands, key=lambda s: (sort_key(s.weight), s.kind)))
-
-
-@lru_cache(maxsize=None)
-def _resolve_pattern(witness: Weight, pattern: Tuple, case: int, p: int) -> Tuple:
-    """``(kind, facet, k)`` of the resolved block of the class of ``witness``
-    with coefficients ``pattern`` (flat, by facet: f0, k0, f1, k1, ...)."""
-    table, index = _facet_table(p)
-    items = list(pattern)
-    items[::2] = [index[witness, f] for f in pattern[::2]]
-    return tuple((s.kind, table[s.weight][0], s.multiplicity)
-                 for s in _resolve_weights(witness, tuple(items), case, p))
-
-
-def _resolve_weights(rep: Weight, items: Tuple, case: int, p: int) -> List[Summand]:
-    """The block resolver on weights: case 2 matches maximal second-alcove
-    weights by simples, else tiltings peel down to the floor (the floor
-    weights of a regular case-3 block, otherwise empty), and
-    :func:`case3_floor_solve` resolves what is left on the floor."""
-    block = Character._trusted("weyl", dict(zip(items[::2], items[1::2])))
-    floor = floor_weights(rep, p) if case == 3 and _is_regular_rep(rep, p) else ()
-    if case == 2:
-        summands, residual = _greedy(
-            block, p, lambda lead: "L" if classify(lead, p) == "C2" else "T")
-    else:
-        summands, residual = greedy_tilting(block, p, frozenset(floor))
-    if not residual:
-        return summands
-    if not floor:
-        raise IntegrityError(
-            f"nonzero remainder {residual.coeffs} in block {rep}", block=rep
-        )
-    simple = to_simple_basis(residual, p)
-    extra = set(simple.coeffs) - set(floor)
-    if extra:
-        raise IntegrityError(
-            f"floor residual has support {sorted(extra)} off the floor",
-            block=rep,
-        )
-    try:
-        x, y, z, w = case3_floor_solve(*(simple.coeffs.get(mu, 0) for mu in floor))
-    except IntegrityError as exc:
-        raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
-    mu3, mu3p, mu2, mu1 = floor
-    for kind, mu, k in (("T", mu3, x), ("T", mu3p, y), ("T", mu2, z),
-                        ("M", mu2, w), ("T", mu1, w)):
-        if k:
-            summands.append(Summand(kind, mu, k))
-    return summands
+            x, y, z, w = case3_floor_solve(*floor)
+        except IntegrityError as exc:
+            raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
+        terms.update({("T", "C3"): x, ("T", "C3p"): y, ("T", "C2"): z,
+                      ("M", "C2"): w, ("T", "C1"): w})
+    return tuple(sorted((Summand(kind, index[rep, f], k) for (kind, f), k in terms.items() if k),
+                        key=lambda s: (sort_key(s.weight), s.kind)))
 
 
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:

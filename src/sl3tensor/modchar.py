@@ -8,8 +8,8 @@ factors.  These and the M characters (:func:`m_char`, in either basis) are
 memoized by ``functools.lru_cache`` behind a check of the weight and p
 (``simple_char.cache_info()`` reports hits, misses and size); the cached
 characters are immutable.  The change of basis from Weyl to simple
-characters is the shared triangular solver
-:func:`~sl3tensor.weylchar.peel` with simple characters as the expansion.
+characters is the triangular solver :func:`~sl3tensor.weylchar.peel` with
+simple characters as the expansion.
 
 Weights whose facet data would be needed outside the fundamental region are
 rejected rather than extrapolated.
@@ -88,12 +88,15 @@ def tilting_char(w: Weight, p: int) -> Character:
     return result
 
 
+FLOOR_FACETS = ("C3", "C3p", "C2", "C1")  # the floor of a regular class
+
+
 def floor_weights(w: Weight, p: int) -> Tuple[Weight, Weight, Weight, Weight]:
     """Linked weights of w in alcoves 3, 3', 2, 1: the floor of its class.
 
     Every regular class, so every second-alcove weight, has all four.
     """
-    mus = tuple(linked_weight(w, f, p) for f in ("C3", "C3p", "C2", "C1"))
+    mus = tuple(linked_weight(w, f, p) for f in FLOOR_FACETS)
     if None in mus:
         raise AssertionError(f"incomplete reflection set for {w}, p={p}")
     return mus  # type: ignore[return-value]
@@ -118,7 +121,7 @@ def to_simple_basis(c: Character, p: int) -> Character:
     """Exact change of basis from Weyl to simple characters."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
-    steps, _ = peel(c.coeffs, lambda lead, k: simple_char(lead, p).coeffs.items())
+    steps = peel(c.coeffs, lambda lead: simple_char(lead, p).coeffs.items())
     return Character._trusted("simple", dict(steps))
 
 

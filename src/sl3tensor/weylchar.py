@@ -154,15 +154,13 @@ class Character:
         return f"Character({self.basis}: {terms or '0'})"
 
 
-def peel(
-    coeffs: Mapping[Weight, int], expand: Callable, stop: frozenset = frozenset()
-) -> Tuple[List[Tuple[Weight, int]], Dict[Weight, int]]:
+def peel(coeffs: Mapping[Weight, int], expand: Callable) -> List[Tuple[Weight, int]]:
     """Triangular solve: at each lead of the support, in :func:`sort_key`
-    order, stop if it is in ``stop``, else record ``(lead, k)`` and subtract
-    k times ``expand(lead, k)``, the items of a character with coefficient 1
-    at the lead.  Returns the steps and the remainder.  An expansion lies
-    below its lead in dominance, so at strictly smaller a+b: it sorts
-    strictly later, and one pass over a heap is exact."""
+    order, record ``(lead, k)`` and subtract k times ``expand(lead)``, the
+    items of a character with coefficient 1 at the lead, until nothing is
+    left.  An expansion lies below its lead in dominance, so at strictly
+    smaller a+b: it sorts strictly later, and one pass over a heap is
+    exact."""
     remaining = coeffs.copy()
     heap = [(sort_key(w), w) for w in remaining]
     heapq.heapify(heap)
@@ -172,9 +170,7 @@ def peel(
         k = remaining.get(lead)
         if not k:  # cancelled since it was pushed, or a duplicate entry
             continue
-        if lead in stop:
-            break
-        for mu, m in expand(lead, k):
+        for mu, m in expand(lead):
             value = remaining.get(mu, 0) - k * m
             if not value:
                 remaining.pop(mu, None)
@@ -183,7 +179,7 @@ def peel(
                 heapq.heappush(heap, (sort_key(mu), mu))
             remaining[mu] = value
         steps.append((lead, k))
-    return steps, remaining
+    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from collections import Counter
 from sl3tensor import sprime
 from sl3tensor.decompose import decompose, summand_dim, sweep, tensor_char, verify
 from sl3tensor.modchar import simple_dim, to_simple_basis
-from sl3tensor.alcoves import ALL_FACETS
+from sl3tensor.alcoves import ALL_FACETS, restricted_weights
 from sl3tensor.structures import delta_factors, diagram, tilting_delta_factors
 from sl3tensor.quiver import is_isomorphic
 from sl3tensor.weylchar import Character, lr_tensor, mult_via_monomial
@@ -152,6 +152,18 @@ def test_criterion_7_steinberg():
     assert simple_dim((0, 5), 5) == 3
     _report(7, "Steinberg square is pure tilting of dimension 15625; "
                "dim L(0,5) = 3")
+
+
+def test_steinberg_times_restricted_simple_is_tilting():
+    # St x L(lam) is tilting for p >= 2h - 2 (Jantzen, RAGS II.E), with top
+    # summand T((p-1)rho + lam); in case 2 (lam in C2) no L may appear
+    for p in (5, 7):
+        st = (p - 1, p - 1)
+        for lam in restricted_weights(p):
+            top = (p - 1 + lam[0], p - 1 + lam[1])
+            for d in (decompose(st, lam, p), decompose(lam, st, p)):
+                assert all(s.kind == "T" for s in d.summands), (p, lam)
+                assert [s.multiplicity for s in d.summands if s.weight == top] == [1], (p, lam)
 
 
 def test_criterion_8_counting_oracle():

@@ -10,30 +10,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl3tensor.alcoves import canonical_rep, classify, region_weights, restricted_weights
+from sl3tensor.alcoves import (
+    _facet_table,
+    canonical_rep,
+    classify,
+    region_weights,
+    restricted_weights,
+)
 from sl3tensor.decompose import (
     Decomposition,
     IntegrityError,
     Summand,
     SweepResult,
     _buckets,
-    _greedy,
-    _is_regular_rep,
     _resolve_block,
-    _resolve_pattern,
-    _resolve_weights,
-    _witnesses,
+    _row,
     case3_floor_solve,
     decompose,
-    greedy_tilting,
     summand_dim,
     summands_char,
     sweep,
     tensor_char,
     verify,
 )
-from sl3tensor.modchar import floor_weights, tilting_char, to_simple_basis
-from sl3tensor.weights import tau
+from sl3tensor.modchar import (
+    floor_weights,
+    simple_char,
+    tilting_char,
+    to_simple_basis,
+    weyl_comp_factors,
+)
+from sl3tensor.structures import delta_factors, tilting_delta_factors
+from sl3tensor.weights import pairings, tau
 from sl3tensor.weylchar import Character, sort_key
 
 
@@ -96,31 +104,25 @@ def test_buckets_trivial_and_case2():
             _buckets(Character("weyl", {w: 1}), 5)
 
 
+def _resolve_character(c, case, p):
+    """Every block of a Weyl-basis character, resolved and concatenated."""
+    return [s for rep, coeffs in sorted(_buckets(c, p).items())
+            for s in _resolve_block(rep, tuple(chain.from_iterable(coeffs.items())), case, p)]
+
+
 def test_greedy_tilting_examples():
     singular = Character("weyl", {(6, 2): 1, (2, 4): 1})
-    got, residual = greedy_tilting(singular, 5)
-    assert [(s.kind, s.weight, s.multiplicity) for s in got] == [("T", (6, 2), 1)]
-    assert not residual
+    assert [(s.kind, s.weight, s.multiplicity) for s in _resolve_character(singular, 1, 5)] == [
+        ("T", (6, 2), 1)]
 
     st = Character("weyl", {(4, 4): 1})
-    got, residual = greedy_tilting(st, 5)
-    assert [(s.kind, s.weight, s.multiplicity) for s in got] == [("T", (4, 4), 1)]
-    assert not residual
+    assert [(s.kind, s.weight, s.multiplicity) for s in _resolve_character(st, 1, 5)] == [
+        ("T", (4, 4), 1)]
 
-    block = tensor_char((1, 1), (1, 1), 5)
-    got, residual = greedy_tilting(block, 5)
-    assert not residual
-    assert {(s.weight, s.multiplicity) for s in got} == {
-        ((2, 2), 1), ((3, 0), 1), ((0, 3), 1), ((1, 1), 1), ((0, 0), 1)
+    got = _resolve_character(tensor_char((1, 1), (1, 1), 5), 1, 5)
+    assert {(s.kind, s.weight, s.multiplicity) for s in got} == {
+        ("T", (2, 2), 1), ("T", (3, 0), 1), ("T", (0, 3), 1), ("T", (1, 1), 1), ("T", (0, 0), 1)
     }
-
-
-def test_greedy_respects_floor():
-    block = Character("weyl", {(7, 0): 1, (0, 5): 1, (0, 2): 2})
-    floor = frozenset({(7, 0), (0, 5), (1, 3), (0, 2)})
-    got, residual = greedy_tilting(block, 5, floor)
-    assert got == []
-    assert residual == block
 
 
 @pytest.mark.parametrize("p", [5, 7, 13])
@@ -132,17 +134,14 @@ def test_greedy_tilting_recovers_tilting_combination(p):
         block = Character("weyl").combine(
             (k, tilting_char(w, p)) for w, k in combo.items()
         )
-        got, residual = greedy_tilting(block, p)
-        assert not residual
+        got = _resolve_character(block, 1, p)
         assert all(s.kind == "T" for s in got)
-        assert [(s.weight, s.multiplicity) for s in got] == sorted(
-            combo.items(), key=lambda item: sort_key(item[0])
-        )
+        assert sorted((s.weight, s.multiplicity) for s in got) == sorted(combo.items())
 
 
 def test_greedy_negative_coefficient_is_integrity_error():
     with pytest.raises(IntegrityError) as info:
-        greedy_tilting(Character("weyl", {(0, 0): -1}), 5)
+        _resolve_block((0, 0), ((0, 0), -1), 1, 5)
     assert str(info.value) == "negative multiplicity -1 at (0, 0) during greedy pass"
     assert info.value.block == (0, 0)
 
@@ -160,7 +159,7 @@ def test_case3_floor_solve():
 def test_every_regular_class_has_its_four_floor_weights(p):
     # the case-3 floor solve relies on this: no floor weight is ever absent
     reps = {canonical_rep(w, p) for w in region_weights(p)}
-    regular = [rep for rep in reps if _is_regular_rep(rep, p)]
+    regular = [rep for rep in reps if all(n % p for n in pairings(rep))]
     assert len(regular) == (p - 1) * (p - 2) // 2  # the open bottom alcove
     for rep in regular:
         floor = floor_weights(rep, p)
@@ -415,20 +414,10 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
         for nu2 in weights:
             total = tensor_char(nu, nu2, p)
             _as_if_checked(total)
-            case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-            for rep, coeffs in _buckets(total, p).items():
+            for coeffs in _buckets(total, p).values():
                 block = Character._trusted("weyl", coeffs)
                 _as_if_checked(block)
-                if case == 2:
-                    _, residual = _greedy(
-                        block, p, lambda w: "L" if classify(w, p) == "C2" else "T")
-                else:
-                    floor = (floor_weights(rep, p)
-                             if case == 3 and _is_regular_rep(rep, p) else ())
-                    _, residual = greedy_tilting(block, p, frozenset(floor))
-                _as_if_checked(residual)
-                if residual:
-                    _as_if_checked(to_simple_basis(residual, p))
+                _as_if_checked(to_simple_basis(block, p))
             _as_if_checked(summands_char(decompose(nu, nu2, p).summands, p))
 
 
@@ -442,13 +431,44 @@ def _block_keys(p):
                 yield rep, tuple(chain.from_iterable(coeffs.items())), case
 
 
+def _resolve_by_weights(rep, items, case, p):
+    """The block resolver on weights, as a reference for the table: peel the
+    top weight's tilting character (its simple one at a second-alcove weight
+    in case 2) down to the floor of a regular case-3 block, then solve the
+    floor in the simple basis."""
+    block = Character("weyl", dict(zip(items[::2], items[1::2])))
+    regular = all(n % p for n in pairings(rep))
+    floor = floor_weights(rep, p) if case == 3 and regular else ()
+    summands = []
+    while block and min(block.coeffs, key=sort_key) not in floor:
+        lead = min(block.coeffs, key=sort_key)
+        k = block.coeffs[lead]
+        if k < 0:
+            raise IntegrityError(
+                f"negative multiplicity {k} at {lead} during greedy pass", block=lead)
+        kind = "L" if case == 2 and classify(lead, p) == "C2" else "T"
+        summands.append(Summand(kind, lead, k))
+        block = block.combine([(-k, (simple_char if kind == "L" else tilting_char)(lead, p))])
+    simple = to_simple_basis(block, p)
+    assert set(simple.coeffs) <= set(floor), (p, rep, simple)
+    if simple:
+        try:
+            x, y, z, w = case3_floor_solve(*(simple.coeffs.get(mu, 0) for mu in floor))
+        except IntegrityError as exc:
+            raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
+        mu3, mu3p, mu2, mu1 = floor
+        summands += [Summand(kind, mu, k) for kind, mu, k in (
+            ("T", mu3, x), ("T", mu3p, y), ("T", mu2, z), ("M", mu2, w), ("T", mu1, w)) if k]
+    return summands
+
+
 def _assert_resolves_as_by_weights(rep, items, case, p):
-    """The memoized resolver, which goes through a witness class, gives the
-    weight-level resolver's summands, sorted."""
+    """The table resolver gives the weight-level reference's summands,
+    sorted."""
     got = _resolve_block(rep, items, case, p)
     assert type(got) is tuple
     assert list(got) == sorted(got, key=lambda s: (sort_key(s.weight), s.kind))
-    assert Counter(got) == Counter(_resolve_weights(rep, items, case, p)), (p, rep, case)
+    assert Counter(got) == Counter(_resolve_by_weights(rep, items, case, p)), (p, rep, case)
 
 
 def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
@@ -460,26 +480,69 @@ def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
 def test_sweep_resolves_each_distinct_block_once():
     decompose.cache_clear()
     _resolve_block.cache_clear()
-    _resolve_pattern.cache_clear()
+    _row.cache_clear()
     sweep(5, run_verify=False)
     keys = list(_block_keys(5))
     info = _resolve_block.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
-    # blocks of different classes share a facet pattern
-    assert _resolve_pattern.cache_info().misses < info.misses
+    # the rows hold no p: at most one per case and facet, and p=7 builds
+    # none that p=5 built, so both sweeps leave what p=7 alone leaves
+    assert _row.cache_info().currsize <= 3 * 33
+    sweep(7, run_verify=False)
+    both = _row.cache_info().currsize
+    _row.cache_clear()
+    _resolve_block.cache_clear()
+    decompose.cache_clear()
+    sweep(7, run_verify=False)
+    assert _row.cache_info().currsize == both <= 3 * 33
+
+
+def test_rows_are_read_only():
+    for case in (1, 2, 3):
+        row = _row(case, "C7")
+        assert type(row) is tuple and all(type(term) is tuple for term in row)
+    # L(C2) = X(C2) - X(C1), and X(C1) = T(C1) = L(C1)
+    assert _row(2, "C2") == (("L", "C2", 1), ("T", "C1", 1))
+    assert _row(3, "C2") == (("L", "C2", 1), ("L", "C1", 1))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_every_row_recombines_to_the_weyl_character_at_every_weight(p):
+    # every facet holds weights at p=5 and 7, so this reads all 3 x 33 rows
+    table, index = _facet_table(p)
+    char = {"T": tilting_char, "L": simple_char}
+    for w in region_weights(p):
+        facet, rep = table[w]
+        for case in (1, 2, 3):
+            got = Character("weyl").combine(
+                (k, char[kind](index[rep, f], p)) for kind, f, k in _row(case, facet))
+            assert got == Character("weyl", {w: 1}), (p, w, case)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_facet_level_characters_hold_no_p(p):
+    # the premise of the rows: no class truncates a facet-level character
+    table = _facet_table(p)[0]
+    for w in region_weights(p):
+        facet = classify(w, p)
+        tilting = Counter()
+        for mu, k in tilting_char(w, p).coeffs.items():
+            tilting[table[mu][0]] += k
+        assert tilting == Counter(tilting_delta_factors(facet)), (p, w)
+        assert sorted(table[mu][0] for mu in weyl_comp_factors(w, p)) == sorted(
+            delta_factors(facet)), (p, w)
 
 
 def test_block_failure_names_the_real_block_not_its_witness():
-    # two blocks of L(3,1) x L(3,1), each resolved through another class,
-    # with one coefficient negated: a greedy and a floor-solve failure
+    # two blocks of L(3,1) x L(3,1) with one coefficient negated: a greedy
+    # and a floor-solve failure
     blocks = _buckets(tensor_char((3, 1), (3, 1), 5), 5)
     expected = {
         ((-1, 1), (6, 2)): "negative multiplicity -1 at (6, 2) during greedy pass",
         ((0, 2), (0, 2)): "floor solve has negative part (1, 1, -2, 0) in block (0, 2)",
     }
     for (rep, w), message in expected.items():
-        assert _witnesses(5)[rep] != rep
         coeffs = dict(blocks[rep])
         coeffs[w] = -coeffs[w]
         with pytest.raises(IntegrityError) as exc:
@@ -489,12 +552,16 @@ def test_block_failure_names_the_real_block_not_its_witness():
 
 def test_block_memo_keys_on_case_and_prime():
     # X(3,1) + X(2,0) is T(3,1) at p=5; (3,1) lies in C2 there, so case 2
-    # takes L(3,1) first.  At p=7 both weights lie in C1: two tiltings.
+    # takes L(3,1) first.  At p=7 both weights lie in C1 of their own
+    # classes, so each is its own block and its own tilting.
     items = ((3, 1), 1, (2, 0), 1)
     t31, l31, t20 = Summand("T", (3, 1), 1), Summand("L", (3, 1), 1), Summand("T", (2, 0), 2)
     assert _resolve_block((2, 0), items, 1, 5) == (t31,)
     assert _resolve_block((2, 0), items, 2, 5) == (l31, t20)
-    assert _resolve_block((2, 0), items, 1, 7) == (t31, Summand("T", (2, 0), 1))
+    assert canonical_rep((3, 1), 7) != canonical_rep((2, 0), 7)
+    assert _resolve_block(canonical_rep((3, 1), 7), ((3, 1), 1), 1, 7) == (t31,)
+    assert _resolve_block(canonical_rep((2, 0), 7), ((2, 0), 1), 1, 7) == (
+        Summand("T", (2, 0), 1),)
 
 
 def summand_multiset(d):

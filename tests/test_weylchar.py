@@ -310,7 +310,7 @@ def test_package_exports_exist_and_omit_the_removed_names():
 
     missing = [name for name in sl3tensor.__all__ if not hasattr(sl3tensor, name)]
     assert missing == []
-    for name in ("monomial_to_weyl", "weyl_to_monomial", "split_blocks"):
+    for name in ("monomial_to_weyl", "weyl_to_monomial", "split_blocks", "greedy_tilting"):
         assert not hasattr(sl3tensor, name), name
 
 
