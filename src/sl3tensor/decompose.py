@@ -3,12 +3,13 @@
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
 linkage blocks, and resolve each block by a table that holds no p.  Its rows,
-derived once from the structure data, give the Weyl character at each facet
-in the summand basis of the case: tilting characters; simple characters at
-the second alcove when exactly one factor lies there; and, when both do,
-simple-basis coordinates at the floor of a regular block (alcoves 3, 3', 2,
-1), which a closed-form linear solve resolves in a basis that adds the
-non-highest-weight module M.  A negative multiplicity or an infeasible solve
+derived once from the facet expansions of :mod:`~sl3tensor.modchar` (which
+also give every tilting and simple character), write the Weyl character at
+each facet in the summand basis of the case: tilting characters; simple
+characters at the second alcove when exactly one factor lies there; and,
+when both do, simple-basis coordinates at the floor of a regular block
+(alcoves 3, 3', 2, 1), which a closed-form linear solve resolves in a basis
+that adds the non-highest-weight module M.  A negative multiplicity or an infeasible solve
 is reported as an integrity failure naming the offending block.  Memoized by
 ``functools.lru_cache``: :func:`decompose`; ``_resolve_block``, keyed on the
 block's weights, case and p; and the rows, ``_row``, keyed on the case and
@@ -25,8 +26,7 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
-from .modchar import FLOOR_FACETS, m_char, simple_char, simple_dim, tilting_char
-from .structures import delta_factors, tilting_delta_factors
+from .modchar import FLOOR_FACETS, _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, is_dominant, tau
 from .weylchar import Character, _check_weight, _is_int, mult, sort_key
 
@@ -197,32 +197,17 @@ def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, in
     return solution
 
 
-def _weyl_expansion(kind: str, facet: str) -> Counter:
-    """The Weyl factors, by facet, of the ``kind`` module ("T" or "L") at a
-    facet: the stored filtration of T; for L, the Weyl module less the
-    simples of its lower composition factors."""
-    if kind == "T":
-        return Counter(tilting_delta_factors(facet))
-    out = Counter({facet: 1})
-    for g in delta_factors(facet):
-        if g != facet:
-            out.subtract(_weyl_expansion("L", g))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _row(case: int, facet: str) -> Tuple[Tuple[str, str, int], ...]:
     """The Weyl character at ``facet`` as ``(kind, facet, k)`` terms of the
-    case's summand basis, derived from the structure data with no p: the
-    summand at the facet (L at C2 in case 2, else T) less the rows of the
-    other Weyl factors of its character.  In case 3 the floor facets are
-    simple-basis coordinates, ``("L", g, k)``, for the floor solve."""
-    if case == 3 and facet in FLOOR_FACETS:
-        return tuple(("L", g, 1) for g in delta_factors(facet))
-    kind = "L" if case == 2 and facet == "C2" else "T"
-    lower = _weyl_expansion(kind, facet)
-    lead = lower.pop(facet)
-    assert lead == 1, f"{kind} at {facet} has no unit lead"
+    case's summand basis, with no p: the summand at the facet less the rows
+    of the other Weyl factors of its :func:`~sl3tensor.modchar._expansion`.
+    The summand is L at C2 in case 2 and at the floor facets in case 3, else
+    T; so the case-3 floor rows are simple-basis coordinates, ``("L", g,
+    k)``, for the floor solve."""
+    kind = "L" if (case == 3 and facet in FLOOR_FACETS) or (case == 2 and facet == "C2") else "T"
+    lower = dict(_expansion(kind, facet))
+    assert lower.pop(facet, 0) == 1, f"{kind} at {facet} has no unit lead"
     row = Counter({(kind, facet): 1})
     for g, c in lower.items():
         for term_kind, f, k in _row(case, g):
@@ -438,6 +423,8 @@ def _sweep_pairs(p: int, pairs, run_verify: bool) -> SweepResult:
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
     """Decompose and verify all p^2 x p^2 restricted pairs, on at most
     ``jobs`` worker processes (capped by the CPU count)."""
+    if not _is_int(jobs) or jobs < 1:
+        raise ValueError(f"expected a worker count >= 1, got {jobs!r}")
     _check_prime(p)
     weights = restricted_weights(p)
     pairs = [(nu, nu2) for nu in weights for nu2 in weights]

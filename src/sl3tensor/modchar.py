@@ -1,30 +1,32 @@
 """Modular character engine.
 
-Simple characters are computed by the triangular recursion over the
-facet-indexed composition tables: the simple character at a weight is its
-Weyl character minus the simple characters of the lower composition factors.
-Tilting characters are sums of Weyl characters over the stored filtration
-factors.  These and the M characters (:func:`m_char`, in either basis) are
-memoized by ``functools.lru_cache`` behind a check of the weight and p
-(``simple_char.cache_info()`` reports hits, misses and size); the cached
-characters are immutable.  The change of basis from Weyl to simple
-characters is the triangular solver :func:`~sl3tensor.weylchar.peel` with
-simple characters as the expansion.
+Every tilting and simple character comes from one facet expansion with no p
+in it, ``_expansion(kind, facet)``, derived once from the structure data:
+the stored Weyl filtration of the tilting module, and for the simple module
+its Weyl module less the expansions of its lower composition factors.  The
+character at a weight maps the expansion at its facet to the weights of its
+linkage class.  These and the M characters (:func:`m_char`, in either
+basis) are memoized by ``functools.lru_cache`` behind a check of the weight
+and p (``simple_char.cache_info()`` reports hits, misses and size); the
+cached characters are immutable.  The change of basis from Weyl to simple
+characters sums the composition factors of each Weyl module, each of
+multiplicity one.
 
 Weights whose facet data would be needed outside the fundamental region are
-rejected rather than extrapolated.
+rejected rather than extrapolated, and a facet of an expansion with no
+linked weight below the weight is an ``AssertionError``, not a truncation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache, wraps
-from typing import Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .weights import Weight, dominance_leq
-from .weylchar import Character, _check_weight, _is_int, peel
+from .weylchar import Character, _check_weight, _is_int
 
 
 def _checked_cache(body):
@@ -45,31 +47,48 @@ def _checked_cache(body):
     return checked
 
 
-def _linked_below(w: Weight, p: int, entries_of) -> Iterator[Weight]:
-    """Linked weights of the facet entries ``entries_of(facet of w)`` that
-    exist and lie below w; the others are truncated away, which happens only
-    near the dominance boundary."""
+@lru_cache(maxsize=None)
+def _expansion(kind: str, facet: str) -> Tuple[Tuple[str, int], ...]:
+    """The Weyl factors ``(facet, k)`` of the ``kind`` module ("T" or "L") at
+    a facet, with no p: for T the stored filtration; for L the Weyl module
+    less the L-expansions of its lower composition factors."""
+    if kind == "T":
+        return tuple(Counter(structures.tilting_delta_factors(facet)).items())
+    out = Counter({facet: 1})
+    for g in structures.delta_factors(facet):
+        if g != facet:
+            for f, k in _expansion("L", g):
+                out[f] -= k
+    return tuple((f, k) for f, k in out.items() if k)
+
+
+def _in_class(w: Weight, p: int, expansion_at) -> Dict[Weight, int]:
+    """``expansion_at(facet of w)``, ``(facet, k)`` terms, mapped to the
+    weights of w's linkage class.  Each weight exists and lies below w; a
+    missing one is an error, not a truncation."""
     facet = classify(w, p)
     if facet == OUT:
         raise ValueError(f"weight {w} lies outside the fundamental region for p={p}")
-    for g in entries_of(facet):
-        mu = linked_weight(w, g, p)
-        if mu is not None and dominance_leq(mu, w):
-            yield mu
+    out = {}
+    for f, k in expansion_at(facet):
+        mu = linked_weight(w, f, p)
+        if mu is None or not dominance_leq(mu, w):
+            raise AssertionError(
+                f"no weight linked to {w} below it in facet {f} of {facet}, p={p}")
+        out[mu] = k
+    return out
 
 
 def weyl_comp_factors(w: Weight, p: int) -> List[Weight]:
     """Composition factor weights of the Weyl module at w (multiplicity one
     each)."""
-    return list(_linked_below(w, p, structures.delta_factors))
+    return list(_in_class(w, p, lambda f: Counter(structures.delta_factors(f)).items()))
 
 
 @_checked_cache
 def simple_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the simple module at w."""
-    result = Character("weyl", {w: 1}).combine(
-        (-1, simple_char(mu, p)) for mu in weyl_comp_factors(w, p) if mu != w
-    )
+    result = Character("weyl", _in_class(w, p, lambda f: _expansion("L", f)))
     assert result.coeffs.get(w) == 1, f"lost unitriangularity at {w}"
     return result
 
@@ -82,8 +101,7 @@ def simple_dim(w: Weight, p: int) -> int:
 @_checked_cache
 def tilting_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the indecomposable tilting module at w."""
-    result = Character(
-        "weyl", Counter(_linked_below(w, p, structures.tilting_delta_factors)))
+    result = Character("weyl", _in_class(w, p, lambda f: _expansion("T", f)))
     assert result.coeffs.get(w) == 1, f"tilting character at {w} lost its top"
     return result
 
@@ -121,8 +139,11 @@ def to_simple_basis(c: Character, p: int) -> Character:
     """Exact change of basis from Weyl to simple characters."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
-    steps = peel(c.coeffs, lambda lead: simple_char(lead, p).coeffs.items())
-    return Character._trusted("simple", dict(steps))
+    out: Dict[Weight, int] = {}
+    for w, k in c.coeffs.items():  # Weyl modules are multiplicity-free in simples
+        for mu in weyl_comp_factors(w, p):
+            out[mu] = out.get(mu, 0) + k
+    return Character._trusted("simple", out)
 
 
 def from_simple_basis(c: Character, p: int) -> Character:

@@ -4,7 +4,8 @@ A :class:`Character` is a finitely supported integer combination of basis
 symbols indexed by dominant weights, in one of two bases:
 
 * ``weyl``    Weyl-module characters,
-* ``simple``  simple-module characters (interpreted per prime; see modchar).
+* ``simple``  simple-module characters (interpreted per prime; modchar
+              derives them and the change of basis from the facet data).
 
 Products are available along two independent routes and the test suite pins
 them against each other: :func:`lr_tensor` counts Littlewood-Richardson
@@ -13,16 +14,14 @@ tableaux over 3-row partitions (each count in closed form), while
 multiplicities of one factor, in closed form too (one more per hexagonal
 shell).  All arithmetic is exact, in Python integers.  ``Character(...)`` and
 ``from_json`` check every term; the library builds characters from valid ones
-(sums, blocks, remainders, changes of basis) with the unchecked
-``Character._trusted``.
+(sums, blocks, changes of basis) with the unchecked ``Character._trusted``.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .weights import Weight, dim_weyl, is_dominant
 
@@ -152,34 +151,6 @@ class Character:
     def __repr__(self):
         terms = " + ".join(f"{c}*[{w[0]},{w[1]}]" for w, c in self.items_sorted())
         return f"Character({self.basis}: {terms or '0'})"
-
-
-def peel(coeffs: Mapping[Weight, int], expand: Callable) -> List[Tuple[Weight, int]]:
-    """Triangular solve: at each lead of the support, in :func:`sort_key`
-    order, record ``(lead, k)`` and subtract k times ``expand(lead)``, the
-    items of a character with coefficient 1 at the lead, until nothing is
-    left.  An expansion lies below its lead in dominance, so at strictly
-    smaller a+b: it sorts strictly later, and one pass over a heap is
-    exact."""
-    remaining = coeffs.copy()
-    heap = [(sort_key(w), w) for w in remaining]
-    heapq.heapify(heap)
-    steps = []
-    while heap:
-        lead = heapq.heappop(heap)[1]
-        k = remaining.get(lead)
-        if not k:  # cancelled since it was pushed, or a duplicate entry
-            continue
-        for mu, m in expand(lead):
-            value = remaining.get(mu, 0) - k * m
-            if not value:
-                remaining.pop(mu, None)
-                continue
-            if mu not in remaining:
-                heapq.heappush(heap, (sort_key(mu), mu))
-            remaining[mu] = value
-        steps.append((lead, k))
-    return steps
 
 
 # ---------------------------------------------------------------------------

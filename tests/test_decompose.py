@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl3tensor.alcoves import (
+    ALL_FACETS,
     _facet_table,
     canonical_rep,
     classify,
@@ -34,8 +35,11 @@ from sl3tensor.decompose import (
     verify,
 )
 from sl3tensor.modchar import (
+    _expansion,
     floor_weights,
+    m_char,
     simple_char,
+    simple_dim,
     tilting_char,
     to_simple_basis,
     weyl_comp_factors,
@@ -360,6 +364,19 @@ def test_sweep_rejects_bad_prime():
             sweep(p)
 
 
+def test_sweep_rejects_bad_jobs_before_any_work(monkeypatch):
+    decompose_module = importlib.import_module("sl3tensor.decompose")
+
+    def work(*args, **kwargs):
+        raise AssertionError("the sweep started work")
+
+    monkeypatch.setattr(decompose_module, "_sweep_pairs", work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", work)
+    for jobs in (0, -2, 2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"expected a worker count >= 1, got {jobs!r}"):
+            sweep(5, run_verify=False, jobs=jobs)
+
+
 def test_float_prime_is_rejected_whatever_the_cache_holds():
     decompose.cache_clear()
     for _ in range(2):  # cold, then with the p=5 pair cached
@@ -477,31 +494,43 @@ def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
             _assert_resolves_as_by_weights(rep, items, case, p)
 
 
+def _clear_sweep_caches():
+    """Every memo between a sweep and the facet expansions."""
+    for fn in (decompose, _resolve_block, _row, _expansion,
+               simple_char, simple_dim, tilting_char, m_char):
+        fn.cache_clear()
+
+
 def test_sweep_resolves_each_distinct_block_once():
-    decompose.cache_clear()
-    _resolve_block.cache_clear()
-    _row.cache_clear()
+    _clear_sweep_caches()
     sweep(5, run_verify=False)
     keys = list(_block_keys(5))
     info = _resolve_block.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
-    # the rows hold no p: at most one per case and facet, and p=7 builds
-    # none that p=5 built, so both sweeps leave what p=7 alone leaves
+    # the rows and the expansions hold no p: at most one per case (kind)
+    # and facet, and p=7 builds none that p=5 built, so both sweeps leave
+    # what p=7 alone leaves
     assert _row.cache_info().currsize <= 3 * 33
+    assert _expansion.cache_info().currsize <= 2 * 33
     sweep(7, run_verify=False)
-    both = _row.cache_info().currsize
-    _row.cache_clear()
-    _resolve_block.cache_clear()
-    decompose.cache_clear()
+    rows, expansions = _row.cache_info().currsize, _expansion.cache_info().currsize
+    _clear_sweep_caches()
     sweep(7, run_verify=False)
-    assert _row.cache_info().currsize == both <= 3 * 33
+    assert _row.cache_info().currsize == rows <= 3 * 33
+    assert _expansion.cache_info().currsize == expansions <= 2 * 33
 
 
 def test_rows_are_read_only():
     for case in (1, 2, 3):
         row = _row(case, "C7")
         assert type(row) is tuple and all(type(term) is tuple for term in row)
+    # every expansion, so every entry its cache can hold
+    for kind in ("T", "L"):
+        for facet in ALL_FACETS:
+            expansion = _expansion(kind, facet)
+            assert type(expansion) is tuple and all(type(term) is tuple for term in expansion)
+    assert _expansion.cache_info().currsize == 2 * len(ALL_FACETS) == 66
     # L(C2) = X(C2) - X(C1), and X(C1) = T(C1) = L(C1)
     assert _row(2, "C2") == (("L", "C2", 1), ("T", "C1", 1))
     assert _row(3, "C2") == (("L", "C2", 1), ("L", "C1", 1))

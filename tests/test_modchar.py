@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 
 from sl3tensor.alcoves import classify, linked_weight, region_weights
@@ -146,6 +149,28 @@ def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
     assert fn.cache_info().currsize >= 1 and not hasattr(fn.__wrapped__, "cache_info")
 
 
+def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
+    # (3, 1) lies in C2 at p=5; its C1 weight (2, 0) is a Weyl factor of
+    # its simple and its tilting character and a composition factor of its
+    # Weyl module.  Drop it from the linkage lookup that modchar reads
+    # (through sys.modules: the package's names shadow its submodules).
+    modchar = sys.modules["sl3tensor.modchar"]
+    real = modchar.linked_weight
+    monkeypatch.setattr(modchar, "linked_weight",
+                        lambda w, target, p: None if target == "C1" else real(w, target, p))
+    caches = (simple_char, tilting_char)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        message = "no weight linked to (3, 1) below it in facet C1 of C2, p=5"
+        for fn in (simple_char, tilting_char, weyl_comp_factors):
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                fn((3, 1), 5)
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_tilting_simple_expansion_is_effective(p):
     """Composition multiplicities of a tilting module are honest counts:
@@ -212,6 +237,6 @@ def test_basis_conversion_round_trip(p):
         c = Character("weyl", coeffs)
         assert from_simple_basis(to_simple_basis(c, p), p) == c
         # the simple characters' lower terms cancel and add support below
-        # the lead, which the solve must pick up in order
+        # the lead, which the summed composition factors must cancel again
         s = Character("simple", coeffs)
         assert to_simple_basis(from_simple_basis(s, p), p) == s
