@@ -9,12 +9,14 @@ each facet in the summand basis of the case: tilting characters; simple
 characters at the second alcove when exactly one factor lies there; and,
 when both do, simple-basis coordinates at the floor of a regular block
 (alcoves 3, 3', 2, 1), which a closed-form linear solve resolves in a basis
-that adds the non-highest-weight module M.  A negative multiplicity or an infeasible solve
-is reported as an integrity failure naming the offending block.  Memoized by
-``functools.lru_cache``: :func:`decompose`; ``_resolve_block``, keyed on the
-block's weights, case and p; and the rows, ``_row``, keyed on the case and
-the facet (at most 3 x 33).  Results and the characters behind them are
-immutable, so a memoized decomposition cannot be altered.
+that adds the non-highest-weight module M.  A negative multiplicity, an
+infeasible solve or a block whose summands' characters do not sum to it is an
+integrity failure naming the block; that sum check runs once per distinct
+block, at a miss of the block memo.  :func:`verify` checks what this did not
+compute.  Memoized by ``functools.lru_cache``: :func:`decompose`;
+``_resolve_block``, keyed on the block's weights, case and p; and the rows,
+``_row``, keyed on the case and the facet (at most 3 x 33).  Results and
+their characters are immutable, so no memoized decomposition can be altered.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import FLOOR_FACETS, _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, is_dominant, tau
-from .weylchar import Character, _check_weight, _is_int, mult, sort_key
+from .weylchar import Character, _check_weight, _is_int, mult, mult_via_monomial, sort_key
 
 KINDS = ("T", "L", "M")
 
@@ -86,8 +88,8 @@ class Summand(_Frozen):
 
     def __str__(self) -> str:
         text = f"{self.kind}({self.weight[0]},{self.weight[1]})"
-        if self.multiplicity != 1:
-            text = f"{self.multiplicity}*{text}"
+        if not (_is_int(self.multiplicity) and self.multiplicity == 1):
+            text = f"{self.multiplicity!r}*{text}"
         return text
 
 
@@ -241,8 +243,20 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
         terms.update({("T", "C3"): x, ("T", "C3p"): y, ("T", "C2"): z,
                       ("M", "C2"): w, ("T", "C1"): w})
-    return tuple(sorted((Summand(kind, index[rep, f], k) for (kind, f), k in terms.items() if k),
-                        key=lambda s: (sort_key(s.weight), s.kind)))
+    summands = sorted((Summand(kind, index[rep, f], k) for (kind, f), k in terms.items() if k),
+                      key=lambda s: (sort_key(s.weight), s.kind))
+    residue = dict(zip(items[::2], items[1::2]))
+    for s in summands:
+        for w, c in _KIND_CHAR[s.kind](s.weight, p).coeffs.items():
+            residue[w] = residue.get(w, 0) - s.multiplicity * c
+    if any(residue.values()):  # once per distinct block; the blocks partition the support
+        raise IntegrityError(f"summands do not sum to block {rep}, residue "
+                             f"{Character._trusted('weyl', residue)}", block=rep)
+    return tuple(summands)
+
+
+def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2
+    return 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
 
 
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
@@ -255,40 +269,20 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
 
 @lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
 def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
-    total = tensor_char(nu, nu2, p)
-    in_c2 = (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-    case = 1 + in_c2
-
-    blocks = _buckets(total, p)
+    blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
+    case = _case(nu, nu2, p)
     summands = [s for rep in sorted(blocks) for s in _resolve_block(
         rep, tuple(chain.from_iterable(blocks[rep].items())), case, p)]
-
     # kinds and weights are distinct and multiplicities positive: blocks
     # are disjoint and every step records a lead once
     summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
-    result = Decomposition(
-        p=p,
-        left=nu,
-        right=nu2,
-        case=case,
-        summands=tuple(summands),
-        dim_product=simple_dim(nu, p) * simple_dim(nu2, p),
-    )
-    _assert_character_sum(result, total)
-    return result
+    return Decomposition(p, nu, nu2, case, tuple(summands),
+                         simple_dim(nu, p) * simple_dim(nu2, p))
 
 
 # the cache and, as __wrapped__, the uncached computation
 decompose.cache_info, decompose.cache_clear, decompose.__wrapped__ = (
     _decompose.cache_info, _decompose.cache_clear, _decompose.__wrapped__)
-
-
-def _assert_character_sum(d: Decomposition, total: Character) -> None:
-    if summands_char(d.summands, d.p) != total:
-        raise IntegrityError(
-            f"summand characters do not sum to the tensor character for "
-            f"{d.left} x {d.right}, p={d.p}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -319,39 +313,45 @@ class Report(_Record):
         return [c for c in self.checks if not c.ok]
 
 
-def _misshapen(s: Summand, p: int) -> str:
-    """Why a summand cannot occur in a decomposition; empty if it can."""
-    facet = classify(s.weight, p) if is_dominant(s.weight) else OUT
-    if s.kind not in KINDS or s.multiplicity <= 0 or facet == OUT:
+def _misshapen(s: Summand, case: int, p: int) -> str:
+    """Why a summand cannot occur in the case; empty if it can.  It needs a
+    kind, two ints in the region and a positive int; T may sit at any facet, L
+    only at C2 in case 2 and M only at C2 in case 3."""
+    w, m = s.weight, s.multiplicity
+    ints = type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int
+    facet = classify(w, p) if ints and is_dominant(w) else OUT
+    if s.kind not in KINDS or type(m) is not int or m <= 0 or facet == OUT:
         return str(s)
-    return f"{s} at facet {facet}" if s.kind != "T" and facet != "C2" else ""
+    ok = s.kind == "T" or facet == "C2" and case == {"L": 2, "M": 3}[s.kind]
+    return "" if ok else f"{s} at facet {facet} in case {case}"
 
 
 def verify(d: Decomposition) -> Report:
-    """Re-check a decomposition: character sum, dimension count, summand
-    shape, and equivariance under the diagram involution.  A misshapen
-    summand fails the first two checks without computing them."""
+    """Re-check a decomposition by what ``decompose`` did not compute: the
+    character sum by Brauer-Klimyk, not LR; the dimension; the summand shapes
+    of the case recomputed from the weights (case 3 must hold an M); the
+    diagram involution.  A misshapen summand fails the first two uncomputed."""
     report = Report()
     p = d.p
+    case = _case(d.left, d.right, p)
 
-    bad = next(filter(None, (_misshapen(s, p) for s in d.summands)), "")
+    bad = next(filter(None, (_misshapen(s, case, p) for s in d.summands)), "")
     if bad:
         report.add("character-sum", False, f"misshapen summand {bad}")
         report.add("dimension", False, f"misshapen summand {bad}")
     else:
-        total = tensor_char(d.left, d.right, p)
+        total = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
         report.add("character-sum", summands_char(d.summands, p) == total)
         dims = sum(summand_dim(s, p) for s in d.summands)
-        report.add("dimension", dims == d.dim_product,
-                   f"{dims} vs {d.dim_product}")
+        report.add("dimension", dims == d.dim_product, f"{dims} vs {d.dim_product}")
+        if case == 3 and all(s.kind != "M" for s in d.summands):
+            bad = "no M summand in case 3"
     report.add("summand-shape", not bad, bad)
 
     try:
         mirrored = decompose(tau(d.right), tau(d.left), p)
-        expect = sorted(
-            (s.kind, tau(s.weight), s.multiplicity) for s in d.summands
-        )
-        got = sorted((s.kind, s.weight, s.multiplicity) for s in mirrored.summands)
+        expect = Counter((s.kind, tau(s.weight), s.multiplicity) for s in d.summands)
+        got = Counter((s.kind, s.weight, s.multiplicity) for s in mirrored.summands)
         report.add("tau-equivariance", expect == got)
     except IntegrityError as exc:
         report.add("tau-equivariance", False, str(exc))
@@ -395,11 +395,8 @@ def _pair_result(p: int, nu: Weight, nu2: Weight, run_verify: bool) -> SweepResu
     counts = dict.fromkeys(KINDS, 0)
     for s in d.summands:
         counts[s.kind] += s.multiplicity
-    has_m = any(s.kind == "M" for s in d.summands)
-    failures = [f"{tag}: M summand outside case 3"] if has_m and d.case != 3 else []
-    if run_verify:
-        failures += [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()]
-    return SweepResult(p, 1, counts, int(has_m), failures)
+    failures = [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()] if run_verify else []
+    return SweepResult(p, 1, counts, int(counts["M"] > 0), failures)
 
 
 def _merge(p: int, parts) -> SweepResult:

@@ -14,7 +14,8 @@ tableaux over 3-row partitions (each count in closed form), while
 multiplicities of one factor, in closed form too (one more per hexagonal
 shell).  All arithmetic is exact, in Python integers.  ``Character(...)`` and
 ``from_json`` check every term; the library builds characters from valid ones
-(sums, blocks, changes of basis) with the unchecked ``Character._trusted``.
+(sums, blocks, changes of basis, the Brauer-Klimyk product, which ``verify``
+runs on every pair) with the unchecked ``Character._trusted``.
 """
 
 from __future__ import annotations
@@ -158,12 +159,14 @@ class Character:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomial_items(lam: Weight) -> Tuple[Tuple[Weight, int], ...]:
-    """Weight multiplicities of the Weyl character at ``lam = (a, b)``: one
-    more per hexagonal shell until the shells become triangles (Fulton-Harris
-    13.2).  mu = lam - c1*alpha1 - c2*alpha2 has e-coordinates (x, y, c2) =
-    (a+b-c1, b+c1-c2, c2); lam - dom(mu) = d1*alpha1 + d2*alpha2 with d1 =
-    a+b-max, d2 = min of them; m(mu) = min(d1, d2, a, b) + 1 if both >= 0."""
+def _monomial_items(lam: Weight) -> Tuple[int, ...]:
+    """Weight multiplicities of the Weyl character at ``lam = (a, b)``, flat:
+    ``(mu0[0], mu0[1], m0, ...)``, read by ``verify`` through
+    :func:`mult_via_monomial`.  One more per hexagonal shell until the shells
+    become triangles (Fulton-Harris 13.2).  mu = lam - c1*alpha1 - c2*alpha2
+    has e-coordinates (x, y, c2) = (a+b-c1, b+c1-c2, c2); lam - dom(mu) =
+    d1*alpha1 + d2*alpha2 with d1 = a+b-max, d2 = min of them; m(mu) =
+    min(d1, d2, a, b) + 1 if both >= 0."""
     a, b = lam
     n, cap = a + b, min(a, b)
     items = []
@@ -177,7 +180,7 @@ def _monomial_items(lam: Weight) -> Tuple[Tuple[Weight, int], ...]:
             elif x > hi:
                 hi = x
             d = n - hi if n - hi < lo else lo
-            items.append(((x - y, y - c2), (d if d < cap else cap) + 1))
+            items += (x - y, y - c2, (d if d < cap else cap) + 1)
     return tuple(items)
 
 
@@ -199,9 +202,9 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
     out: Dict[Weight, int] = {}
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
-            small, top = sorted((lam, mu), key=dim_weyl)
+            small, top = (lam, mu) if dim_weyl(lam) <= dim_weyl(mu) else (mu, lam)
             r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
-            for (x, y), m in _monomial_items(small):
+            for x, y, m in zip(*[iter(_monomial_items(small))] * 3):  # flat triples
                 # sort the e-coordinates (r+s, s, 0) downwards: a swap is a
                 # reflection, an equal pair a wall
                 u, v, w, sign = r0 + x + s0 + y, s0 + y, 0, k * m
@@ -214,7 +217,7 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
                 if u != v and v != w:
                     nu = (u - v - 1, v - w - 1)
                     out[nu] = out.get(nu, 0) + sign
-    return Character("weyl", out)
+    return Character._trusted("weyl", out)  # u > v > w: every nu is dominant
 
 
 # ---------------------------------------------------------------------------

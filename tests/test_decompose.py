@@ -3,6 +3,7 @@ import importlib
 import os
 import pickle
 import random
+import sys
 from collections import Counter
 from itertools import chain
 
@@ -46,7 +47,7 @@ from sl3tensor.modchar import (
 )
 from sl3tensor.structures import delta_factors, tilting_delta_factors
 from sl3tensor.weights import pairings, tau
-from sl3tensor.weylchar import Character, sort_key
+from sl3tensor.weylchar import Character, mult, mult_via_monomial, sort_key
 
 
 def summand_set(d):
@@ -231,6 +232,18 @@ def test_decompose_steinberg_square():
     assert verify(d).passed
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_steinberg_times_any_simple_is_tilting(p):
+    # a literature oracle: for p >= 2h - 2 = 4, St x L(lam) is tilting for
+    # every restricted lam (Jantzen, RAGS II.E), with T((p-1)rho + lam) once;
+    # not automatic in case 2, which may place L summands
+    st = (p - 1, p - 1)
+    for lam in restricted_weights(p):
+        top = Summand("T", (p - 1 + lam[0], p - 1 + lam[1]), 1)
+        for d in (decompose(st, lam, p), decompose(lam, st, p)):
+            assert all(s.kind == "T" for s in d.summands) and top in d.summands, (p, lam)
+
+
 def test_verify_catches_perturbation():
     d = decompose((3, 1), (3, 1), 5)
     broken = type(d)(
@@ -253,6 +266,13 @@ def test_verify_catches_perturbation():
     Summand("T", (99, 0), 1),
     Summand("T", (-1, 0), 1),
     Summand("L", (1, 0), 1),  # off C2, but its character computes
+    Summand("M", (1, 3), 1),  # at C2, but case 1 holds no M
+    Summand("L", (1, 3), 1),  # at C2, but case 1 holds no L
+    Summand("T", (1, 0), True),
+    Summand("T", (1, 0), 1.0),
+    Summand("T", (1, 0), 1.5),
+    Summand("T", (1, 0), "1"),
+    Summand("T", (1.0, 0), 1),
 ])
 def test_verify_reports_misshapen_summand(bad):
     d = decompose((1, 0), (0, 0), 5)
@@ -264,6 +284,56 @@ def test_verify_reports_misshapen_summand(bad):
     failed = {c.name: c.detail for c in report.failures()}
     for name in ("character-sum", "dimension", "summand-shape"):
         assert str(bad) in failed[name]
+
+
+def test_verify_requires_an_m_in_case_3():
+    d = decompose((3, 1), (3, 1), 5)
+    without_m = tuple(s for s in d.summands if s.kind != "M")
+    assert len(without_m) == len(d.summands) - 1
+    report = verify(Decomposition(p=d.p, left=d.left, right=d.right, case=d.case,
+                                  summands=without_m, dim_product=d.dim_product))
+    failed = {c.name: c.detail for c in report.failures()}
+    assert failed["summand-shape"] == "no M summand in case 3"
+
+
+def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
+    # one extra X(0,0) in the LR product that decompose sees: the blocks
+    # still sum, and only the Brauer-Klimyk product in verify differs
+    decompose_module = sys.modules["sl3tensor.decompose"]
+    monkeypatch.setattr(decompose_module, "mult",
+                        lambda c1, c2: mult(c1, c2) + Character("weyl", {(0, 0): 1}))
+    decompose.cache_clear()
+    try:
+        d = decompose((1, 0), (0, 1), 5)
+        assert d.case == 1 and str(d) == "T(1,1) + 2*T(0,0)"
+        assert "character-sum" in {c.name for c in verify(d).failures()}
+    finally:
+        decompose.cache_clear()
+
+
+def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
+    # one more T(C2) in the case-1 row of C2; of the blocks of L(1,1) x
+    # L(1,1) at p=5 only that of (1, 1) has a weight there, (2, 2)
+    for facet in ALL_FACETS:  # built first, so no other row reads the wrong one
+        _row(1, facet)
+
+    def wrong_row(case, facet):
+        row = _row(case, facet)
+        if (case, facet) == (1, "C2"):
+            assert row[0] == ("T", "C2", 1)
+            row = (("T", "C2", 2),) + row[1:]
+        return row
+
+    monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "_row", wrong_row)
+    _resolve_block.cache_clear()
+    decompose.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match="do not sum to block") as info:
+            decompose((1, 1), (1, 1), 5)
+        assert info.value.block == canonical_rep((2, 2), 5) == (1, 1)
+    finally:
+        _resolve_block.cache_clear()
+        decompose.cache_clear()
 
 
 def test_cached_decomposition_is_immutable():
@@ -436,6 +506,7 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
                 _as_if_checked(block)
                 _as_if_checked(to_simple_basis(block, p))
             _as_if_checked(summands_char(decompose(nu, nu2, p).summands, p))
+            _as_if_checked(mult_via_monomial(simple_char(nu, p), simple_char(nu2, p)))
 
 
 def _block_keys(p):

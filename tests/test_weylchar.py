@@ -88,26 +88,35 @@ def freudenthal(lam):
 # monomial expansion
 # ---------------------------------------------------------------------------
 
+def _monomial_pairs(lam):
+    """``(weight, multiplicity)`` pairs of the flat ``_monomial_items``."""
+    items = _monomial_items(lam)
+    assert type(items) is tuple and len(items) % 3 == 0
+    assert all(type(v) is int for v in items)
+    return [((x, y), m) for x, y, m in zip(items[::3], items[1::3], items[2::3])]
+
+
 def test_monomial_items_examples():
-    assert dict(_monomial_items((1, 0))) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
-    adjoint = dict(_monomial_items((1, 1)))
+    assert _monomial_items((1, 0)) == (1, 0, 1, -1, 1, 1, 0, -1, 1)
+    assert dict(_monomial_pairs((1, 0))) == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+    adjoint = dict(_monomial_pairs((1, 1)))
     assert adjoint[(0, 0)] == 2
     assert sum(adjoint.values()) == 8
-    c = dict(_monomial_items((2, 2)))
+    c = dict(_monomial_pairs((2, 2)))
     assert sum(c.values()) == 27
     assert c[(0, 0)] == 3
 
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 0), (2, 2), (3, 1), (4, 4), (5, 2)])
 def test_monomial_items_match_freudenthal(lam):
-    assert dict(_monomial_items(lam)) == freudenthal(lam)
+    assert dict(_monomial_pairs(lam)) == freudenthal(lam)
 
 
 def test_monomial_items_match_freudenthal_on_the_grid():
     # every cap min(a, b) and shell depth up to 8, then deeper and tilted shells
     extra = [(12, 12), (12, 0), (0, 12), (13, 5)]
     for lam in [(a, b) for a in range(9) for b in range(9)] + extra:
-        assert dict(_monomial_items(lam)) == freudenthal(lam), lam
+        assert dict(_monomial_pairs(lam)) == freudenthal(lam), lam
 
 
 def _kostant_partition(v1, v2):
@@ -136,14 +145,14 @@ def _monomial_items_by_partition(lam):
 
 def test_monomial_items_match_the_partition_formula_on_the_grid():
     for lam in [(a, b) for a in range(21) for b in range(21)]:
-        assert sorted(_monomial_items(lam)) == sorted(_monomial_items_by_partition(lam)), lam
+        assert sorted(_monomial_pairs(lam)) == sorted(_monomial_items_by_partition(lam)), lam
 
 
 def test_monomial_items_dimension_is_weyl_formula():
     for a in range(7):
         for b in range(7):
             lam = (a, b)
-            assert sum(m for _, m in _monomial_items(lam)) == dim_weyl(lam)
+            assert sum(m for _, m in _monomial_pairs(lam)) == dim_weyl(lam)
 
 
 def test_monomial_product_natural_times_dual():
