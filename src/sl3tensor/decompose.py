@@ -28,11 +28,12 @@ from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
-from .modchar import FLOOR_FACETS, _expansion, m_char, simple_char, simple_dim, tilting_char
+from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, is_dominant, tau
 from .weylchar import Character, _check_weight, _is_int, mult, mult_via_monomial, sort_key
 
 KINDS = ("T", "L", "M")
+FLOOR_FACETS = ("C3", "C3p", "C2", "C1")  # the floor of a regular class
 
 
 class IntegrityError(RuntimeError):
@@ -124,7 +125,7 @@ class Decomposition(_Frozen):
 # looked up at call time, so a wrapped (say, traced) function is seen.
 _KIND_CHAR = {"T": lambda w, p: tilting_char(w, p),
               "L": lambda w, p: simple_char(w, p),
-              "M": lambda w, p: m_char(w, p, basis="weyl")}
+              "M": lambda w, p: m_char(w, p)}
 
 
 def summands_char(summands: Sequence[Summand], p: int) -> Character:
@@ -151,12 +152,17 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
-def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
-    """Weyl-basis character of the product of the two simple modules."""
+def _check_pair(nu: Weight, nu2: Weight, p: int) -> None:
     _check_prime(p)
     for w in (nu, nu2):
+        _check_weight(w)
         if not is_restricted(w, p):
             raise ValueError(f"weight {w} is not restricted for p={p}")
+
+
+def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
+    """Weyl-basis character of the product of the two simple modules."""
+    _check_pair(nu, nu2, p)
     return mult(simple_char(nu, p), simple_char(nu2, p))
 
 
@@ -328,11 +334,18 @@ def _misshapen(s: Summand, case: int, p: int) -> str:
 
 def verify(d: Decomposition) -> Report:
     """Re-check a decomposition by what ``decompose`` did not compute: the
-    character sum by Brauer-Klimyk, not LR; the dimension; the summand shapes
-    of the case recomputed from the weights (case 3 must hold an M); the
-    diagram involution.  A misshapen summand fails the first two uncomputed."""
+    character sum by Brauer-Klimyk, not LR; the dimension; the recorded case
+    and the summand shapes against the case recomputed from the weights
+    (case 3 must hold an M); the diagram involution.  A misshapen summand
+    fails the first two uncomputed, and a bad pair (p or a weight) all four."""
     report = Report()
     p = d.p
+    try:
+        _check_pair(d.left, d.right, p)
+    except ValueError as exc:
+        for name in ("character-sum", "dimension", "summand-shape", "tau-equivariance"):
+            report.add(name, False, f"bad pair: {exc}")
+        return report
     case = _case(d.left, d.right, p)
 
     bad = next(filter(None, (_misshapen(s, case, p) for s in d.summands)), "")
@@ -346,6 +359,8 @@ def verify(d: Decomposition) -> Report:
         report.add("dimension", dims == d.dim_product, f"{dims} vs {d.dim_product}")
         if case == 3 and all(s.kind != "M" for s in d.summands):
             bad = "no M summand in case 3"
+    if type(d.case) is not int or d.case != case:  # True == 1
+        bad = f"case {d.case!r} recorded, case {case} from the weights"
     report.add("summand-shape", not bad, bad)
 
     try:
@@ -385,18 +400,24 @@ class SweepResult(_Record):
         }
 
 
-def _pair_result(p: int, nu: Weight, nu2: Weight, run_verify: bool) -> SweepResult:
-    """The sweep tally of one pair."""
-    tag = f"{nu[0]},{nu[1]} x {nu2[0]},{nu2[1]}"
-    try:
-        d = decompose(nu, nu2, p)
-    except IntegrityError as exc:
-        return SweepResult(p, 1, {}, 0, [f"{tag}: {exc}"])
-    counts = dict.fromkeys(KINDS, 0)
-    for s in d.summands:
-        counts[s.kind] += s.multiplicity
-    failures = [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()] if run_verify else []
-    return SweepResult(p, 1, counts, int(counts["M"] > 0), failures)
+def _sweep_row(task) -> SweepResult:
+    """The sweep tally of the pairs (nu, nu2) over every restricted nu2."""
+    p, nu, run_verify = task
+    weights = restricted_weights(p)
+    counts, m_pairs, failures = dict.fromkeys(KINDS, 0), 0, []
+    for nu2 in weights:
+        tag = f"{nu[0]},{nu[1]} x {nu2[0]},{nu2[1]}"
+        try:
+            d = decompose(nu, nu2, p)
+        except IntegrityError as exc:
+            failures.append(f"{tag}: {exc}")
+            continue
+        for s in d.summands:
+            counts[s.kind] += s.multiplicity
+        m_pairs += any(s.kind == "M" for s in d.summands)
+        if run_verify:
+            failures += [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()]
+    return SweepResult(p, len(weights), counts, m_pairs, failures)
 
 
 def _merge(p: int, parts) -> SweepResult:
@@ -413,29 +434,18 @@ def _merge(p: int, parts) -> SweepResult:
     return total
 
 
-def _sweep_pairs(p: int, pairs, run_verify: bool) -> SweepResult:
-    return _merge(p, (_pair_result(p, nu, nu2, run_verify) for nu, nu2 in pairs))
-
-
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
-    """Decompose and verify all p^2 x p^2 restricted pairs, on at most
-    ``jobs`` worker processes (capped by the CPU count)."""
+    """Decompose and verify all p^2 x p^2 restricted pairs, one task per nu,
+    on at most ``jobs`` worker processes (capped by the CPU count)."""
     if not _is_int(jobs) or jobs < 1:
         raise ValueError(f"expected a worker count >= 1, got {jobs!r}")
     _check_prime(p)
-    weights = restricted_weights(p)
-    pairs = [(nu, nu2) for nu in weights for nu2 in weights]
-    chunks = [[(nu, nu2) for nu2 in weights] for nu in weights]
-    workers = min(jobs, os.cpu_count() or 1, len(chunks))
+    tasks = [(p, nu, run_verify) for nu in restricted_weights(p)]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
-        return _sweep_pairs(p, pairs, run_verify)
+        return _merge(p, map(_sweep_row, tasks))
 
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _merge(p, pool.map(_sweep_worker, [(p, chunk, run_verify) for chunk in chunks]))
-
-
-def _sweep_worker(args) -> SweepResult:
-    p, chunk, run_verify = args
-    return _sweep_pairs(p, chunk, run_verify)
+        return _merge(p, pool.map(_sweep_row, tasks))

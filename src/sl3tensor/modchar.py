@@ -5,10 +5,12 @@ in it, ``_expansion(kind, facet)``, derived once from the structure data:
 the stored Weyl filtration of the tilting module, and for the simple module
 its Weyl module less the expansions of its lower composition factors.  The
 character at a weight maps the expansion at its facet to the weights of its
-linkage class.  These and the M characters (:func:`m_char`, in either
-basis) are memoized by ``functools.lru_cache`` behind a check of the weight
-and p (``simple_char.cache_info()`` reports hits, misses and size); the
-cached characters are immutable.  The change of basis from Weyl to simple
+linkage class.  The M character (:func:`m_char`) sums the simple
+characters of the composition factors stored in the ``m`` record, each at
+the weight's linked weight.  All three are Weyl-basis characters, memoized
+by ``functools.lru_cache`` behind a check of the weight and p
+(``simple_char.cache_info()`` reports hits, misses and size); the cached
+characters are immutable.  The change of basis from Weyl to simple
 characters sums the composition factors of each Weyl module, each of
 multiplicity one.
 
@@ -31,17 +33,17 @@ from .weylchar import Character, _check_weight, _is_int
 
 def _checked_cache(body):
     """``lru_cache(body)``, checking the weight and p before the lookup:
-    (1.0, 0) and (True, 0) hash as (1, 0).  ``basis`` is m_char's."""
+    (1.0, 0) and (True, 0) hash as (1, 0)."""
     cached = lru_cache(maxsize=None)(body)
 
     @wraps(body)
-    def checked(w, p, basis=None):
+    def checked(w, p):
         if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
                 and type(w[1]) is int and type(p) is int):
             _check_weight(w)
             if not _is_int(p):
                 raise ValueError(f"p must be an integer, got {p!r}")
-        return cached(w, p) if basis is None else cached(w, p, basis)
+        return cached(w, p)
 
     checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
     return checked
@@ -106,33 +108,19 @@ def tilting_char(w: Weight, p: int) -> Character:
     return result
 
 
-FLOOR_FACETS = ("C3", "C3p", "C2", "C1")  # the floor of a regular class
-
-
-def floor_weights(w: Weight, p: int) -> Tuple[Weight, Weight, Weight, Weight]:
-    """Linked weights of w in alcoves 3, 3', 2, 1: the floor of its class.
-
-    Every regular class, so every second-alcove weight, has all four.
-    """
-    mus = tuple(linked_weight(w, f, p) for f in FLOOR_FACETS)
-    if None in mus:
-        raise AssertionError(f"incomplete reflection set for {w}, p={p}")
-    return mus  # type: ignore[return-value]
-
-
 @_checked_cache
-def m_char(w: Weight, p: int, basis: str = "simple") -> Character:
-    """Character of the non-highest-weight indecomposable at a second-alcove
-    weight: head and socle simple at w, heart the three wall-reflected
-    simples."""
-    if basis == "weyl":
-        return from_simple_basis(m_char(w, p), p)
-    if basis != "simple":
-        raise ValueError(f"unsupported basis {basis!r} for m_char")
+def m_char(w: Weight, p: int) -> Character:
+    """Weyl-basis character of the non-highest-weight indecomposable at a
+    second-alcove weight: the simple characters of the composition factors
+    of the stored ``m`` record (head and socle at w, heart the three
+    wall-reflected simples), each at w's linked weight."""
     if classify(w, p) != "C2":
         raise ValueError(f"{w} is not in the second alcove for p={p}")
-    mu3, mu3p, _, mu1 = floor_weights(w, p)
-    return Character("simple", {w: 2, mu3: 1, mu3p: 1, mu1: 1})
+    factors = structures.diagram("C2", "m").layer_multiset()
+    mus = {f: linked_weight(w, f, p) for f in factors}
+    if None in mus.values():
+        raise AssertionError(f"a facet of the m record has no weight linked to {w}: {mus}, p={p}")
+    return Character("weyl").combine((k, simple_char(mus[f], p)) for f, k in factors.items())
 
 
 def to_simple_basis(c: Character, p: int) -> Character:

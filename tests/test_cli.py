@@ -68,6 +68,24 @@ def test_char_command(capsys):
     ]
 
 
+def test_m_char_command_in_both_bases(capsys):
+    # M is built from the m record; its output is pinned in both bases
+    base = ("--p", "5", "--kind", "m", "--weight", "1,3")
+    code, out, _ = run(capsys, "char", *base)
+    assert code == 0 and out == "X(7,0) + X(0,5) + X(0,2)\n"
+    code, out, _ = run(capsys, "char", *base, "--basis", "simple")
+    assert code == 0 and out == "Xp(7,0) + Xp(0,5) + 2*Xp(1,3) + Xp(0,2)\n"
+    for basis, terms in (("weyl", [((7, 0), 1), ((0, 5), 1), ((0, 2), 1)]),
+                         ("simple", [((7, 0), 1), ((0, 5), 1), ((1, 3), 2), ((0, 2), 1)])):
+        code, out, _ = run(capsys, "char", *base, "--basis", basis, "--json")
+        assert code == 0 and json.loads(out) == {
+            "basis": basis, "terms": [{"weight": list(w), "coeff": k} for w, k in terms]}
+    code, out, _ = run(capsys, "dim", *base)
+    assert code == 0 and out == "63\n"
+    code, out, _ = run(capsys, "dim", *base, "--json")
+    assert code == 0 and json.loads(out) == {"p": 5, "kind": "m", "weight": [1, 3], "dim": 63}
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "--p", "5", "--lhs", "3,1", "--rhs", "3,1")
     assert code == 0

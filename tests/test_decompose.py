@@ -16,10 +16,12 @@ from sl3tensor.alcoves import (
     _facet_table,
     canonical_rep,
     classify,
+    linked_weight,
     region_weights,
     restricted_weights,
 )
 from sl3tensor.decompose import (
+    FLOOR_FACETS,
     Decomposition,
     IntegrityError,
     Summand,
@@ -27,6 +29,7 @@ from sl3tensor.decompose import (
     _buckets,
     _resolve_block,
     _row,
+    _sweep_row,
     case3_floor_solve,
     decompose,
     summand_dim,
@@ -37,7 +40,6 @@ from sl3tensor.decompose import (
 )
 from sl3tensor.modchar import (
     _expansion,
-    floor_weights,
     m_char,
     simple_char,
     simple_dim,
@@ -166,8 +168,10 @@ def test_every_regular_class_has_its_four_floor_weights(p):
     reps = {canonical_rep(w, p) for w in region_weights(p)}
     regular = [rep for rep in reps if all(n % p for n in pairings(rep))]
     assert len(regular) == (p - 1) * (p - 2) // 2  # the open bottom alcove
+    assert FLOOR_FACETS == ("C3", "C3p", "C2", "C1")
     for rep in regular:
-        floor = floor_weights(rep, p)
+        floor = [linked_weight(rep, f, p) for f in FLOOR_FACETS]
+        assert None not in floor
         assert [classify(mu, p) for mu in floor] == ["C3", "C3p", "C2", "C1"]
 
 
@@ -294,6 +298,41 @@ def test_verify_requires_an_m_in_case_3():
                                   summands=without_m, dim_product=d.dim_product))
     failed = {c.name: c.detail for c in report.failures()}
     assert failed["summand-shape"] == "no M summand in case 3"
+
+
+@pytest.mark.parametrize("pair, case, detail", [
+    (((3, 1), (3, 1)), 1, "case 1 recorded, case 3 from the weights"),
+    (((1, 0), (0, 1)), 3, "case 3 recorded, case 1 from the weights"),
+    (((1, 0), (0, 1)), True, "case True recorded, case 1 from the weights"),
+])
+def test_verify_checks_the_recorded_case(pair, case, detail):
+    d = decompose(*pair, 5)
+    assert verify(d).passed
+    report = verify(Decomposition(5, *pair, case, d.summands, d.dim_product))
+    failed = {c.name: c.detail for c in report.failures()}
+    assert failed == {"summand-shape": detail}
+
+
+@pytest.mark.parametrize("p, left, right, named", [
+    (4, (1, 0), (0, 0), "p must be a prime >= 5, got 4"),
+    (9, (1, 0), (0, 0), "p must be a prime >= 5, got 9"),
+    (5.0, (1, 0), (0, 0), "p must be a prime >= 5, got 5.0"),
+    (True, (1, 0), (0, 0), "p must be a prime >= 5, got True"),
+    (5, (9, 9), (0, 0), "weight (9, 9) is not restricted for p=5"),
+    (5, (0, 0), (5, 0), "weight (5, 0) is not restricted for p=5"),
+    (5, (0, -1), (0, 0), "weight (0, -1) is not restricted for p=5"),
+    (5, (1.0, 0), (0, 0), "weight must be two integers, got (1.0, 0)"),
+    (5, (1, 0), (True, 0), "weight must be two integers, got (True, 0)"),
+    (5, (1, 0), (1, 0, 0), "weight must be two integers, got (1, 0, 0)"),
+    (5, (1, 0), None, "weight must be two integers, got None"),
+], ids=["p4", "p9", "p5.0", "pTrue", "unrestricted", "unrestricted-right", "negative",
+        "float", "bool", "three-ints", "none"])
+def test_verify_reports_a_bad_pair(p, left, right, named):
+    report = verify(Decomposition(p, left, right, 1, (), 1))
+    assert [c.name for c in report.checks] == [
+        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
+    assert not any(c.ok for c in report.checks)
+    assert all(c.detail == f"bad pair: {named}" for c in report.checks)
 
 
 def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
@@ -440,7 +479,7 @@ def test_sweep_rejects_bad_jobs_before_any_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the sweep started work")
 
-    monkeypatch.setattr(decompose_module, "_sweep_pairs", work)
+    monkeypatch.setattr(decompose_module, "_sweep_row", work)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", work)
     for jobs in (0, -2, 2.5, True, "2"):
         with pytest.raises(ValueError, match=f"expected a worker count >= 1, got {jobs!r}"):
@@ -472,15 +511,22 @@ def test_float_or_bool_weight_is_rejected_whatever_the_cache_holds(weight, cache
 def test_sweep_accepts_any_prime(monkeypatch):
     # the package re-exports the function decompose under the module's name
     decompose_module = importlib.import_module("sl3tensor.decompose")
-    seen = {}
+    tasks, pairs = [], set()
 
-    def stub(p, pairs, run_verify):
-        seen.update(p=p, pairs=len(pairs), run_verify=run_verify)
-        return "stub"
+    def row(task):  # the real tally over a stand-in decompose
+        tasks.append(task)
+        return _sweep_row(task)
 
-    monkeypatch.setattr(decompose_module, "_sweep_pairs", stub)
-    assert sweep(13, run_verify=False) == "stub"
-    assert seen == {"p": 13, "pairs": 13**4, "run_verify": False}
+    def stand_in(nu, nu2, p):
+        pairs.add((nu, nu2, p))
+        return Decomposition(p, nu, nu2, 1, (), 1)
+
+    monkeypatch.setattr(decompose_module, "_sweep_row", row)
+    monkeypatch.setattr(decompose_module, "decompose", stand_in)
+    result = sweep(13, run_verify=False)
+    assert tasks == [(13, nu, False) for nu in restricted_weights(13)]
+    assert result.pairs == len(pairs) == 13**4 and result.passed
+    assert {p for _, _, p in pairs} == {13}
 
 
 def _as_if_checked(c):
@@ -526,7 +572,8 @@ def _resolve_by_weights(rep, items, case, p):
     floor in the simple basis."""
     block = Character("weyl", dict(zip(items[::2], items[1::2])))
     regular = all(n % p for n in pairings(rep))
-    floor = floor_weights(rep, p) if case == 3 and regular else ()
+    floor = tuple(linked_weight(rep, f, p) for f in FLOOR_FACETS) if case == 3 and regular else ()
+    assert None not in floor
     summands = []
     while block and min(block.coeffs, key=sort_key) not in floor:
         lead = min(block.coeffs, key=sort_key)
@@ -734,5 +781,5 @@ def test_sweep_caps_worker_processes(monkeypatch):
     for cpus, jobs in ((2, 100000), (64, 100000), (None, 3), (8, 1)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert sweep(5, run_verify=False, jobs=jobs).to_json() == serial
-    # capped by the CPU count, then by the 25 chunks; one worker runs serially
+    # capped by the CPU count, then by the 25 tasks; one worker runs serially
     assert sizes == [2, 25]

@@ -97,14 +97,14 @@ def test_tilting_char_top_and_tau(p):
 
 
 def test_m_char_examples():
-    c = m_char((1, 3), 5)
+    c = to_simple_basis(m_char((1, 3), 5), 5)
     assert c == Character("simple", {(1, 3): 2, (7, 0): 1, (0, 5): 1, (0, 2): 1})
-    assert m_char((1, 3), 5, basis="weyl").dimension() == 63
+    assert m_char((1, 3), 5).dimension() == 63
     assert from_simple_basis(c, 5).dimension() == 63
-    assert m_char((1, 3), 5, basis="weyl") == Character(
+    assert m_char((1, 3), 5) == Character(
         "weyl", {(7, 0): 1, (0, 5): 1, (0, 2): 1}
     )
-    c2 = m_char((2, 2), 5)
+    c2 = to_simple_basis(m_char((2, 2), 5), 5)
     assert c2 == Character("simple", {(2, 2): 2, (6, 0): 1, (0, 6): 1, (1, 1): 1})
 
 
@@ -116,9 +116,9 @@ def test_m_char_requires_second_alcove():
 
 
 def test_m_char_is_memoized():
-    first = m_char((1, 3), 5, basis="weyl")
+    first = m_char((1, 3), 5)
     hits = m_char.cache_info().hits
-    assert m_char((1, 3), 5, basis="weyl") is first
+    assert m_char((1, 3), 5) is first
     assert m_char.cache_info().hits == hits + 1
     for _ in range(2):  # errors are not cached: each call raises again
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
     real = modchar.linked_weight
     monkeypatch.setattr(modchar, "linked_weight",
                         lambda w, target, p: None if target == "C1" else real(w, target, p))
-    caches = (simple_char, tilting_char)
+    caches = (simple_char, tilting_char, m_char)
     for fn in caches:
         fn.cache_clear()
     try:
@@ -166,6 +166,9 @@ def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
         for fn in (simple_char, tilting_char, weyl_comp_factors):
             with pytest.raises(AssertionError, match=re.escape(message)):
                 fn((3, 1), 5)
+        # M's record holds C1, so its character is incomplete too
+        with pytest.raises(AssertionError, match=re.escape("'C1': None")):
+            m_char((3, 1), 5)
     finally:
         for fn in caches:
             fn.cache_clear()
@@ -191,7 +194,7 @@ def test_m_char_weyl_form_is_sum_of_wall_reflections(p):
         mu3p = linked_weight(w, "C3p", p)
         mu1 = linked_weight(w, "C1", p)
         assert None not in (mu3, mu3p, mu1)
-        assert m_char(w, p, basis="weyl") == Character(
+        assert m_char(w, p) == Character(
             "weyl", {mu3: 1, mu3p: 1, mu1: 1}
         )
 
@@ -220,7 +223,7 @@ def test_m_prime_pattern(p):
         mu3 = linked_weight(w, "C3", p)
         mu3p = linked_weight(w, "C3p", p)
         mu1 = linked_weight(w, "C1", p)
-        m_prime = m_char(w, p) + Character("simple", {mu1: 1})
+        m_prime = to_simple_basis(m_char(w, p), p) + Character("simple", {mu1: 1})
         assert m_prime == Character(
             "simple", {mu3: 1, mu3p: 1, w: 2, mu1: 2}
         )
