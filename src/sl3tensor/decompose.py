@@ -321,10 +321,12 @@ class Report(_Record):
 
 def _misshapen(s: Summand, case: int, p: int) -> str:
     """Why a summand cannot occur in the case; empty if it can.  It needs a
-    kind, two ints in the region and a positive int; T may sit at any facet, L
-    only at C2 in case 2 and M only at C2 in case 3."""
+    ``Summand`` of a kind, two ints in the region and a positive int; T may
+    sit at any facet, L only at C2 in case 2 and M only at C2 in case 3."""
+    if type(s) is not Summand or type(s.weight) is not tuple or len(s.weight) != 2:
+        return repr(s)  # str(s) would index the weight
     w, m = s.weight, s.multiplicity
-    ints = type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int
+    ints = type(w[0]) is int and type(w[1]) is int
     facet = classify(w, p) if ints and is_dominant(w) else OUT
     if s.kind not in KINDS or type(m) is not int or m <= 0 or facet == OUT:
         return str(s)
@@ -336,8 +338,9 @@ def verify(d: Decomposition) -> Report:
     """Re-check a decomposition by what ``decompose`` did not compute: the
     character sum by Brauer-Klimyk, not LR; the dimension; the recorded case
     and the summand shapes against the case recomputed from the weights
-    (case 3 must hold an M); the diagram involution.  A misshapen summand
-    fails the first two uncomputed, and a bad pair (p or a weight) all four."""
+    (case 3 must hold an M); the diagram involution.  A misshapen summand, or
+    summands that are not a tuple or list, fail the shape check and the other
+    three uncomputed, and so does a bad pair (p or a weight)."""
     report = Report()
     p = d.p
     try:
@@ -348,10 +351,14 @@ def verify(d: Decomposition) -> Report:
         return report
     case = _case(d.left, d.right, p)
 
-    bad = next(filter(None, (_misshapen(s, case, p) for s in d.summands)), "")
-    if bad:
-        report.add("character-sum", False, f"misshapen summand {bad}")
-        report.add("dimension", False, f"misshapen summand {bad}")
+    if isinstance(d.summands, (tuple, list)):
+        bad = next(filter(None, (_misshapen(s, case, p) for s in d.summands)), "")
+        uncomputed = bad and f"misshapen summand {bad}"
+    else:
+        bad = uncomputed = f"summands {d.summands!r}, not a tuple or list"
+    if uncomputed:
+        report.add("character-sum", False, uncomputed)
+        report.add("dimension", False, uncomputed)
     else:
         total = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
         report.add("character-sum", summands_char(d.summands, p) == total)
@@ -362,6 +369,9 @@ def verify(d: Decomposition) -> Report:
     if type(d.case) is not int or d.case != case:  # True == 1
         bad = f"case {d.case!r} recorded, case {case} from the weights"
     report.add("summand-shape", not bad, bad)
+    if uncomputed:
+        report.add("tau-equivariance", False, uncomputed)
+        return report
 
     try:
         mirrored = decompose(tau(d.right), tau(d.left), p)

@@ -6,10 +6,15 @@ relations listed in PRESENTATION_TEXT.  Its projectives realize the small
 Weyl and tilting structures exactly, and the quotient M2 of the projective
 at vertex 2 is the non-highest-weight module attached to the second alcove:
 rigid, contravariantly self-dual, with head and socle at vertex 2.
+
+The vertices stand for the facets C1, C2, C3 and C3'.  :func:`report` checks
+the stored delta records at C3 and C3' against P3 and P3p, the four lowest
+Weyl compositions by reciprocity, and the m record against M2.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from .quiver import (
@@ -21,6 +26,9 @@ from .quiver import (
     is_isomorphic,
     parse_presentation,
 )
+from .structures import delta_factors, diagram
+
+_VERTEX = {"C1": "1", "C2": "2", "C3": "3", "C3p": "3p"}  # stored facet -> vertex
 
 PRESENTATION_TEXT = """
 a:   1  -> 2
@@ -57,6 +65,14 @@ def module_m2(alg: PathAlgebra) -> FDModule:
     """Quotient of the vertex-2 projective by the difference of the two
     length-two return paths; the unique self-dual dimension-5 quotient."""
     return alg.projective("2").quotient_by(((1, ("b1'", "b1")), (-1, ("b2'", "b2"))))
+
+
+def _by_vertex(*layers) -> Dict[str, int]:  # a facet off the quiver keeps its label
+    return dict(Counter(_VERTEX.get(f, f) for layer in layers for f in layer))
+
+
+def _stored_layers(facet: str, kind: str) -> List[Dict[str, int]]:
+    return [_by_vertex(layer) for layer in diagram(facet, kind).layers]
 
 
 def middle_basis(p2: FDModule, names: Tuple[str, str]) -> Dict[str, List[Tuple[str, object]]]:
@@ -117,9 +133,9 @@ def report() -> List[Tuple[str, bool, str]]:
     add("P1-uniserial-121", rad1 == [{"1": 1}, {"2": 1}, {"1": 1}])
     add("P1-rigid", rigid1)
     rad3, _, rigid3 = loewy["3"]
-    add("P3-delta", rad3 == [{"3": 1}, {"2": 1}] and rigid3)
+    add("P3-delta", rad3 == _stored_layers("C3", "delta") and rigid3)
     rad3p, _, rigid3p = loewy["3p"]
-    add("P3p-delta", rad3p == [{"3p": 1}, {"2": 1}] and rigid3p)
+    add("P3p-delta", rad3p == _stored_layers("C3p", "delta") and rigid3p)
     rad2, _, rigid2 = loewy["2"]
     add(
         "P2-loewy",
@@ -144,13 +160,8 @@ def report() -> List[Tuple[str, bool, str]]:
                     recp_ok = False
     add("layer-reciprocity", recp_ok)
 
-    # reciprocity between projective filtration counts and Weyl factors
-    delta_comp = {
-        "1": {"1": 1},
-        "2": {"2": 1, "1": 1},
-        "3": {"3": 1, "2": 1},
-        "3p": {"3p": 1, "2": 1},
-    }
+    # reciprocity between projective filtration counts and stored Weyl factors
+    delta_comp = {v: _by_vertex(delta_factors(f)) for f, v in _VERTEX.items()}
     order = ("3", "3p", "2", "1")  # filtration solve, highest first
     bh_ok = True
     for mu in vertices:
@@ -176,13 +187,9 @@ def report() -> List[Tuple[str, bool, str]]:
     m2 = module_m2(alg)
     radm, _, rigidm = m2.loewy()
     add("M2-dim", m2.total_dim == 5, str(m2.total_dim))
-    add(
-        "M2-loewy",
-        radm == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 1}],
-        str(radm),
-    )
+    add("M2-loewy", radm == _stored_layers("C2", "m"), str(radm))
     add("M2-rigid", rigidm)
-    add("M2-composition", m2.composition_multiset() == {"1": 1, "2": 2, "3": 1, "3p": 1})
+    add("M2-composition", m2.composition_multiset() == _by_vertex(*diagram("C2", "m").layers))
     add("M2-self-dual", is_isomorphic(m2.contravariant_dual(), m2))
 
     # the other natural dimension-5 quotients are not self-dual

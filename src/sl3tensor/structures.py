@@ -1,10 +1,11 @@
-"""Facet-indexed structure data: composition factors of Weyl modules,
-standard-filtration factors of tilting modules, and layered module diagrams.
+"""Facet-indexed structure data: layered diagrams of Weyl, tilting and M
+modules, with the standard-filtration factors of each tilting module.
 
 The tables are shipped as literal JSON records (one per facet and kind) in
 ``data/structures.json`` and are never regenerated at runtime.  Layer lists
 run top to bottom; edges join entries of adjacent layers and are stored as
-``[layer_i, index_i, layer_i+1, index_j]``.
+``[layer_i, index_i, layer_i+1, index_j]``.  A Weyl module's composition
+factors are the layers of its ``delta`` diagram and are stated nowhere else.
 
 For the non-uniserial tilting modules in the two largest alcove families the
 source diagrams show Loewy layers with only the standard-filtration edges
@@ -21,7 +22,7 @@ import pkgutil
 from collections import Counter
 from typing import Dict, List, NamedTuple, Tuple
 
-from .alcoves import ALL_FACETS, OUT
+from .alcoves import ALL_FACETS
 
 KINDS = ("delta", "tilting", "m")
 
@@ -36,44 +37,34 @@ class AlperinDiagram(NamedTuple):
         return Counter(x for layer in self.layers for x in layer)
 
 
-def _load() -> Tuple[Dict[str, List[str]], Dict[str, List[str]],
-                     Dict[Tuple[str, str], AlperinDiagram]]:
+def _load() -> Tuple[Dict[str, List[str]], Dict[Tuple[str, str], AlperinDiagram]]:
     text = pkgutil.get_data("sl3tensor", "data/structures.json")
-    delta: Dict[str, List[str]] = {}
-    tilting: Dict[str, List[str]] = {}
-    diagrams: Dict[Tuple[str, str], AlperinDiagram] = {}
+    tilting, diagrams = {}, {}
     for rec in json.loads(text):
         facet, kind = rec["facet"], rec["kind"]
-        diagram = AlperinDiagram(
-            facet=facet,
-            kind=kind,
-            layers=tuple(tuple(layer) for layer in rec["layers"]),
-            edges=tuple(tuple(e) for e in rec["edges"]),
-        )
-        diagrams[(facet, kind)] = diagram
-        if kind == "delta":
-            delta[facet] = list(rec["factors"])
-        elif kind == "tilting":
+        diagrams[facet, kind] = AlperinDiagram(
+            facet, kind, tuple(map(tuple, rec["layers"])), tuple(map(tuple, rec["edges"])))
+        if kind == "tilting":
             tilting[facet] = list(rec["delta_factors"])
     for facet in ALL_FACETS:
-        if facet not in delta or facet not in tilting:
+        if (facet, "delta") not in diagrams or facet not in tilting:
             raise AssertionError(f"structure data missing facet {facet}")
-    return delta, tilting, diagrams
+    return tilting, diagrams
 
 
-_DELTA, _TILTING, _DIAGRAMS = _load()
+_TILTING, _DIAGRAMS = _load()
 
 
 def delta_factors(facet: str) -> List[str]:
-    """Composition factors of the Weyl module at a facet, as facet labels."""
-    if facet == OUT or facet not in _DELTA:
+    """Composition factors of the Weyl module at a facet: its diagram's layers."""
+    if (facet, "delta") not in _DIAGRAMS:
         raise ValueError(f"no composition data for facet {facet!r}")
-    return list(_DELTA[facet])
+    return [x for layer in _DIAGRAMS[facet, "delta"].layers for x in layer]
 
 
 def tilting_delta_factors(facet: str) -> List[str]:
     """Weyl-filtration factors of the tilting module at a facet."""
-    if facet == OUT or facet not in _TILTING:
+    if facet not in _TILTING:
         raise ValueError(f"no tilting data for facet {facet!r}")
     return list(_TILTING[facet])
 

@@ -47,7 +47,7 @@ from sl3tensor.modchar import (
     to_simple_basis,
     weyl_comp_factors,
 )
-from sl3tensor.structures import delta_factors, tilting_delta_factors
+from sl3tensor.structures import delta_factors, diagram, tilting_delta_factors
 from sl3tensor.weights import pairings, tau
 from sl3tensor.weylchar import Character, mult, mult_via_monomial, sort_key
 
@@ -151,6 +151,20 @@ def test_greedy_negative_coefficient_is_integrity_error():
         _resolve_block((0, 0), ((0, 0), -1), 1, 5)
     assert str(info.value) == "negative multiplicity -1 at (0, 0) during greedy pass"
     assert info.value.block == (0, 0)
+
+
+def test_the_floor_solve_inverts_the_stored_records():
+    # simple coordinates at the floor facets of T(C3), T(C3'), T(C2) and
+    # M + T(C1), read from the layers of the stored diagrams
+    def floor(*records):
+        counts = sum((diagram(f, kind).layer_multiset() for f, kind in records), Counter())
+        return tuple(counts[f] for f in FLOOR_FACETS)
+
+    rows = [floor(("C3", "tilting")), floor(("C3p", "tilting")), floor(("C2", "tilting")),
+            floor(("C2", "m"), ("C1", "tilting"))]
+    assert rows == [(1, 0, 2, 1), (0, 1, 2, 1), (0, 0, 1, 2), (1, 1, 2, 2)]
+    assert [case3_floor_solve(*row) for row in rows] == [
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 def test_case3_floor_solve():
@@ -277,6 +291,10 @@ def test_verify_catches_perturbation():
     Summand("T", (1, 0), 1.5),
     Summand("T", (1, 0), "1"),
     Summand("T", (1.0, 0), 1),
+    ("T", (1, 0), 1),  # a tuple in place of a Summand
+    Summand("T", None, 1),  # weights that str(Summand) cannot index
+    Summand("T", 5, 1),
+    Summand("T", (1,), 1),
 ])
 def test_verify_reports_misshapen_summand(bad):
     d = decompose((1, 0), (0, 0), 5)
@@ -285,9 +303,24 @@ def test_verify_reports_misshapen_summand(bad):
                                   summands=(bad,), dim_product=d.dim_product))
     assert [c.name for c in report.checks] == [
         "character-sum", "dimension", "summand-shape", "tau-equivariance"]
+    try:
+        named = str(bad)
+    except (TypeError, IndexError):  # the weight is not a pair
+        named = repr(bad)
     failed = {c.name: c.detail for c in report.failures()}
-    for name in ("character-sum", "dimension", "summand-shape"):
-        assert str(bad) in failed[name]
+    for name in ("character-sum", "dimension", "summand-shape", "tau-equivariance"):
+        assert named in failed[name]
+
+
+@pytest.mark.parametrize("summands", [None, Summand("T", (1, 0), 1), "T(1,0)"],
+                         ids=["none", "bare-summand", "string"])
+def test_verify_reports_summands_that_are_not_a_sequence(summands):
+    # a bare Summand is the right answer for this pair, yet not a tuple of them
+    report = verify(Decomposition(5, (1, 0), (0, 0), 1, summands, 3))
+    assert [c.name for c in report.checks] == [
+        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
+    assert not any(c.ok for c in report.checks)
+    assert all(c.detail == f"summands {summands!r}, not a tuple or list" for c in report.checks)
 
 
 def test_verify_requires_an_m_in_case_3():

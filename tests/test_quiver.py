@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl3tensor import sprime
+from sl3tensor import sprime, structures
 from sl3tensor.quiver import (
     Arrow,
     FDModule,
@@ -288,3 +288,21 @@ def test_report_all_green():
     assert len(results) >= 30
     failures = [(name, detail) for name, ok, detail in results if not ok]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("key, layers, fails", [
+    # C1 moved from M's middle layer to its bottom: the composition holds
+    (("C2", "m"), (("C2",), ("C3", "C3p"), ("C2", "C1")), {"M2-loewy"}),
+    # C1 added to the second layer of the Weyl module at C3
+    (("C3", "delta"), (("C3",), ("C2", "C1")), {"P3-delta", "filtration-reciprocity"}),
+], ids=["m-record", "delta-C3"])
+def test_a_record_mutation_fails_the_quiver_suite(key, layers, fails):
+    # the suite checks the shipped records, not literals of its own
+    stored = structures._DIAGRAMS[key]
+    structures._DIAGRAMS[key] = stored._replace(layers=layers)
+    try:
+        failed = {name for name, ok, _ in sprime.report() if not ok}
+    finally:
+        structures._DIAGRAMS[key] = stored
+    assert failed == fails
+    assert all(ok for _, ok, _ in sprime.report())

@@ -1,3 +1,5 @@
+import json
+import pkgutil
 from collections import Counter
 
 import pytest
@@ -80,6 +82,7 @@ def test_delta_diagram_top_layer_is_facet():
 
 
 def test_delta_diagram_matches_table():
+    # the composition factors are read from the layers, stated nowhere else
     for facet in ALL_FACETS:
         assert diagram(facet, "delta").layer_multiset() == Counter(
             delta_factors(facet)
@@ -128,3 +131,15 @@ def test_diagram_dot_output():
     # a labeler returning None drops the node and its edges
     text2 = diagram_dot(diagram("C3", "tilting"), labeler=lambda f: None if f == "C1" else f)
     assert text2.count("->") == 2
+
+
+def test_data_file_carries_only_fields_something_reads():
+    text = pkgutil.get_data("sl3tensor", "data/structures.json").decode()
+    records = json.loads(text)
+    shared = {"facet", "kind", "layers", "edges", "source"}
+    assert len(records) == 2 * len(ALL_FACETS) + 1
+    for rec in records:
+        fields = shared | {"delta_factors"} if rec["kind"] == "tilting" else shared
+        assert set(rec) == fields, (rec["facet"], rec["kind"])
+    # the canonical form, so a hand edit shows as a reviewable diff
+    assert text == json.dumps(records, indent=1, sort_keys=True) + "\n"
