@@ -34,6 +34,8 @@ def _is_int(v) -> bool:
 
 
 def _check_weight(w) -> None:
+    if type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int:
+        return  # exact types first; the general test only on a miss
     if not (isinstance(w, tuple) and len(w) == 2 and _is_int(w[0]) and _is_int(w[1])):
         raise ValueError(f"weight must be two integers, got {w!r}")
 
@@ -233,6 +235,8 @@ def _weight(a: int, b: int) -> Weight:  # one shared tuple per weight
 def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, ...]]:
     """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each:
     flat tuples of the weights nu (each a shared :func:`_weight`) and counts.
+    The coefficients are symmetric in lam and mu, so the callers look the
+    table up under ``lam <= mu`` only: p^2 (p^2 + 1) / 2 tables in a sweep.
 
     Row fillings are encoded by value counts n_ij (value j in row i); the
     ballot condition forces row 1 to contain only 1s, leaving one free
@@ -276,7 +280,7 @@ def lr_tensor(lam: Weight, mu: Weight) -> Character:
     _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
-    return Character("weyl", dict(zip(*_lr_items(lam, mu))))
+    return Character("weyl", dict(zip(*_lr_items(min(lam, mu), max(lam, mu)))))
 
 
 def mult(c1: Character, c2: Character) -> Character:
@@ -287,6 +291,7 @@ def mult(c1: Character, c2: Character) -> Character:
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
             k = k1 * k2
-            for nu, c in zip(*_lr_items(lam, mu)):
+            items = _lr_items(lam, mu) if lam <= mu else _lr_items(mu, lam)
+            for nu, c in zip(*items):
                 out[nu] = out.get(nu, 0) + k * c
     return Character("weyl", out)

@@ -26,6 +26,7 @@ from sl3tensor.decompose import (
     IntegrityError,
     Summand,
     SweepResult,
+    _KIND_CHAR,
     _buckets,
     _resolve_block,
     _row,
@@ -33,7 +34,6 @@ from sl3tensor.decompose import (
     case3_floor_solve,
     decompose,
     summand_dim,
-    summands_char,
     sweep,
     tensor_char,
     verify,
@@ -49,11 +49,17 @@ from sl3tensor.modchar import (
 )
 from sl3tensor.structures import delta_factors, diagram, tilting_delta_factors
 from sl3tensor.weights import pairings, tau
-from sl3tensor.weylchar import Character, mult, mult_via_monomial, sort_key
+from sl3tensor.weylchar import Character, _lr_items, mult, mult_via_monomial, sort_key
 
 
 def summand_set(d):
     return {(s.kind, s.weight, s.multiplicity) for s in d.summands}
+
+
+def summands_char(summands, p):
+    """Weyl-basis character of the direct sum of the summands."""
+    return Character("weyl").combine(
+        (s.multiplicity, _KIND_CHAR[s.kind](s.weight, p)) for s in summands)
 
 
 def test_tensor_char_examples():
@@ -278,7 +284,7 @@ def test_verify_catches_perturbation():
     assert "character-sum" in names
 
 
-@pytest.mark.parametrize("bad", [
+MISSHAPEN = [
     Summand("X", (0, 0), 1),
     Summand("M", (0, 0), 1),
     Summand("T", (99, 0), 1),
@@ -295,7 +301,10 @@ def test_verify_catches_perturbation():
     Summand("T", None, 1),  # weights that str(Summand) cannot index
     Summand("T", 5, 1),
     Summand("T", (1,), 1),
-])
+]
+
+
+@pytest.mark.parametrize("bad", MISSHAPEN)
 def test_verify_reports_misshapen_summand(bad):
     d = decompose((1, 0), (0, 0), 5)
     assert verify(d).passed
@@ -310,6 +319,31 @@ def test_verify_reports_misshapen_summand(bad):
     failed = {c.name: c.detail for c in report.failures()}
     for name in ("character-sum", "dimension", "summand-shape", "tau-equivariance"):
         assert named in failed[name]
+
+
+@pytest.mark.parametrize("bad", MISSHAPEN)
+def test_verify_reports_a_misshapen_summand_after_valid_ones(bad):
+    # the pass over the summands stops at the misshapen one and reports
+    # nothing it computed from the valid ones before it
+    d = decompose((1, 0), (0, 1), 5)
+    assert d.case == 1 and len(d.summands) == 2 and verify(d).passed
+    alone, after = (verify(Decomposition(5, (1, 0), (0, 1), 1, summands, d.dim_product))
+                    for summands in ((bad,), d.summands + (bad,)))
+    assert [c.name for c in after.checks] == [
+        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
+    assert not any(c.ok for c in after.checks)
+    assert after.checks == alone.checks
+
+
+def test_verify_a_raised_multiplicity_fails_the_sum_and_the_dimension():
+    d = decompose((3, 1), (3, 1), 5)
+    first = d.summands[0]
+    raised = (Summand(first.kind, first.weight, first.multiplicity + 1),) + d.summands[1:]
+    report = verify(Decomposition(5, d.left, d.right, d.case, raised, d.dim_product))
+    failed = {c.name: c.detail for c in report.failures()}
+    assert set(failed) == {"character-sum", "dimension", "tau-equivariance"}
+    assert failed["dimension"] == f"{d.dim_product + summand_dim(first, 5)} vs {d.dim_product}"
+    assert [c.name for c in report.checks if c.ok] == ["summand-shape"]
 
 
 @pytest.mark.parametrize("summands", [None, Summand("T", (1, 0), 1), "T(1,0)"],
@@ -670,6 +704,14 @@ def test_sweep_resolves_each_distinct_block_once():
     sweep(7, run_verify=False)
     assert _row.cache_info().currsize == rows <= 3 * 33
     assert _expansion.cache_info().currsize == expansions <= 2 * 33
+
+
+def test_a_sweep_builds_one_lr_table_per_unordered_pair():
+    # c^nu_{lam mu} = c^nu_{mu lam}: 25 weights give 25 * 26 / 2 tables
+    _clear_sweep_caches()
+    _lr_items.cache_clear()
+    sweep(5, run_verify=False)
+    assert _lr_items.cache_info().currsize == 325
 
 
 def test_rows_are_read_only():

@@ -136,7 +136,7 @@ def test_diagram_dot_output():
 def test_data_file_carries_only_fields_something_reads():
     text = pkgutil.get_data("sl3tensor", "data/structures.json").decode()
     records = json.loads(text)
-    shared = {"facet", "kind", "layers", "edges", "source"}
+    shared = {"facet", "kind", "layers", "edges"}
     assert len(records) == 2 * len(ALL_FACETS) + 1
     for rec in records:
         fields = shared | {"delta_factors"} if rec["kind"] == "tilting" else shared
