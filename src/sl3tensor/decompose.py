@@ -13,7 +13,8 @@ that adds the non-highest-weight module M.  A negative multiplicity, an
 infeasible solve or a block whose summands' characters do not sum to it is an
 integrity failure naming the block; that sum check runs once per distinct
 block, at a miss of the block memo.  :func:`verify` checks what this did not
-compute.  Memoized by ``functools.lru_cache``: :func:`decompose`;
+compute.  Memoized by ``functools.lru_cache``: :func:`decompose`, which
+computes each unordered pair once and copies the record for the other order;
 ``_resolve_block``, keyed on the block's weights, case and p; and the rows,
 ``_row``, keyed on the case and the facet (at most 3 x 33).  Results and
 their characters are immutable, so no memoized decomposition can be altered.
@@ -270,6 +271,14 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
 
 @lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
 def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
+    """The pair's decomposition, computed once per unordered pair, in the
+    order ``nu <= nu2`` (the order of the LR key, ``_lr_items``).  The other
+    order copies that record's case, summands and dimension, none of which
+    depends on the order: the two products are equal, the summands are
+    sorted, and an integrity failure names only a block."""
+    if nu2 < nu:
+        d = _decompose(nu2, nu, p)
+        return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
     blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
     case = _case(nu, nu2, p)
     summands = [s for rep in sorted(blocks) for s in _resolve_block(
@@ -281,7 +290,8 @@ def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
                          simple_dim(nu, p) * simple_dim(nu2, p))
 
 
-# the cache and, as __wrapped__, the uncached computation
+# the cache and, as __wrapped__, the uncached body, which reads the order
+# nu <= nu2 of a pair through the cache when given the other
 decompose.cache_info, decompose.cache_clear, decompose.__wrapped__ = (
     _decompose.cache_info, _decompose.cache_clear, _decompose.__wrapped__)
 
@@ -340,7 +350,16 @@ def verify(d: Decomposition) -> Report:
     check compares the sorted images with the mirrored pair's summands.  A
     misshapen summand, or summands that are not a tuple or list, fail the
     shape check and the other three uncomputed, and so does a bad pair (p or
-    a weight)."""
+    a weight).  Each call computes its own Brauer-Klimyk product; a sweep
+    computes it once for both orders of a pair and passes it to the same
+    body, ``_verify``."""
+    return _verify(d, None)
+
+
+def _verify(d: Decomposition, product: Optional[Character]) -> Report:
+    """The body of :func:`verify`.  ``product`` is the Brauer-Klimyk product
+    of the pair's simple characters, which a sweep computes once for both
+    orders of a pair; ``None`` computes it after the pair check."""
     report = Report()
     p = d.p
     try:
@@ -352,7 +371,9 @@ def verify(d: Decomposition) -> Report:
     case = _case(d.left, d.right, p)
 
     if isinstance(d.summands, (tuple, list)):
-        residue = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p)).coeffs.copy()
+        if product is None:
+            product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
+        residue = product.coeffs.copy()
         dims, images, bad = 0, [], ""
         for s in d.summands:
             bad = _misshapen(s, case, p)
@@ -422,22 +443,32 @@ def _tag(nu: Weight, nu2: Weight) -> str:  # formatted for a failure only
 
 
 def _sweep_row(task) -> SweepResult:
-    """The sweep tally of the pairs (nu, nu2) over every restricted nu2."""
+    """The sweep tally of the pairs (nu, nu2) and (nu2, nu) over every
+    restricted nu2 >= nu, so that each ordered pair falls in exactly one
+    task.  The two orders of a pair share their computation: the second
+    order's ``decompose`` copies the first's memoized record, and a
+    verifying sweep computes the Brauer-Klimyk product once for both.  Each
+    order gets every check of :func:`verify`."""
     p, nu, run_verify = task
-    weights = restricted_weights(p)
-    counts, m_pairs, failures = dict.fromkeys(KINDS, 0), 0, []
-    for nu2 in weights:
-        try:
-            d = decompose(nu, nu2, p)
-        except IntegrityError as exc:
-            failures.append(f"{_tag(nu, nu2)}: {exc}")
+    counts, m_pairs, pairs, failures = dict.fromkeys(KINDS, 0), 0, 0, []
+    for nu2 in restricted_weights(p):
+        if nu2 < nu:
             continue
-        for s in d.summands:
-            counts[s.kind] += s.multiplicity
-        m_pairs += any(s.kind == "M" for s in d.summands)
-        if run_verify:
-            failures += [f"{_tag(nu, nu2)}: {c.name} {c.detail}" for c in verify(d).failures()]
-    return SweepResult(p, len(weights), counts, m_pairs, failures)
+        product = mult_via_monomial(simple_char(nu, p), simple_char(nu2, p)) if run_verify else None
+        for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):
+            pairs += 1
+            try:
+                d = decompose(left, right, p)
+            except IntegrityError as exc:
+                failures.append(f"{_tag(left, right)}: {exc}")
+                continue
+            for s in d.summands:
+                counts[s.kind] += s.multiplicity
+            m_pairs += any(s.kind == "M" for s in d.summands)
+            if run_verify:
+                failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
+                             for c in _verify(d, product).failures()]
+    return SweepResult(p, pairs, counts, m_pairs, failures)
 
 
 def _merge(p: int, parts) -> SweepResult:
@@ -455,8 +486,11 @@ def _merge(p: int, parts) -> SweepResult:
 
 
 def sweep(p: int, run_verify: bool = True, jobs: int = 1) -> SweepResult:
-    """Decompose and verify all p^2 x p^2 restricted pairs, one task per nu,
-    on at most ``jobs`` worker processes (capped by the CPU count)."""
+    """Decompose and verify all p^2 x p^2 restricted pairs on at most
+    ``jobs`` worker processes (capped by the CPU count).  There is one task
+    per restricted nu; it covers the pairs {nu, nu2} with nu2 >= nu in both
+    orders (see ``_sweep_row``), so the tasks shrink from 2p^2 - 1 ordered
+    pairs for (0, 0) to one for (p-1, p-1)."""
     if not _is_int(jobs) or jobs < 1:
         raise ValueError(f"expected a worker count >= 1, got {jobs!r}")
     _check_prime(p)

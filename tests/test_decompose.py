@@ -206,8 +206,9 @@ def test_cached_characters_are_immutable():
     with pytest.raises(AttributeError):
         del c.coeffs
     assert c == Character("weyl", {(1, 1): 1})
-    # recomputed past the result cache, so the cached character is read
-    assert str(decompose.__wrapped__((1, 0), (0, 1), 5)) == "T(1,1) + T(0,0)"
+    # recomputed past the result cache, so the cached character is read; in
+    # the order nu <= nu2, which the uncached body computes, not copies
+    assert str(decompose.__wrapped__((0, 1), (1, 0), 5)) == "T(1,1) + T(0,0)"
 
 
 def test_decompose_case3_worked_example():
@@ -417,9 +418,8 @@ def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
         decompose.cache_clear()
 
 
-def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
-    # one more T(C2) in the case-1 row of C2; of the blocks of L(1,1) x
-    # L(1,1) at p=5 only that of (1, 1) has a weight there, (2, 2)
+def _plant_wrong_row(monkeypatch):
+    """One more T(C2) in the case-1 row of C2, as the block resolver reads it."""
     for facet in ALL_FACETS:  # built first, so no other row reads the wrong one
         _row(1, facet)
 
@@ -431,6 +431,12 @@ def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
         return row
 
     monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "_row", wrong_row)
+
+
+def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
+    # of the blocks of L(1,1) x L(1,1) at p=5 only that of (1, 1) has a
+    # weight at C2, (2, 2)
+    _plant_wrong_row(monkeypatch)
     _resolve_block.cache_clear()
     decompose.cache_clear()
     try:
@@ -623,10 +629,14 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
 
 
 def _block_keys(p):
-    """``(rep, flat items, case)`` of every block of every pair at p, in
-    sweep order, as ``decompose`` keys its block memo."""
+    """``(rep, flat items, case)`` of every block of every pair at p that a
+    sweep splits into blocks, in sweep order, as ``decompose`` keys its block
+    memo: the pairs with nu <= nu2, since the other order copies their
+    record."""
     for nu in restricted_weights(p):
         for nu2 in restricted_weights(p):
+            if nu2 < nu:
+                continue
             case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
             for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
                 yield rep, tuple(chain.from_iterable(coeffs.items())), case
@@ -786,17 +796,26 @@ def test_block_memo_keys_on_case_and_prime():
         Summand("T", (2, 0), 1),)
 
 
-def summand_multiset(d):
-    return Counter((s.kind, s.weight, s.multiplicity) for s in d.summands)
+def _assert_commutes(nu, nu2, p):
+    """``decompose(nu2, nu)`` against a reference that reads neither the
+    ``decompose`` memo nor the row table: the product in that order,
+    resolved block by block on weights.  The memo answers one of the two
+    orders by copying the other, so this is what checks commutativity."""
+    d = decompose(nu2, nu, p)
+    case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
+    assert (d.p, d.left, d.right, d.case, d.dim_product) == (
+        p, nu2, nu, case, simple_dim(nu, p) * simple_dim(nu2, p)), (p, nu, nu2)
+    reference = [s for rep, coeffs in _buckets(tensor_char(nu2, nu, p), p).items()
+                 for s in _resolve_by_weights(
+                     rep, tuple(chain.from_iterable(coeffs.items())), case, p)]
+    assert Counter(d.summands) == Counter(reference), (p, nu, nu2)
 
 
 def test_decompose_commutes_on_every_p5_pair():
     weights = restricted_weights(5)
     for i, nu in enumerate(weights):
-        for nu2 in weights[i + 1:]:
-            assert summand_multiset(decompose(nu, nu2, 5)) == summand_multiset(
-                decompose(nu2, nu, 5)
-            ), (nu, nu2)
+        for nu2 in weights[i + 1:]:  # nu < nu2: decompose(nu2, nu) is the copied order
+            _assert_commutes(nu, nu2, 5)
 
 
 @st.composite
@@ -812,7 +831,7 @@ def test_random_prime_pairs_verify_and_commute(case):
     p, nu, nu2 = case
     d = decompose(nu, nu2, p)
     assert verify(d).passed, (p, nu, nu2)
-    assert summand_multiset(decompose(nu2, nu, p)) == summand_multiset(d)
+    _assert_commutes(nu, nu2, p)
     assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
     for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
         items = tuple(chain.from_iterable(coeffs.items()))
@@ -828,10 +847,83 @@ def test_sweep_no_verify_counts_match():
     assert full.m_pairs == quick.m_pairs
 
 
+def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
+    # cold: 325 = 25 * 26 / 2 unordered pairs, each with one LR and one
+    # Brauer-Klimyk product, and 625 ordered pairs, each verified and cached
+    decompose_module = sys.modules["sl3tensor.decompose"]
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(decompose_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("tensor_char", "mult_via_monomial", "_verify"):
+        monkeypatch.setattr(decompose_module, name, counted(name))
+    _clear_sweep_caches()
+    result = sweep(5, run_verify=True)
+    assert result.passed and result.pairs == 625
+    assert calls == {"tensor_char": 325, "mult_via_monomial": 325, "_verify": 625}
+    assert decompose.cache_info().currsize == 625
+
+
+def _plant_bk_sign_flip(monkeypatch):
+    """The Brauer-Klimyk product with the sign of its X(1,1) term flipped."""
+    def flipped(c1, c2):
+        coeffs = dict(mult_via_monomial(c1, c2).coeffs)
+        if (1, 1) in coeffs:
+            coeffs[1, 1] = -coeffs[1, 1]
+        return Character._trusted("weyl", coeffs)
+
+    monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "mult_via_monomial", flipped)
+
+
+def _failures_pair_by_pair(p):
+    """The failures of a sweep, from ``decompose`` and the public ``verify``
+    on each ordered pair in turn."""
+    failures = []
+    for nu in restricted_weights(p):
+        for nu2 in restricted_weights(p):
+            tag = f"{nu[0]},{nu[1]} x {nu2[0]},{nu2[1]}"
+            try:
+                d = decompose(nu, nu2, p)
+            except IntegrityError as exc:
+                failures.append(f"{tag}: {exc}")
+                continue
+            failures += [f"{tag}: {c.name} {c.detail}" for c in verify(d).failures()]
+    return sorted(failures)
+
+
+@pytest.mark.parametrize("plant", [_plant_bk_sign_flip, _plant_wrong_row],
+                         ids=["brauer-klimyk-sign", "wrong-row"])
+def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch, plant):
+    def clear():  # the results; the rows stay as planted
+        decompose.cache_clear()
+        _resolve_block.cache_clear()
+
+    plant(monkeypatch)
+    try:
+        clear()
+        swept = sweep(5, run_verify=True).failures
+        clear()
+        reference = _failures_pair_by_pair(5)
+    finally:
+        clear()
+    assert swept == reference
+    # both orders of some pair fail: the shared work hides no order
+    pairs = {tuple(f.split(": ")[0].split(" x ")) for f in swept}
+    assert any((right, left) in pairs for left, right in pairs if left != right)
+
+
 def test_sweep_parallel_agrees():
-    serial = sweep(5, run_verify=False)
-    parallel = sweep(5, run_verify=False, jobs=2)
-    assert serial.to_json() == parallel.to_json()
+    # the tasks shrink from 49 ordered pairs for (0, 0) to one for (4, 4)
+    for run_verify in (False, True):
+        serial = sweep(5, run_verify=run_verify)
+        parallel = sweep(5, run_verify=run_verify, jobs=2)
+        assert serial.to_json() == parallel.to_json()
 
 
 def test_sweep_caps_worker_processes(monkeypatch):
