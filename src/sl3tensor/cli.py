@@ -18,7 +18,7 @@ from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .decompose import _KIND_CHAR, IntegrityError, _check_prime, decompose, sweep, verify
 from .modchar import to_simple_basis
-from .weights import Weight, parse_weight
+from .weights import Weight, _parse_int, parse_weight
 from .weylchar import Character
 
 
@@ -29,16 +29,16 @@ def _json_dumps(data) -> str:
 def _prime(text: str) -> int:
     """argparse type of ``--p``: a prime >= 5."""
     try:
-        _check_prime(int(text))
+        _check_prime(p := _parse_int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"p must be a prime >= 5, got {text}") from None
-    return int(text)
+    return p
 
 
 def _jobs(text: str) -> int:
     """argparse type of ``--jobs``: a worker count >= 1."""
     try:
-        n = int(text)
+        n = _parse_int(text)
     except ValueError:
         n = 0
     if n < 1:

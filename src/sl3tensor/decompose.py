@@ -13,8 +13,9 @@ that adds the non-highest-weight module M.  A negative multiplicity, an
 infeasible solve or a block whose summands' characters do not sum to it is an
 integrity failure naming the block; that sum check runs once per distinct
 block, at a miss of the block memo.  :func:`verify` checks what this did not
-compute.  Memoized by ``functools.lru_cache``: :func:`decompose`, which
-computes each unordered pair once and copies the record for the other order;
+compute; each record checks the rules on its own fields when it is built.
+Memoized by ``functools.lru_cache``: :func:`decompose`, which computes each
+unordered pair once and copies the record for the other order;
 ``_resolve_block``, keyed on the block's weights, case and p; and the rows,
 ``_row``, keyed on the case and the facet (at most 3 x 33).  Results and
 their characters are immutable, so no memoized decomposition can be altered.
@@ -26,11 +27,12 @@ import os
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
+from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
-from .weights import Weight, is_dominant, tau
+from .weights import Weight, tau
 from .weylchar import Character, _check_weight, _is_int, mult, mult_via_monomial, sort_key
 
 KINDS = ("T", "L", "M")
@@ -84,15 +86,20 @@ class Summand(_Frozen):
     __slots__ = ("kind", "weight", "multiplicity")
 
     def __init__(self, kind: str, weight: Weight, multiplicity: int):
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {kind!r}")
+        _check_weight(weight)
+        if weight[0] < 0 or weight[1] < 0:
+            raise ValueError(f"weight {weight} is not dominant")
+        if not (_is_int(multiplicity) and multiplicity > 0):
+            raise ValueError(f"multiplicity must be a positive int, got {multiplicity!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "multiplicity", multiplicity)
 
     def __str__(self) -> str:
         text = f"{self.kind}({self.weight[0]},{self.weight[1]})"
-        if not (_is_int(self.multiplicity) and self.multiplicity == 1):
-            text = f"{self.multiplicity!r}*{text}"
-        return text
+        return text if self.multiplicity == 1 else f"{self.multiplicity}*{text}"
 
 
 class Decomposition(_Frozen):
@@ -102,7 +109,17 @@ class Decomposition(_Frozen):
 
     def __init__(self, p: int, left: Weight, right: Weight, case: int,
                  summands: Tuple[Summand, ...], dim_product: int):
-        for k, v in zip(self.__slots__, (p, left, right, case, summands, dim_product)):
+        _check_pair(left, right, p)
+        if type(case) is not int or not 1 <= case <= 3:
+            raise ValueError(f"case must be 1, 2 or 3, got {case!r}")
+        if not isinstance(summands, (tuple, list)):
+            raise ValueError(f"summands must be a tuple or list, got {summands!r}")
+        for s in summands:
+            if type(s) is not Summand:
+                raise ValueError(f"summand must be a Summand, got {s!r}")
+        if not (_is_int(dim_product) and dim_product > 0):
+            raise ValueError(f"dim_product must be a positive int, got {dim_product!r}")
+        for k, v in zip(self.__slots__, (p, left, right, case, tuple(summands), dim_product)):
             object.__setattr__(self, k, v)
 
     def to_json(self) -> dict:
@@ -111,10 +128,8 @@ class Decomposition(_Frozen):
             "lhs": list(self.left),
             "rhs": list(self.right),
             "case": self.case,
-            "summands": [
-                {"kind": s.kind, "weight": list(s.weight), "mult": s.multiplicity}
-                for s in self.summands
-            ],
+            "summands": [{"kind": s.kind, "weight": list(s.weight), "mult": s.multiplicity}
+                         for s in self.summands],
             "dim": self.dim_product,
         }
 
@@ -140,7 +155,7 @@ def summand_dim(s: Summand, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:  # on ints only: 5.0 and True hash as 5 and 1
-    return p >= 5 and all(p % q for q in range(2, int(p**0.5) + 1))
+    return p >= 5 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def _check_prime(p: int) -> None:
@@ -283,11 +298,9 @@ def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     case = _case(nu, nu2, p)
     summands = [s for rep in sorted(blocks) for s in _resolve_block(
         rep, tuple(chain.from_iterable(blocks[rep].items())), case, p)]
-    # kinds and weights are distinct and multiplicities positive: blocks
-    # are disjoint and every step records a lead once
+    # kinds and weights are distinct: the blocks are disjoint
     summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
-    return Decomposition(p, nu, nu2, case, tuple(summands),
-                         simple_dim(nu, p) * simple_dim(nu2, p))
+    return Decomposition(p, nu, nu2, case, summands, simple_dim(nu, p) * simple_dim(nu2, p))
 
 
 # the cache and, as __wrapped__, the uncached body, which reads the order
@@ -325,18 +338,11 @@ class Report(_Record):
 
 
 def _misshapen(s: Summand, case: int, p: int) -> str:
-    """Why a summand cannot occur in the case; empty if it can.  It needs a
-    ``Summand`` of a kind, two ints in the region and a positive int; T may
-    sit at any facet, L only at C2 in case 2 and M only at C2 in case 3."""
-    if type(s) is not Summand or type(s.weight) is not tuple or len(s.weight) != 2:
-        return repr(s)  # str(s) would index the weight
-    w, m = s.weight, s.multiplicity
-    ints = type(w[0]) is int and type(w[1]) is int
-    facet = classify(w, p) if ints and is_dominant(w) else OUT
-    if s.kind not in KINDS or type(m) is not int or m <= 0 or facet == OUT:
-        return str(s)
+    """Why a summand cannot occur in the case; empty if it can: T may sit at
+    any facet of the region, L only at C2 in case 2 and M only at C2 in case 3."""
+    facet = classify(s.weight, p)
     ok = s.kind == "T" or facet == "C2" and case == {"L": 2, "M": 3}[s.kind]
-    return "" if ok else f"{s} at facet {facet} in case {case}"
+    return "" if ok and facet != OUT else f"{s} at facet {facet} in case {case}"
 
 
 def verify(d: Decomposition) -> Report:
@@ -348,55 +354,41 @@ def verify(d: Decomposition) -> Report:
     Brauer-Klimyk product, adds its dimension and records its image under
     the involution; the sum holds if no residue is left, and the involution
     check compares the sorted images with the mirrored pair's summands.  A
-    misshapen summand, or summands that are not a tuple or list, fail the
-    shape check and the other three uncomputed, and so does a bad pair (p or
-    a weight).  Each call computes its own Brauer-Klimyk product; a sweep
-    computes it once for both orders of a pair and passes it to the same
-    body, ``_verify``."""
+    summand outside the region, or an L or M off C2 or in the wrong case,
+    fails the shape check and the other three uncomputed; a record that
+    breaks a rule on its own fields cannot be built.  Each call computes
+    its own Brauer-Klimyk product; a sweep computes it once for both orders
+    of a pair and passes it to the same body, ``_verify``."""
     return _verify(d, None)
 
 
 def _verify(d: Decomposition, product: Optional[Character]) -> Report:
     """The body of :func:`verify`.  ``product`` is the Brauer-Klimyk product
     of the pair's simple characters, which a sweep computes once for both
-    orders of a pair; ``None`` computes it after the pair check."""
+    orders of a pair; ``None`` computes it here."""
     report = Report()
-    p = d.p
-    try:
-        _check_pair(d.left, d.right, p)
-    except ValueError as exc:
-        for name in ("character-sum", "dimension", "summand-shape", "tau-equivariance"):
-            report.add(name, False, f"bad pair: {exc}")
-        return report
-    case = _case(d.left, d.right, p)
-
-    if isinstance(d.summands, (tuple, list)):
-        if product is None:
-            product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
-        residue = product.coeffs.copy()
-        dims, images, bad = 0, [], ""
-        for s in d.summands:
-            bad = _misshapen(s, case, p)
-            if bad:
-                break
-            kind, w, m = s.kind, s.weight, s.multiplicity
-            for mu, c in _KIND_CHAR[kind](w, p).coeffs.items():
-                residue[mu] = residue.get(mu, 0) - m * c
-            dims += m * _kind_dim(kind, w, p)
-            images.append((kind, tau(w), m))
-        uncomputed = bad and f"misshapen summand {bad}"
-    else:
-        bad = uncomputed = f"summands {d.summands!r}, not a tuple or list"
-    if uncomputed:
-        report.add("character-sum", False, uncomputed)
-        report.add("dimension", False, uncomputed)
-    else:
-        report.add("character-sum", not any(residue.values()))
-        report.add("dimension", dims == d.dim_product, f"{dims} vs {d.dim_product}")
-        if case == 3 and all(kind != "M" for kind, _, _ in images):
-            bad = "no M summand in case 3"
-    if type(d.case) is not int or d.case != case:  # True == 1
-        bad = f"case {d.case!r} recorded, case {case} from the weights"
+    p, case = d.p, _case(d.left, d.right, d.p)
+    if product is None:
+        product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
+    residue = product.coeffs.copy()
+    dims, images, bad = 0, [], ""
+    for s in d.summands:
+        bad = _misshapen(s, case, p)
+        if bad:
+            break
+        kind, w, m = s.kind, s.weight, s.multiplicity
+        for mu, c in _KIND_CHAR[kind](w, p).coeffs.items():
+            residue[mu] = residue.get(mu, 0) - m * c
+        dims += m * _kind_dim(kind, w, p)
+        images.append((kind, tau(w), m))
+    uncomputed = bad and f"misshapen summand {bad}"  # no residue or dimension to read
+    report.add("character-sum", not (uncomputed or any(residue.values())), uncomputed)
+    report.add("dimension", not uncomputed and dims == d.dim_product,
+               uncomputed or f"{dims} vs {d.dim_product}")
+    if not bad and case == 3 and all(kind != "M" for kind, _, _ in images):
+        bad = "no M summand in case 3"
+    if d.case != case:
+        bad = f"case {d.case} recorded, case {case} from the weights"
     report.add("summand-shape", not bad, bad)
     if uncomputed:
         report.add("tau-equivariance", False, uncomputed)

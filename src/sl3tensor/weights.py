@@ -33,13 +33,20 @@ WEYL_GROUP = (
 )
 
 
+def _parse_int(text: str) -> int:
+    """A base-10 integer: optional sign, ASCII digits, spaces around (``int`` takes ``1_0``)."""
+    if not (text.isascii() and text.strip().lstrip("+-").isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def parse_weight(text: str) -> Weight:
     """Parse the ``a,b`` syntax: two base-10 integers, optional spaces."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'a,b', got {text!r}")
     try:
-        return (int(parts[0].strip()), int(parts[1].strip()))
+        return (_parse_int(parts[0]), _parse_int(parts[1]))
     except ValueError:
         raise ValueError(f"expected 'a,b' with integer entries, got {text!r}") from None
 

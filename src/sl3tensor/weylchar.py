@@ -105,7 +105,7 @@ class Character:
         for k, other in terms:
             if other.basis != self.basis:
                 raise ValueError(f"basis mismatch: {self.basis} vs {other.basis}")
-            if not isinstance(k, int):
+            if not _is_int(k):
                 raise ValueError(f"coefficient must be an integer, got {k!r}")
             for w, c in other.coeffs.items():
                 out[w] = out.get(w, 0) + k * c

@@ -152,6 +152,30 @@ def test_every_command_rejects_a_non_integer_prime(capsys):
             assert "int()" not in err and "_prime" not in err, (argv, p)
 
 
+def test_every_command_rejects_a_prime_that_is_not_ascii_digits(capsys):
+    # int() would read these as 11, 11 and 7: the underscore, the
+    # Arabic-Indic digits and the fullwidth digit
+    for argv in COMMANDS_TAKING_P:
+        for p in ("1_1", "\u0661\u0661", "\uff17"):
+            code, out, err = run(capsys, argv[0], "--p", p, *argv[1:])
+            assert code == 2 and out == "", (argv, p)
+            assert f"argument --p: p must be a prime >= 5, got {p}\n" in err, (argv, p)
+
+
+def test_a_prime_too_large_for_a_float_is_a_usage_error(capsys):
+    p = "1" + "0" * 400
+    code, out, err = run(capsys, "decompose", "--p", p, "--lhs", "1,0", "--rhs", "0,0")
+    assert code == 2 and out == ""
+    assert f"argument --p: p must be a prime >= 5, got {p}\n" in err
+
+
+@pytest.mark.parametrize("lhs, rhs", [("1_0,0", "0,0"), ("1,0", "\u0663,0")])
+def test_decompose_rejects_a_weight_that_is_not_ascii_digits(capsys, lhs, rhs):
+    code, out, err = run(capsys, "decompose", "--p", "11", "--lhs", lhs, "--rhs", rhs)
+    assert code == 2 and out == ""
+    assert "expected 'a,b' with integer entries" in err
+
+
 def test_sweep_rejects_non_prime(capsys):
     code, _, err = run(capsys, "sweep", "--p", "4")
     assert code == 2 and err
@@ -186,7 +210,7 @@ def test_sweep_rejects_jobs_below_one(capsys):
 
 
 def test_sweep_rejects_non_integer_jobs(capsys):
-    for jobs in ("x", "1.5", ""):
+    for jobs in ("x", "1.5", "", "0_1", "\u0662"):
         code, out, err = run(capsys, "sweep", "--p", "5", "--no-verify",
                              "--jobs", jobs)
         assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 import concurrent.futures
 import importlib
+import json
 import os
 import pickle
 import random
@@ -22,6 +23,7 @@ from sl3tensor.alcoves import (
 )
 from sl3tensor.decompose import (
     FLOOR_FACETS,
+    KINDS,
     Decomposition,
     IntegrityError,
     Summand,
@@ -285,38 +287,57 @@ def test_verify_catches_perturbation():
     assert "character-sum" in names
 
 
+def _bare(*fields):  # a tuple in place of a Summand
+    return fields
+
+
+# Summand entries that cannot occur: (build, fields, refusal).  Where an
+# entry breaks a rule on the record's own fields, construction refuses it
+# with the ValueError ``refusal``; the others build, and verify reports them.
 MISSHAPEN = [
-    Summand("X", (0, 0), 1),
-    Summand("M", (0, 0), 1),
-    Summand("T", (99, 0), 1),
-    Summand("T", (-1, 0), 1),
-    Summand("L", (1, 0), 1),  # off C2, but its character computes
-    Summand("M", (1, 3), 1),  # at C2, but case 1 holds no M
-    Summand("L", (1, 3), 1),  # at C2, but case 1 holds no L
-    Summand("T", (1, 0), True),
-    Summand("T", (1, 0), 1.0),
-    Summand("T", (1, 0), 1.5),
-    Summand("T", (1, 0), "1"),
-    Summand("T", (1.0, 0), 1),
-    ("T", (1, 0), 1),  # a tuple in place of a Summand
-    Summand("T", None, 1),  # weights that str(Summand) cannot index
-    Summand("T", 5, 1),
-    Summand("T", (1,), 1),
+    (Summand, ("X", (0, 0), 1), "kind must be one of T, L, M, got 'X'"),
+    (Summand, ("M", (0, 0), 1), None),
+    (Summand, ("T", (99, 0), 1), None),
+    (Summand, ("T", (-1, 0), 1), "weight (-1, 0) is not dominant"),
+    (Summand, ("L", (1, 0), 1), None),  # off C2, but its character computes
+    (Summand, ("M", (1, 3), 1), None),  # at C2, but case 1 holds no M
+    (Summand, ("L", (1, 3), 1), None),  # at C2, but case 1 holds no L
+    (Summand, ("T", (1, 0), True), "multiplicity must be a positive int, got True"),
+    (Summand, ("T", (1, 0), 1.0), "multiplicity must be a positive int, got 1.0"),
+    (Summand, ("T", (1, 0), 1.5), "multiplicity must be a positive int, got 1.5"),
+    (Summand, ("T", (1, 0), "1"), "multiplicity must be a positive int, got '1'"),
+    (Summand, ("T", (1.0, 0), 1), "weight must be two integers, got (1.0, 0)"),
+    (_bare, ("T", (1, 0), 1), "summand must be a Summand, got ('T', (1, 0), 1)"),
+    (Summand, ("T", None, 1), "weight must be two integers, got None"),
+    (Summand, ("T", 5, 1), "weight must be two integers, got 5"),
+    (Summand, ("T", (1,), 1), "weight must be two integers, got (1,)"),
+    (Summand, ("T", (1, 0), 0), "multiplicity must be a positive int, got 0"),
+    (Summand, ("T", (1, 0), -1), "multiplicity must be a positive int, got -1"),
 ]
+
+
+def _assert_refused(build, fields, refusal, before=()):
+    """Building the entry, or a decomposition of L(1,0) x L(0,1) at p=5 that
+    holds it after ``before``, raises ``refusal``."""
+    with pytest.raises(ValueError) as info:
+        Decomposition(5, (1, 0), (0, 1), 1, before + (build(*fields),), 9)
+    assert str(info.value) == refusal
 
 
 @pytest.mark.parametrize("bad", MISSHAPEN)
 def test_verify_reports_misshapen_summand(bad):
+    build, fields, refusal = bad
     d = decompose((1, 0), (0, 0), 5)
     assert verify(d).passed
+    if refusal:  # no record holding it can be built, so verify never sees it
+        _assert_refused(build, fields, refusal)
+        return
+    bad = build(*fields)
     report = verify(Decomposition(p=d.p, left=d.left, right=d.right, case=d.case,
                                   summands=(bad,), dim_product=d.dim_product))
     assert [c.name for c in report.checks] == [
         "character-sum", "dimension", "summand-shape", "tau-equivariance"]
-    try:
-        named = str(bad)
-    except (TypeError, IndexError):  # the weight is not a pair
-        named = repr(bad)
+    named = str(bad)
     failed = {c.name: c.detail for c in report.failures()}
     for name in ("character-sum", "dimension", "summand-shape", "tau-equivariance"):
         assert named in failed[name]
@@ -326,8 +347,13 @@ def test_verify_reports_misshapen_summand(bad):
 def test_verify_reports_a_misshapen_summand_after_valid_ones(bad):
     # the pass over the summands stops at the misshapen one and reports
     # nothing it computed from the valid ones before it
+    build, fields, refusal = bad
     d = decompose((1, 0), (0, 1), 5)
     assert d.case == 1 and len(d.summands) == 2 and verify(d).passed
+    if refusal:  # refused whatever comes before it
+        _assert_refused(build, fields, refusal, before=d.summands)
+        return
+    bad = build(*fields)
     alone, after = (verify(Decomposition(5, (1, 0), (0, 1), 1, summands, d.dim_product))
                     for summands in ((bad,), d.summands + (bad,)))
     assert [c.name for c in after.checks] == [
@@ -350,12 +376,11 @@ def test_verify_a_raised_multiplicity_fails_the_sum_and_the_dimension():
 @pytest.mark.parametrize("summands", [None, Summand("T", (1, 0), 1), "T(1,0)"],
                          ids=["none", "bare-summand", "string"])
 def test_verify_reports_summands_that_are_not_a_sequence(summands):
-    # a bare Summand is the right answer for this pair, yet not a tuple of them
-    report = verify(Decomposition(5, (1, 0), (0, 0), 1, summands, 3))
-    assert [c.name for c in report.checks] == [
-        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
-    assert not any(c.ok for c in report.checks)
-    assert all(c.detail == f"summands {summands!r}, not a tuple or list" for c in report.checks)
+    # a bare Summand is the right answer for this pair, yet not a tuple of
+    # them; the record refuses it, so verify never sees one
+    with pytest.raises(ValueError) as info:
+        Decomposition(5, (1, 0), (0, 0), 1, summands, 3)
+    assert str(info.value) == f"summands must be a tuple or list, got {summands!r}"
 
 
 def test_verify_requires_an_m_in_case_3():
@@ -371,7 +396,6 @@ def test_verify_requires_an_m_in_case_3():
 @pytest.mark.parametrize("pair, case, detail", [
     (((3, 1), (3, 1)), 1, "case 1 recorded, case 3 from the weights"),
     (((1, 0), (0, 1)), 3, "case 3 recorded, case 1 from the weights"),
-    (((1, 0), (0, 1)), True, "case True recorded, case 1 from the weights"),
 ])
 def test_verify_checks_the_recorded_case(pair, case, detail):
     d = decompose(*pair, 5)
@@ -396,11 +420,32 @@ def test_verify_checks_the_recorded_case(pair, case, detail):
 ], ids=["p4", "p9", "p5.0", "pTrue", "unrestricted", "unrestricted-right", "negative",
         "float", "bool", "three-ints", "none"])
 def test_verify_reports_a_bad_pair(p, left, right, named):
-    report = verify(Decomposition(p, left, right, 1, (), 1))
-    assert [c.name for c in report.checks] == [
-        "character-sum", "dimension", "summand-shape", "tau-equivariance"]
-    assert not any(c.ok for c in report.checks)
-    assert all(c.detail == f"bad pair: {named}" for c in report.checks)
+    # the record refuses a bad pair, so verify never sees one
+    with pytest.raises(ValueError) as info:
+        Decomposition(p, left, right, 1, (), 1)
+    assert str(info.value) == named
+
+
+@pytest.mark.parametrize("case", [0, 4, -1, True, 1.0, "1", None])
+def test_a_decomposition_refuses_a_case_outside_1_to_3(case):
+    with pytest.raises(ValueError) as info:
+        Decomposition(5, (1, 0), (0, 1), case, (), 9)
+    assert str(info.value) == f"case must be 1, 2 or 3, got {case!r}"
+
+
+@pytest.mark.parametrize("dim", [0, -9, True, 9.0, "9", None])
+def test_a_decomposition_refuses_a_dimension_that_is_not_a_positive_int(dim):
+    with pytest.raises(ValueError) as info:
+        Decomposition(5, (1, 0), (0, 1), 1, (), dim)
+    assert str(info.value) == f"dim_product must be a positive int, got {dim!r}"
+
+
+def test_a_list_of_summands_is_stored_as_a_tuple_and_hashes():
+    d = decompose((3, 1), (3, 1), 5)
+    listed = Decomposition(5, (3, 1), (3, 1), 3, list(d.summands), 324)
+    assert type(listed.summands) is tuple and listed.summands == d.summands
+    assert listed == d and hash(listed) == hash(d)
+    assert verify(listed).passed
 
 
 def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
@@ -501,6 +546,58 @@ def test_records_compare_hash_print_and_pickle():
     for record in (s, d, r, report):
         again = pickle.loads(pickle.dumps(record))
         assert again == record and type(again) is type(record)
+
+
+def _mixed(valid):
+    """``valid`` values three times in four, else values of every other
+    shape, so that a fair share of records has every field valid."""
+    small = st.integers(min_value=-3, max_value=40)  # small p: its test is trial division
+    other = st.one_of(small, st.booleans(), st.floats(), st.none(), st.text(max_size=3),
+                      st.tuples(), st.tuples(small), st.tuples(small, small),
+                      st.tuples(small, small, small), st.lists(small, max_size=3),
+                      st.tuples(st.floats(), small))
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else valid)
+
+
+_WEIGHT = st.tuples(st.integers(0, 12), st.integers(0, 12))
+_POSITIVE = st.integers(min_value=1, max_value=400)
+# a tuple or a list of mixed entries, most of them summands
+_SUMMANDS = st.lists(_mixed(st.builds(Summand, st.sampled_from(KINDS), _WEIGHT, _POSITIVE)),
+                     min_size=1, max_size=3).flatmap(
+                         lambda entries: st.sampled_from([entries, tuple(entries)]))
+
+
+def _assert_whole(record):
+    """Every method of a built record works, and pickling gives it back."""
+    str(record), repr(record), hash(record)
+    if type(record) is Decomposition:
+        json.dumps(record.to_json())
+    assert record == record
+    again = pickle.loads(pickle.dumps(record))
+    assert again == record and hash(again) == hash(record) and str(again) == str(record)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_mixed(st.sampled_from(KINDS)), _mixed(_WEIGHT), _mixed(_POSITIVE))
+def test_a_summand_is_refused_or_whole(kind, weight, multiplicity):
+    try:
+        record = Summand(kind, weight, multiplicity)
+    except ValueError:
+        return
+    _assert_whole(record)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_mixed(st.sampled_from([5, 7])), _mixed(st.tuples(st.integers(0, 4), st.integers(0, 4))),
+       _mixed(st.tuples(st.integers(0, 4), st.integers(0, 4))), _mixed(st.integers(1, 3)),
+       _mixed(_SUMMANDS), _mixed(_POSITIVE))
+def test_a_decomposition_is_refused_or_whole(p, left, right, case, summands, dim_product):
+    try:
+        record = Decomposition(p, left, right, case, summands, dim_product)
+    except ValueError:
+        return
+    assert type(record.summands) is tuple
+    _assert_whole(record)
 
 
 def test_summand_char_consistency():

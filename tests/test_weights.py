@@ -122,3 +122,16 @@ def test_weight_text_round_trip():
         parse_weight("3;1")
     with pytest.raises(ValueError):
         parse_weight("3,1,0")
+
+
+@pytest.mark.parametrize("text", ["1_0,0", "\u0663,0", "0,\u00b2", "1,\uff11", "+-1,0", "1,",
+                                  "0x1,0", "1e1,0"])
+def test_parse_weight_reads_only_a_sign_and_ascii_digits(text):
+    # int() alone reads 1_0 as 10 and the Arabic-Indic or fullwidth digits
+    with pytest.raises(ValueError, match="expected 'a,b' with integer entries"):
+        parse_weight(text)
+
+
+def test_parse_weight_keeps_signs_and_spaces():
+    assert parse_weight("+3, -1") == (3, -1)
+    assert parse_weight("\t07 ,0 ") == (7, 0)

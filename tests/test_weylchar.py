@@ -371,6 +371,15 @@ def test_combine_rejects_a_non_integer_factor():
         Character("weyl").combine([(0.5, c)])
 
 
+@pytest.mark.parametrize("k", [True, False])
+def test_combine_rejects_a_bool_factor_as_construction_does(k):
+    c = Character("weyl", {(1, 0): 2})
+    with pytest.raises(ValueError, match=f"coefficient must be an integer, got {k}"):
+        Character("weyl", {(1, 0): k})
+    with pytest.raises(ValueError, match=f"coefficient must be an integer, got {k}"):
+        Character("weyl").combine([(k, c)])
+
+
 def test_character_basis_validation():
     with pytest.raises(ValueError):
         Character("weyl", {(-1, 0): 1})
