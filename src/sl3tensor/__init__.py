@@ -19,10 +19,11 @@ from .modchar import (
     simple_char,
     simple_dim,
     tilting_char,
+    tilting_delta_factors,
     to_simple_basis,
     weyl_comp_factors,
 )
-from .structures import delta_factors, diagram, tilting_delta_factors
+from .structures import delta_factors, diagram
 from .weights import (
     Weight,
     dim_weyl,

@@ -129,6 +129,9 @@ def cmd_quiver(args) -> int:
     from .quiver import coefficient_quiver
 
     if args.action == "verify":
+        if args.target is not None or args.basis is not None:
+            print("verify takes no module and no --basis", file=sys.stderr)
+            return 2
         checks = sprime.report()
         for name, ok, detail in checks:
             print(f"{'PASS' if ok else 'FAIL'} {name}" + (f"  {detail}" if detail and not ok else ""))
@@ -141,6 +144,9 @@ def cmd_quiver(args) -> int:
         return 2
     if target not in ("P1", "P2", "P3", "P3p", "M2"):
         print(f"unknown module {target!r}", file=sys.stderr)
+        return 2
+    if args.basis is not None and target != "P2":
+        print(f"--basis picks the bottom layer of P2 only, not of {target}", file=sys.stderr)
         return 2
     alg = sprime.algebra()
     if target == "P2":

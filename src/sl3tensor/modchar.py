@@ -2,7 +2,7 @@
 
 Every tilting and simple character comes from one facet expansion with no p
 in it, ``_expansion(kind, facet)``, derived once from the structure data:
-the stored Weyl filtration of the tilting module, and for the simple module
+the Weyl factors of the stored tilting layers, and for the simple module
 its Weyl module less the expansions of its lower composition factors.  The
 character at a weight maps the expansion at its facet to the weights of its
 linkage class.  The M character (:func:`m_char`) sums the simple
@@ -52,16 +52,25 @@ def _checked_cache(body):
 @lru_cache(maxsize=None)
 def _expansion(kind: str, facet: str) -> Tuple[Tuple[str, int], ...]:
     """The Weyl factors ``(facet, k)`` of the ``kind`` module ("T" or "L") at
-    a facet, with no p: for T the stored filtration; for L the Weyl module
-    less the L-expansions of its lower composition factors."""
+    a facet, with no p: for T the Weyl factors of its stored layers; for L the
+    Weyl module less the L-expansions of its lower composition factors."""
+    out, terms = Counter(), Counter()
     if kind == "T":
-        return tuple(Counter(structures.tilting_delta_factors(facet)).items())
-    out = Counter({facet: 1})
-    for g in structures.delta_factors(facet):
-        if g != facet:
-            for f, k in _expansion("L", g):
-                out[f] -= k
+        terms.update(structures.diagram(facet, "tilting").layer_multiset())
+    else:
+        out[facet] = 1
+        terms.subtract(g for g in structures.delta_factors(facet) if g != facet)
+    for g, n in terms.items():
+        for f, k in _expansion("L", g):
+            out[f] += n * k
+    if kind == "T" and any(k < 0 for k in out.values()):  # T has a Weyl filtration
+        raise AssertionError(f"tilting layers at {facet} give negative Weyl factors {dict(out)}")
     return tuple((f, k) for f, k in out.items() if k)
+
+
+def tilting_delta_factors(facet: str) -> List[str]:
+    """Weyl-filtration factors of the tilting module at a facet, with multiplicity."""
+    return [f for f, k in _expansion("T", facet) for _ in range(k)]
 
 
 def _in_class(w: Weight, p: int, expansion_at) -> Dict[Weight, int]:

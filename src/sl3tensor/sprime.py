@@ -9,7 +9,7 @@ rigid, contravariantly self-dual, with head and socle at vertex 2.
 
 The vertices stand for the facets C1, C2, C3 and C3'.  :func:`report` checks
 the stored delta records at C3 and C3' against P3 and P3p, the four lowest
-Weyl compositions by reciprocity, and the m record against M2.
+Weyl compositions by reciprocity, the m record against M2 and T(C2) against P1.
 """
 
 from __future__ import annotations
@@ -130,13 +130,13 @@ def report() -> List[Tuple[str, bool, str]]:
     p1, p2, p3, p3p = (projectives[v] for v in ("1", "2", "3", "3p"))
     loewy = {v: mod.loewy() for v, mod in projectives.items()}
     rad1, _, rigid1 = loewy["1"]
-    add("P1-uniserial-121", rad1 == [{"1": 1}, {"2": 1}, {"1": 1}])
+    add("P1-uniserial-121", rad1 == _stored_layers("C2", "tilting"))
     add("P1-rigid", rigid1)
     rad3, _, rigid3 = loewy["3"]
     add("P3-delta", rad3 == _stored_layers("C3", "delta") and rigid3)
     rad3p, _, rigid3p = loewy["3p"]
     add("P3p-delta", rad3p == _stored_layers("C3p", "delta") and rigid3p)
-    rad2, _, rigid2 = loewy["2"]
+    rad2, _, rigid2 = loewy["2"]  # P2 is not self-dual, so it is no stored record
     add(
         "P2-loewy",
         rad2 == [{"2": 1}, {"1": 1, "3": 1, "3p": 1}, {"2": 2}],

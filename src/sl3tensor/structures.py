@@ -1,5 +1,5 @@
 """Facet-indexed structure data: layered diagrams of Weyl, tilting and M
-modules, with the standard-filtration factors of each tilting module.
+modules.
 
 The tables are shipped as literal JSON records (one per facet and kind) in
 ``data/structures.json`` and are never regenerated at runtime.  Layer lists
@@ -10,9 +10,8 @@ factors are the layers of its ``delta`` diagram and are stated nowhere else.
 For the non-uniserial tilting modules in the two largest alcove families the
 source diagrams show Loewy layers with only the standard-filtration edges
 drawn; those edge lists are partial by nature and are used for rendering
-only.  Layer multisets are the load-bearing data: the test suite re-derives
-every tilting table from its diagram by expanding the filtration factors
-through the Weyl-module tables.
+only.  Layer multisets are the load-bearing data: :mod:`~sl3tensor.modchar`
+reads each tilting module's Weyl filtration from them.
 """
 
 from __future__ import annotations
@@ -37,22 +36,20 @@ class AlperinDiagram(NamedTuple):
         return Counter(x for layer in self.layers for x in layer)
 
 
-def _load() -> Tuple[Dict[str, List[str]], Dict[Tuple[str, str], AlperinDiagram]]:
+def _load() -> Dict[Tuple[str, str], AlperinDiagram]:
     text = pkgutil.get_data("sl3tensor", "data/structures.json")
-    tilting, diagrams = {}, {}
+    diagrams = {}
     for rec in json.loads(text):
         facet, kind = rec["facet"], rec["kind"]
         diagrams[facet, kind] = AlperinDiagram(
             facet, kind, tuple(map(tuple, rec["layers"])), tuple(map(tuple, rec["edges"])))
-        if kind == "tilting":
-            tilting[facet] = list(rec["delta_factors"])
     for facet in ALL_FACETS:
-        if (facet, "delta") not in diagrams or facet not in tilting:
+        if (facet, "delta") not in diagrams or (facet, "tilting") not in diagrams:
             raise AssertionError(f"structure data missing facet {facet}")
-    return tilting, diagrams
+    return diagrams
 
 
-_TILTING, _DIAGRAMS = _load()
+_DIAGRAMS = _load()
 
 
 def delta_factors(facet: str) -> List[str]:
@@ -60,13 +57,6 @@ def delta_factors(facet: str) -> List[str]:
     if (facet, "delta") not in _DIAGRAMS:
         raise ValueError(f"no composition data for facet {facet!r}")
     return [x for layer in _DIAGRAMS[facet, "delta"].layers for x in layer]
-
-
-def tilting_delta_factors(facet: str) -> List[str]:
-    """Weyl-filtration factors of the tilting module at a facet."""
-    if facet not in _TILTING:
-        raise ValueError(f"no tilting data for facet {facet!r}")
-    return list(_TILTING[facet])
 
 
 def diagram(facet: str, kind: str) -> AlperinDiagram:

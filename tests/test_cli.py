@@ -242,6 +242,17 @@ def test_quiver_dot(capsys):
     assert code == 2 and "unknown module" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "P1"), "verify takes no module and no --basis"),
+    (("verify", "--basis", "zz"), "verify takes no module and no --basis"),
+    (("dot", "M2", "--basis", "zz"), "--basis picks the bottom layer of P2 only, not of M2"),
+])
+def test_quiver_refuses_arguments_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, "quiver", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("dot", "P1"), "e96c71bf2578ddfdef024a8a409171f9b369525106417d44fb37664019723282"),
     (("dot", "P2"), "fa0b8934b6d0a2f49d3f007b38425ef82241b512e4e03a8804bd662293a13197"),

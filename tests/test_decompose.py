@@ -46,10 +46,11 @@ from sl3tensor.modchar import (
     simple_char,
     simple_dim,
     tilting_char,
+    tilting_delta_factors,
     to_simple_basis,
     weyl_comp_factors,
 )
-from sl3tensor.structures import delta_factors, diagram, tilting_delta_factors
+from sl3tensor.structures import delta_factors, diagram
 from sl3tensor.weights import pairings, tau
 from sl3tensor.weylchar import Character, _lr_items, mult, mult_via_monomial, sort_key
 

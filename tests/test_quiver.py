@@ -283,6 +283,18 @@ def test_coefficient_quiver_dot(alg):
     assert "(-1)" in dot  # coefficient annotation on the non-unit edge
 
 
+@pytest.mark.parametrize("arrow, facet", [("b2'", "C3"), ("b1'", "C3p")])
+def test_p2_quotients_realize_the_tilting_records_at_c3_and_c3p(alg, arrow, facet):
+    # P2 less the submodule one arrow generates is the tilting module at the
+    # other third-alcove facet: rigid, self-dual, with the stored layers
+    q = alg.projective("2").quotient_by(((1, (arrow,)),))
+    rad, _, rigid = q.loewy()
+    assert q.total_dim == 4
+    assert rad == sprime._stored_layers(facet, "tilting")
+    assert rigid
+    assert is_isomorphic(q.contravariant_dual(), q)
+
+
 def test_report_all_green():
     results = sprime.report()
     assert len(results) >= 30
@@ -295,7 +307,9 @@ def test_report_all_green():
     (("C2", "m"), (("C2",), ("C3", "C3p"), ("C2", "C1")), {"M2-loewy"}),
     # C1 added to the second layer of the Weyl module at C3
     (("C3", "delta"), (("C3",), ("C2", "C1")), {"P3-delta", "filtration-reciprocity"}),
-], ids=["m-record", "delta-C3"])
+    # C1 moved from the bottom of the tilting module at C2 to its middle
+    (("C2", "tilting"), (("C1",), ("C2", "C1")), {"P1-uniserial-121"}),
+], ids=["m-record", "delta-C3", "tilting-C2"])
 def test_a_record_mutation_fails_the_quiver_suite(key, layers, fails):
     # the suite checks the shipped records, not literals of its own
     stored = structures._DIAGRAMS[key]

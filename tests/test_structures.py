@@ -5,12 +5,8 @@ from collections import Counter
 import pytest
 
 from sl3tensor.alcoves import ALL_FACETS, sigma
-from sl3tensor.structures import (
-    delta_factors,
-    diagram,
-    diagram_dot,
-    tilting_delta_factors,
-)
+from sl3tensor.modchar import _expansion, tilting_delta_factors
+from sl3tensor.structures import delta_factors, diagram, diagram_dot
 
 
 def test_delta_factor_examples():
@@ -45,6 +41,8 @@ def test_every_facet_has_data():
         assert diagram(facet, "tilting")
     with pytest.raises(ValueError):
         delta_factors("out")
+    with pytest.raises(ValueError):
+        tilting_delta_factors("out")
     with pytest.raises(ValueError):
         diagram("C1", "m")  # stored only at the second alcove
 
@@ -90,12 +88,29 @@ def test_delta_diagram_matches_table():
 
 
 def test_counting_oracle():
-    """Tilting diagram layers re-derive the filtration tables exactly."""
+    """A round trip: the Weyl filtration derived from each tilting diagram's
+    layers, expanded through the Weyl layers, gives back those layers."""
     for facet in ALL_FACETS:
         expansion = Counter()
         for g in tilting_delta_factors(facet):
             expansion.update(delta_factors(g))
         assert diagram(facet, "tilting").layer_multiset() == expansion, facet
+
+
+def test_tilting_layers_read_the_same_from_either_end():
+    # a tilting module is contravariantly self-dual, so its Loewy layers
+    # read bottom-up are its layers read top-down
+    for facet in ALL_FACETS:
+        layers = [Counter(layer) for layer in diagram(facet, "tilting").layers]
+        assert layers == layers[::-1], facet
+
+
+def test_derived_tilting_filtrations_hold_their_top_weyl_factor_once():
+    # a Weyl filtration has no negative factor, and Δ(facet) is its top
+    for facet in ALL_FACETS:
+        filtration = dict(_expansion("T", facet))
+        assert all(k > 0 for k in filtration.values()), (facet, filtration)
+        assert filtration[facet] == 1, (facet, filtration)
 
 
 def test_m_diagram():
@@ -136,10 +151,9 @@ def test_diagram_dot_output():
 def test_data_file_carries_only_fields_something_reads():
     text = pkgutil.get_data("sl3tensor", "data/structures.json").decode()
     records = json.loads(text)
-    shared = {"facet", "kind", "layers", "edges"}
+    fields = {"facet", "kind", "layers", "edges"}
     assert len(records) == 2 * len(ALL_FACETS) + 1
     for rec in records:
-        fields = shared | {"delta_factors"} if rec["kind"] == "tilting" else shared
         assert set(rec) == fields, (rec["facet"], rec["kind"])
     # the canonical form, so a hand edit shows as a reviewable diff
     assert text == json.dumps(records, indent=1, sort_keys=True) + "\n"
