@@ -18,7 +18,9 @@ wall is named by the alcoves half a step to either side, in doubled integer
 pairings.  ``classify`` and ``canonical_rep`` read one table per prime, built
 on first use over a box around the region (a, b < 3p, a+b+2 <= 4p); the same
 pass builds the block index of ``linked_weight`` and ``region_weights``, and
-weights outside the box are computed directly.
+weights outside the box are computed directly.  The table checks p before it
+is built, so every function here that reads it refuses a p that is no prime
+>= 5; ``sigma`` and ``linked_weight`` refuse an unknown facet label.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .weights import WEYL_GROUP, Weight, is_dominant, pairings
+from .weights import WEYL_GROUP, Weight, _check_prime, is_dominant, pairings
 
 ALCOVES = (
     "C1", "C2", "C3", "C3p", "C4", "C4p", "C5", "C6", "C6p",
@@ -69,10 +71,6 @@ def is_alcove(label: str) -> bool:
     return label.startswith("C")
 
 
-def is_wall(label: str) -> bool:
-    return label.startswith("W")
-
-
 def wall_components(label: str) -> Tuple[Tuple[int, bool], Tuple[int, bool]]:
     lo, hi = label[1:].split("|")
     return _parse_component(lo), _parse_component(hi)
@@ -85,6 +83,8 @@ def _wall_label(a: Tuple[int, bool], b: Tuple[int, bool]) -> str:
 
 def sigma(label: str) -> str:
     """Involution on facet labels induced by the diagram involution."""
+    if label not in ALL_FACETS and label != OUT:
+        raise ValueError(f"unknown facet label {label!r}")
 
     def flip(comp: Tuple[int, bool]) -> Tuple[int, bool]:
         num, primed = comp
@@ -92,19 +92,12 @@ def sigma(label: str) -> str:
             return (num, False)
         return (num, not primed)
 
-    if label == OUT or label == "Vrho":
-        return label
-    if label == "V1":
-        return "V2"
-    if label == "V2":
-        return "V1"
+    if label == OUT or label in VERTICES:
+        return {"V1": "V2", "V2": "V1"}.get(label, label)
     if is_alcove(label):
-        num, primed = _parse_component(label[1:])
-        return "C" + _format_component(*flip((num, primed)))
-    if is_wall(label):
-        a, b = wall_components(label)
-        return _wall_label(flip(a), flip(b))
-    raise ValueError(f"unknown facet label {label!r}")
+        return "C" + _format_component(*flip(_parse_component(label[1:])))
+    a, b = wall_components(label)
+    return _wall_label(flip(a), flip(b))
 
 
 def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
@@ -191,10 +184,11 @@ def canonical_rep(w: Weight, p: int) -> Weight:
         return _canonical_rep(w, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 5.0 and True must not hit 5 and 1
 def _facet_table(p: int) -> Tuple[Dict[Weight, Tuple[str, Weight]], Dict]:
     """``{w: (facet, rep)}`` over the weights with a, b < 3p and a+b+2 <= 4p,
     and the block index ``{(rep, facet): w}`` of the in-region ones."""
+    _check_prime(p)  # once per prime, for every reader of the region
     table: Dict[Weight, Tuple[str, Weight]] = {}
     index: Dict[Tuple[Weight, str], Weight] = {}
     for a in range(3 * p):
@@ -217,4 +211,7 @@ def region_weights(p: int) -> List[Weight]:
 
 def linked_weight(w: Weight, target: str, p: int) -> Optional[Weight]:
     """The dominant in-region weight linked to w in the target facet, if any."""
-    return _facet_table(p)[1].get((canonical_rep(w, p), target))
+    found = _facet_table(p)[1].get((canonical_rep(w, p), target))
+    if found is None and target not in ALL_FACETS:
+        raise ValueError(f"unknown facet label {target!r}")
+    return found

@@ -16,9 +16,9 @@ from typing import List, Optional
 
 from . import structures
 from .alcoves import OUT, classify, linked_weight
-from .decompose import _KIND_CHAR, IntegrityError, _check_prime, decompose, sweep, verify
+from .decompose import _KIND_CHAR, IntegrityError, decompose, sweep, verify
 from .modchar import to_simple_basis
-from .weights import Weight, _parse_int, parse_weight
+from .weights import Weight, _check_prime, _parse_int, parse_weight
 from .weylchar import Character
 
 

@@ -14,11 +14,12 @@ infeasible solve or a block whose summands' characters do not sum to it is an
 integrity failure naming the block; that sum check runs once per distinct
 block, at a miss of the block memo.  :func:`verify` checks what this did not
 compute; each record checks the rules on its own fields when it is built.
-Memoized by ``functools.lru_cache``: :func:`decompose`, which computes each
-unordered pair once and copies the record for the other order;
-``_resolve_block``, keyed on the block's weights, case and p; and the rows,
-``_row``, keyed on the case and the facet (at most 3 x 33).  Results and
-their characters are immutable, so no memoized decomposition can be altered.
+Memoized by ``functools.lru_cache``: :func:`decompose` (behind the checks of
+``weights._checked_cache``), which computes each unordered pair once and
+copies the record for the other order; ``_resolve_block``, keyed on the
+block's weights, case and p; and the rows, ``_row``, keyed on the case and
+the facet (at most 3 x 33).  Results and their characters are immutable, so
+no memoized decomposition can be altered.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ import os
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
-from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
-from .weights import Weight, tau
-from .weylchar import Character, _check_weight, _is_int, mult, mult_via_monomial, sort_key
+from .weights import Weight, _check_prime, _check_weight, _checked_cache, _is_int, tau
+from .weylchar import Character, mult, mult_via_monomial, sort_key
 
 KINDS = ("T", "L", "M")
 FLOOR_FACETS = ("C3", "C3p", "C2", "C1")  # the floor of a regular class
@@ -150,17 +150,8 @@ def _kind_dim(kind: str, w: Weight, p: int) -> int:
 
 
 def summand_dim(s: Summand, p: int) -> int:
+    _check_prime(p)  # before _kind_dim's cache, where 5.0 would hit 5
     return s.multiplicity * _kind_dim(s.kind, s.weight, p)
-
-
-@lru_cache(maxsize=None)
-def _is_prime(p: int) -> bool:  # on ints only: 5.0 and True hash as 5 and 1
-    return p >= 5 and all(p % q for q in range(2, isqrt(p) + 1))
-
-
-def _check_prime(p: int) -> None:
-    if not (_is_int(p) and _is_prime(p)):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
 
 
 def _check_pair(nu: Weight, nu2: Weight, p: int) -> None:
@@ -276,23 +267,16 @@ def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2
     return 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
 
 
+@_checked_cache
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
-    """Decompose the tensor product of two restricted simple modules.  The
-    weights are checked before the cache lookup: (1.0, 0) hashes as (1, 0)."""
-    _check_weight(nu)
-    _check_weight(nu2)
-    return _decompose(nu, nu2, p)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 5.0 must not hit the p=5 entry
-def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
-    """The pair's decomposition, computed once per unordered pair, in the
-    order ``nu <= nu2`` (the order of the LR key, ``_lr_items``).  The other
-    order copies that record's case, summands and dimension, none of which
-    depends on the order: the two products are equal, the summands are
-    sorted, and an integrity failure names only a block."""
+    """Decompose the tensor product of two restricted simple modules, once
+    per unordered pair, in the order ``nu <= nu2`` (that of the LR key,
+    ``_lr_items``).  The other order copies that record's case, summands and
+    dimension, which do not depend on the order: the products are equal, the
+    summands sorted, and an integrity failure names only a block.  The body,
+    ``__wrapped__``, reads the order ``nu <= nu2`` through the cache."""
     if nu2 < nu:
-        d = _decompose(nu2, nu, p)
+        d = decompose(nu2, nu, p)
         return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
     blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
     case = _case(nu, nu2, p)
@@ -301,12 +285,6 @@ def _decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     # kinds and weights are distinct: the blocks are disjoint
     summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
     return Decomposition(p, nu, nu2, case, summands, simple_dim(nu, p) * simple_dim(nu2, p))
-
-
-# the cache and, as __wrapped__, the uncached body, which reads the order
-# nu <= nu2 of a pair through the cache when given the other
-decompose.cache_info, decompose.cache_clear, decompose.__wrapped__ = (
-    _decompose.cache_info, _decompose.cache_clear, _decompose.__wrapped__)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ character at a weight maps the expansion at its facet to the weights of its
 linkage class.  The M character (:func:`m_char`) sums the simple
 characters of the composition factors stored in the ``m`` record, each at
 the weight's linked weight.  All three are Weyl-basis characters, memoized
-by ``functools.lru_cache`` behind a check of the weight and p
-(``simple_char.cache_info()`` reports hits, misses and size); the cached
-characters are immutable.  The change of basis from Weyl to simple
+by ``weights._checked_cache``, which checks the weight and p before the
+lookup (``simple_char.cache_info()`` reports hits, misses and size); the
+cached characters are immutable.  The change of basis from Weyl to simple
 characters sums the composition factors of each Weyl module, each of
 multiplicity one.
 
@@ -22,31 +22,13 @@ linked weight below the weight is an ``AssertionError``, not a truncation.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from . import structures
 from .alcoves import OUT, classify, linked_weight
-from .weights import Weight, dominance_leq
-from .weylchar import Character, _check_weight, _is_int
-
-
-def _checked_cache(body):
-    """``lru_cache(body)``, checking the weight and p before the lookup:
-    (1.0, 0) and (True, 0) hash as (1, 0)."""
-    cached = lru_cache(maxsize=None)(body)
-
-    @wraps(body)
-    def checked(w, p):
-        if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
-                and type(w[1]) is int and type(p) is int):
-            _check_weight(w)
-            if not _is_int(p):
-                raise ValueError(f"p must be an integer, got {p!r}")
-        return cached(w, p)
-
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
-    return checked
+from .weights import Weight, _checked_cache, dominance_leq
+from .weylchar import Character
 
 
 @lru_cache(maxsize=None)

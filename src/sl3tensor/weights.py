@@ -1,4 +1,4 @@
-"""SL3 weight lattice in fundamental-weight coordinates.
+"""SL3 weight lattice in fundamental-weight coordinates, and the input rules.
 
 A weight is a plain pair ``(a, b)`` of integers: the coefficients of the two
 fundamental weights.  Intermediate results of affine reflections may be
@@ -6,10 +6,18 @@ non-dominant, so arbitrary integers are allowed; dominant means ``a, b >= 0``.
 
 Every alcove-sensitive operation takes the prime ``p`` explicitly; there is
 no module-level state, so distinct primes can be served from one process.
+
+Every input rule is defined here, once: a weight is two ``int``s
+(``_check_weight``), p is a prime >= 5 (``_check_prime``), and the command
+line's integers are base 10.  ``_checked_cache`` checks weights and p before
+the lookup of the memoized entry points, and ``alcoves`` checks p before it
+builds a prime's region, so every function that reads it refuses a bad p.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, wraps
+from math import isqrt
 from typing import Tuple
 
 Weight = Tuple[int, int]
@@ -31,6 +39,48 @@ WEYL_GROUP = (
     (lambda x, y: (-x - y, x), 1),
     (lambda x, y: (-y, -x), -1),
 )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_weight(w) -> None:
+    if type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int:
+        return  # exact types first; the general test only on a miss
+    if not (isinstance(w, tuple) and len(w) == 2 and _is_int(w[0]) and _is_int(w[1])):
+        raise ValueError(f"weight must be two integers, got {w!r}")
+
+
+@lru_cache(maxsize=None)
+def _is_prime(p: int) -> bool:  # on ints only: 5.0 and True hash as 5 and 1
+    return p >= 5 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+def _check_prime(p) -> None:
+    if not (_is_int(p) and _is_prime(p)):
+        raise ValueError(f"p must be a prime >= 5, got {p!r}")
+
+
+def _checked_cache(body):
+    """``lru_cache(body)`` for a body taking one or two weights, then p,
+    that checks each weight and a p that is not an exact ``int`` before the
+    lookup, since (1.0, 0) and 5.0 hash as (1, 0) and 5; an ``int`` p is
+    checked by the body, which reads the region.  ``__wrapped__`` is the
+    uncached body."""
+    cached = lru_cache(maxsize=None)(body)
+
+    @wraps(body)
+    def checked(*args):  # (w, p) or (nu, nu2, p); a loop would cost 0.1 us
+        _check_weight(args[0])
+        if len(args) == 3:
+            _check_weight(args[1])
+        if type(args[-1]) is not int:
+            _check_prime(args[-1])
+        return cached(*args)
+
+    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    return checked
 
 
 def _parse_int(text: str) -> int:

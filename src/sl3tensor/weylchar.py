@@ -24,20 +24,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Tuple
 
-from .weights import Weight, dim_weyl, is_dominant
+from .weights import Weight, _check_weight, _is_int, dim_weyl, is_dominant
 
 BASES = ("weyl", "simple")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_weight(w) -> None:
-    if type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int:
-        return  # exact types first; the general test only on a miss
-    if not (isinstance(w, tuple) and len(w) == 2 and _is_int(w[0]) and _is_int(w[1])):
-        raise ValueError(f"weight must be two integers, got {w!r}")
 
 
 def sort_key(w: Weight):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_sigma_is_involution_on_labels():
     assert sigma("W2|3") == "W2|3p"
     assert sigma("W7|9") == "W7|9p"
     assert sigma("V1") == "V2"
+
+
+def test_unknown_facet_labels_are_refused():
+    # C1 has no primed variant; the region index holds no OUT entry, and
+    # sigma fixes OUT
+    for label in ("C10", "C1p", "W1|99", "Wfoo", "bogus", "", "V3", OUT):
+        if label != OUT:
+            with pytest.raises(ValueError, match=re.escape(f"unknown facet label {label!r}")):
+                sigma(label)
+        with pytest.raises(ValueError, match=re.escape(f"unknown facet label {label!r}")):
+            linked_weight((0, 0), label, 5)
 
 
 @pytest.mark.parametrize("p", [5, 7])

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from sl3tensor.alcoves import classify, linked_weight, region_weights
+from sl3tensor.decompose import decompose
 from sl3tensor.modchar import (
     from_simple_basis,
     m_char,
@@ -125,26 +126,27 @@ def test_m_char_is_memoized():
             m_char((0, 0), 5)
 
 
-@pytest.mark.parametrize("fn, good, bads", [
-    (simple_char, (1, 0), [(1.0, 0), (True, 0)]),
-    (simple_dim, (1, 0), [(1.0, 0), (True, 0)]),
-    (tilting_char, (2, 0), [(2.0, 0), (2, False)]),
-    (m_char, (1, 3), [(1.0, 3), (True, 3)]),
+@pytest.mark.parametrize("fn, good, bads", [  # the weight arguments, then p
+    (simple_char, ((1, 0),), [((1.0, 0),), ((True, 0),)]),
+    (simple_dim, ((1, 0),), [((1.0, 0),), ((True, 0),)]),
+    (tilting_char, ((2, 0),), [((2.0, 0),), ((2, False),)]),
+    (m_char, ((1, 3),), [((1.0, 3),), ((True, 3),)]),
+    (decompose, ((1, 0), (0, 1)), [((1.0, 0), (0, 1)), ((1, 0), (0, True))]),
 ])
 def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
-    # (1.0, 0) and (True, 0) hash as (1, 0): a cold and a warm cache must
-    # both reject them
+    # (1.0, 0) and (True, 0) hash as (1, 0), and 5.0 and True as 5 and 1: a
+    # cold and a warm cache must both reject them
     fn.cache_clear()
     for warm in (False, True):
         if warm:
-            fn(good, 5)
+            fn(*good, 5)
         for bad in bads:
             assert bad == good
             with pytest.raises(ValueError, match="weight must be two integers, got"):
-                fn(bad, 5)
+                fn(*bad, 5)
         for p in (5.0, True):
-            with pytest.raises(ValueError, match="p must be an integer, got"):
-                fn(good, p)
+            with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
+                fn(*good, p)
     # the cache's counters, and the uncached body as __wrapped__
     assert fn.cache_info().currsize >= 1 and not hasattr(fn.__wrapped__, "cache_info")
 

@@ -1,7 +1,27 @@
 import random
+import re
+import signal
 
 import pytest
 
+from sl3tensor import (
+    Character,
+    Summand,
+    canonical_rep,
+    classify,
+    decompose,
+    from_simple_basis,
+    linked_weight,
+    m_char,
+    simple_char,
+    simple_dim,
+    tensor_char,
+    tilting_char,
+    to_simple_basis,
+    weyl_comp_factors,
+)
+from sl3tensor.alcoves import _facet_table, region_weights
+from sl3tensor.decompose import summand_dim
 from sl3tensor.weights import (
     dim_weyl,
     dominance_leq,
@@ -135,3 +155,55 @@ def test_parse_weight_reads_only_a_sign_and_ascii_digits(text):
 def test_parse_weight_keeps_signs_and_spaces():
     assert parse_weight("+3, -1") == (3, -1)
     assert parse_weight("\t07 ,0 ") == (7, 0)
+
+
+# Every library function that takes p and answers from the region or the
+# records (sweep checks p on its own), called at weights that are valid at
+# p=5.  The memoized entry points check p before their cache, summand_dim
+# before its dimension cache, and the others read the region, whose table
+# checks p before it is built.
+TAKES_P = {
+    "classify": lambda p: classify((1, 1), p),
+    "canonical_rep": lambda p: canonical_rep((3, 3), p),
+    "linked_weight": lambda p: linked_weight((0, 0), "C2", p),
+    "region_weights": lambda p: region_weights(p),
+    "weyl_comp_factors": lambda p: weyl_comp_factors((1, 1), p),
+    "to_simple_basis": lambda p: to_simple_basis(Character("weyl", {(1, 1): 1}), p),
+    "from_simple_basis": lambda p: from_simple_basis(Character("simple", {(1, 1): 1}), p),
+    "simple_char": lambda p: simple_char((1, 1), p),
+    "simple_dim": lambda p: simple_dim((1, 1), p),
+    "tilting_char": lambda p: tilting_char((3, 3), p),
+    "m_char": lambda p: m_char((1, 3), p),
+    "tensor_char": lambda p: tensor_char((1, 1), (0, 0), p),
+    "decompose": lambda p: decompose((1, 1), (0, 0), p),
+    "summand_dim": lambda p: summand_dim(Summand("T", (1, 1), 1), p),
+}
+
+
+def _hung(*_):
+    raise TimeoutError("no answer within the alarm")
+
+
+@pytest.mark.parametrize("name", list(TAKES_P))
+def test_every_function_that_takes_p_refuses_a_bad_p(name):
+    # cold, then with the p=5 answer and the p=5 region cached, since 5.0
+    # and True hash as 5 and 1; the message tells "5" from 5; the alarm fails
+    # a call that never returns, as canonical_rep's walk would at a negative p
+    call = TAKES_P[name]
+    _facet_table.cache_clear()
+    for memo in (simple_char, simple_dim, tilting_char, m_char, decompose):
+        memo.cache_clear()
+    previous = signal.signal(signal.SIGALRM, _hung)
+    try:
+        for warm in (False, True):
+            if warm:
+                call(5)
+            for p in (0, 1, 2, 3, 4, 6, 9, -5, 5.0, True, "5"):
+                message = f"p must be a prime >= 5, got {p!r}"
+                signal.alarm(2)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call(p)
+                signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
