@@ -15,12 +15,12 @@ Classification is by the pairing triple ``(r, s, t)`` of a weight against
 the positive coroots: the cell indices ``(r // p, s // p)`` select a box and
 the sign of ``t - (i + j + 1) p`` selects its lower or upper triangle; a
 wall is named by the alcoves half a step to either side, in doubled integer
-pairings.  ``classify`` and ``canonical_rep`` read one table per prime, built
-on first use over a box around the region (a, b < 3p, a+b+2 <= 4p); the same
-pass builds the block index of ``linked_weight`` and ``region_weights``, and
-weights outside the box are computed directly.  The table checks p before it
-is built, so every function here that reads it refuses a p that is no prime
->= 5; ``sigma`` and ``linked_weight`` refuse an unknown facet label.
+pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
+memoized per weight behind the checks of ``weights._checked_cache``.
+``linked_weight`` and ``region_weights`` read the class of a representative,
+built on first use from its orbit under the affine Weyl group (``_class``).
+Nothing is built per prime, so a huge prime answers at once.  Every function
+here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .weights import WEYL_GROUP, Weight, _check_prime, is_dominant, pairings
+from .weights import WEYL_GROUP, Weight, _check_prime, _checked_cache, is_dominant, pairings
 
 ALCOVES = (
     "C1", "C2", "C3", "C3p", "C4", "C4p", "C5", "C6", "C6p",
@@ -108,17 +108,16 @@ def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
     return _CELLS.get((i, j, t > (i + j + 1) * p))
 
 
-def _classify(w: Weight, p: int) -> str:
-    """Facet label of a dominant weight, computed from its pairings."""
+@_checked_cache
+def classify(w: Weight, p: int) -> str:
+    """Facet label of a dominant weight relative to p, from its pairings."""
+    _check_prime(p)
     if not is_dominant(w):
         raise ValueError(f"non-dominant weight {w}")
     r, s, t = pairings(w)
-    if (r, s) == (p, p):
-        return "Vrho"
-    if (r, s) == (2 * p, p):
-        return "V1"
-    if (r, s) == (p, 2 * p):
-        return "V2"
+    vertex = {(p, p): "Vrho", (2 * p, p): "V1", (p, 2 * p): "V2"}.get((r, s))
+    if vertex:
+        return vertex
     singular = (r % p == 0) + (s % p == 0) + (t % p == 0)
     if singular == 0:
         return _open_cell(r, s, t, p) or OUT
@@ -130,19 +129,9 @@ def _classify(w: Weight, p: int) -> str:
     upper = _open_cell(2 * r + dr, 2 * s + ds, 2 * t + 1, 2 * p)
     if lower is None or upper is None:
         return OUT
-    label = _wall_label(
-        _parse_component(lower[1:]), _parse_component(upper[1:])
-    )
+    label = _wall_label(_parse_component(lower[1:]), _parse_component(upper[1:]))
     assert label in WALLS, f"unexpected wall {label} at {w}, p={p}"
     return label
-
-
-def classify(w: Weight, p: int) -> str:
-    """Facet label of a dominant weight relative to p."""
-    try:
-        return _facet_table(p)[0][w][0]
-    except (KeyError, TypeError):  # outside the table, or a list
-        return _classify(w, p)
 
 
 def is_restricted(w: Weight, p: int) -> bool:
@@ -153,7 +142,14 @@ def restricted_weights(p: int) -> List[Weight]:
     return [(a, b) for a in range(p) for b in range(p)]
 
 
-def _canonical_rep(w: Weight, p: int) -> Weight:
+@_checked_cache
+def canonical_rep(w: Weight, p: int) -> Weight:
+    """The linkage-class representative in the closed bottom alcove.
+
+    Two weights are linked iff their representatives coincide.  The result
+    may be non-dominant (coordinates down to -1) for singular classes.
+    """
+    _check_prime(p)  # at a negative p the walk would never end
     r, s, _ = pairings(w)
     while True:
         for image, _ in WEYL_GROUP:
@@ -166,52 +162,41 @@ def _canonical_rep(w: Weight, p: int) -> Weight:
         t = r + s
         if t <= p:
             return (r - 1, s - 1)
-        m = (t - 1) // p
-        u = t - m * p
-        r -= u
-        s -= u
+        u = (t - 1) % p + 1  # reflect in the wall t = mp just below t
+        r, s = r - u, s - u
 
 
-def canonical_rep(w: Weight, p: int) -> Weight:
-    """The linkage-class representative in the closed bottom alcove.
-
-    Two weights are linked iff their representatives coincide.  The result
-    may be non-dominant (coordinates down to -1) for singular classes.
-    """
-    try:
-        return _facet_table(p)[0][w][1]
-    except (KeyError, TypeError):  # outside the table, or a list
-        return _canonical_rep(w, p)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: 5.0 and True must not hit 5 and 1
-def _facet_table(p: int) -> Tuple[Dict[Weight, Tuple[str, Weight]], Dict]:
-    """``{w: (facet, rep)}`` over the weights with a, b < 3p and a+b+2 <= 4p,
-    and the block index ``{(rep, facet): w}`` of the in-region ones."""
-    _check_prime(p)  # once per prime, for every reader of the region
-    table: Dict[Weight, Tuple[str, Weight]] = {}
-    index: Dict[Tuple[Weight, str], Weight] = {}
-    for a in range(3 * p):
-        for b in range(min(3 * p, 4 * p - 1 - a)):
-            w = (a, b)
-            label, rep = table[w] = (_classify(w, p), _canonical_rep(w, p))
-            if label == OUT:
-                continue
-            first = index.setdefault((rep, label), w)
-            if first != w:
-                raise AssertionError(
-                    f"facet {label} holds two linked weights {first} and {w}")
-    return table, index
+@lru_cache(maxsize=None)
+def _class(rep: Weight, p: int) -> Dict[str, Weight]:
+    """``{facet: w}`` over the in-region weights linked to ``rep``, from the
+    points x + rho = A(rep + rho) + p(u, v) of its orbit, A in the Weyl group
+    and u = v mod 3, in the box a, b < 3p, a + b + 2 <= 4p."""
+    r, s, _ = pairings(rep)
+    index: Dict[str, Weight] = {}
+    for image, _ in WEYL_GROUP:
+        x, y = image(r, s)
+        for u in range(5):
+            for v in range(u % 3, 5, 3):
+                w = (x + u * p - 1, y + v * p - 1)
+                if not (0 <= w[0] < 3 * p and 0 <= w[1] < 3 * p and w[0] + w[1] + 2 <= 4 * p):
+                    continue
+                label = classify.cached(w, p)
+                if label != OUT and index.setdefault(label, w) != w:
+                    raise AssertionError(
+                        f"facet {label} holds two linked weights {index[label]} and {w}")
+    return index
 
 
 def region_weights(p: int) -> List[Weight]:
-    """All dominant weights in the labelled region."""
-    return list(_facet_table(p)[1].values())
+    """All dominant weights of the labelled region, sorted: the union of every class."""
+    _check_prime(p)
+    return sorted(w for r in range(p + 1) for s in range(p + 1 - r)
+                  for w in _class((r - 1, s - 1), p).values())
 
 
 def linked_weight(w: Weight, target: str, p: int) -> Optional[Weight]:
     """The dominant in-region weight linked to w in the target facet, if any."""
-    found = _facet_table(p)[1].get((canonical_rep(w, p), target))
+    found = _class(canonical_rep(w, p), p).get(target)
     if found is None and target not in ALL_FACETS:
         raise ValueError(f"unknown facet label {target!r}")
     return found

@@ -19,7 +19,9 @@ Memoized by ``functools.lru_cache``: :func:`decompose` (behind the checks of
 copies the record for the other order; ``_resolve_block``, keyed on the
 block's weights, case and p; and the rows, ``_row``, keyed on the case and
 the facet (at most 3 x 33).  Results and their characters are immutable, so
-no memoized decomposition can be altered.
+no memoized decomposition can be altered.  Inputs are checked on entry, so
+the internal reads of ``alcoves`` skip the gate: ``classify.cached``,
+``canonical_rep.cached`` and ``_class``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .alcoves import OUT, _facet_table, classify, is_restricted, restricted_weights
+from .alcoves import OUT, _class, canonical_rep, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, _check_prime, _check_weight, _checked_cache, _is_int, tau
 from .weylchar import Character, mult, mult_via_monomial, sort_key
@@ -172,13 +174,11 @@ def _buckets(c: Character, p: int) -> Dict[Weight, Dict[Weight, int]]:
     """The coefficients of each linkage block, keyed by its representative."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
-    table = _facet_table(p)[0]  # holds every weight of the region
     buckets: Dict[Weight, Dict[Weight, int]] = {}
-    for w, k in c.coeffs.items():
-        facet, rep = table.get(w, (OUT, None))
-        if facet == OUT:
+    for w, k in c.coeffs.items():  # a Character holds checked weights, p is checked
+        if classify.cached(w, p) == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
-        buckets.setdefault(rep, {})[w] = k
+        buckets.setdefault(canonical_rep.cached(w, p), {})[w] = k
     return buckets
 
 
@@ -232,15 +232,14 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
     sorted: the sum of each weight's coefficient times the row of its facet,
     with the case-3 floor coordinates resolved by :func:`case3_floor_solve`,
     and each facet mapped back to the class's weight there."""
-    table, index = _facet_table(p)
+    index = _class(rep, p)
     terms: Dict[Tuple[str, str], int] = {}
     for w, k in zip(items[::2], items[1::2]):
-        for kind, f, m in _row(case, table[w][0]):
+        for kind, f, m in _row(case, classify.cached(w, p)):
             terms[kind, f] = terms.get((kind, f), 0) + k * m
     floor = [terms.pop(("L", f), 0) for f in FLOOR_FACETS] if case == 3 else ()
     # the first negative part that a greedy pass from the top would meet
-    negative = [(sort_key(index[rep, f]), index[rep, f], k)
-                for (_, f), k in terms.items() if k < 0]
+    negative = [(sort_key(index[f]), index[f], k) for (_, f), k in terms.items() if k < 0]
     if negative:
         _, lead, k = min(negative)
         raise IntegrityError(f"negative multiplicity {k} at {lead} during greedy pass", block=lead)
@@ -251,7 +250,7 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
         terms.update({("T", "C3"): x, ("T", "C3p"): y, ("T", "C2"): z,
                       ("M", "C2"): w, ("T", "C1"): w})
-    summands = sorted((Summand(kind, index[rep, f], k) for (kind, f), k in terms.items() if k),
+    summands = sorted((Summand(kind, index[f], k) for (kind, f), k in terms.items() if k),
                       key=lambda s: (sort_key(s.weight), s.kind))
     residue = dict(zip(items[::2], items[1::2]))
     for s in summands:
@@ -263,8 +262,8 @@ def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summan
     return tuple(summands)
 
 
-def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2
-    return 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
+def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2; inputs checked
+    return 1 + (classify.cached(nu, p) == "C2") + (classify.cached(nu2, p) == "C2")
 
 
 @_checked_cache
@@ -318,7 +317,7 @@ class Report(_Record):
 def _misshapen(s: Summand, case: int, p: int) -> str:
     """Why a summand cannot occur in the case; empty if it can: T may sit at
     any facet of the region, L only at C2 in case 2 and M only at C2 in case 3."""
-    facet = classify(s.weight, p)
+    facet = classify.cached(s.weight, p)  # a Summand's weight is checked
     ok = s.kind == "T" or facet == "C2" and case == {"L": 2, "M": 3}[s.kind]
     return "" if ok and facet != OUT else f"{s} at facet {facet} in case {case}"
 

@@ -10,14 +10,14 @@ no module-level state, so distinct primes can be served from one process.
 Every input rule is defined here, once: a weight is two ``int``s
 (``_check_weight``), p is a prime >= 5 (``_check_prime``), and the command
 line's integers are base 10.  ``_checked_cache`` checks weights and p before
-the lookup of the memoized entry points, and ``alcoves`` checks p before it
-builds a prime's region, so every function that reads it refuses a bad p.
+the lookup of the memoized entry points, ``alcoves.classify`` and
+``canonical_rep`` among them, so every reader of the alcove geometry refuses
+a bad p, and a p too large for the exact primality test.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from math import isqrt
 from typing import Tuple
 
 Weight = Tuple[int, int]
@@ -52,9 +52,23 @@ def _check_weight(w) -> None:
         raise ValueError(f"weight must be two integers, got {w!r}")
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all 13
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:  # on ints only: 5.0 and True hash as 5 and 1
-    return p >= 5 and all(p % q for q in range(2, isqrt(p) + 1))
+    """Whether p is a prime >= 5, by Miller-Rabin on ``_PRIME_BASES``."""
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND} for an exact primality test, got {p!r}")
+    if p < 5 or any(p % q == 0 for q in _PRIME_BASES):
+        return p in _PRIME_BASES[2:]
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in _PRIME_BASES:  # a^d, a^2d, ..., a^((p-1)/2): 1 first, or p - 1 in them
+        x = [pow(a, (p - 1) >> k, p) for k in range(s, 0, -1)]
+        if x[0] != 1 and p - 1 not in x:
+            return False
+    return True
 
 
 def _check_prime(p) -> None:
@@ -66,8 +80,8 @@ def _checked_cache(body):
     """``lru_cache(body)`` for a body taking one or two weights, then p,
     that checks each weight and a p that is not an exact ``int`` before the
     lookup, since (1.0, 0) and 5.0 hash as (1, 0) and 5; an ``int`` p is
-    checked by the body, which reads the region.  ``__wrapped__`` is the
-    uncached body."""
+    checked by the body at a miss.  ``cached`` is the cache, for library
+    readers whose input is checked; ``__wrapped__`` is the uncached body."""
     cached = lru_cache(maxsize=None)(body)
 
     @wraps(body)
@@ -79,7 +93,8 @@ def _checked_cache(body):
             _check_prime(args[-1])
         return cached(*args)
 
-    checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+    checked.cached, checked.cache_info, checked.cache_clear = (
+        cached, cached.cache_info, cached.cache_clear)
     return checked
 
 

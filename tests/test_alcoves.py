@@ -5,11 +5,10 @@ import pytest
 
 from sl3tensor.alcoves import (
     ALCOVES,
+    ALL_FACETS,
     OUT,
     VERTICES,
     WALLS,
-    _canonical_rep,
-    _classify,
     canonical_rep,
     classify,
     is_restricted,
@@ -29,7 +28,9 @@ def test_classify_examples():
     assert classify((8, 8), 5) == "C7"
     assert classify((9, 4), 5) == "V1"
     assert classify((4, 9), 5) == "V2"
-    assert classify([6, 2], 5) == "W3|4"  # a list weight works as a tuple
+    # a weight is two ints in a tuple: a list is refused, as everywhere
+    with pytest.raises(ValueError, match=re.escape("weight must be two integers, got [6, 2]")):
+        classify([6, 2], 5)
     with pytest.raises(ValueError):
         classify((-1, 0), 5)
     with pytest.raises(ValueError):
@@ -109,7 +110,8 @@ def test_canonical_rep_examples():
     assert canonical_rep((0, 0), 5) == (0, 0)
     assert canonical_rep((2, 2), 5) == (1, 1)
     assert canonical_rep((7, 0), 5) == (0, 2)
-    assert canonical_rep([7, 0], 5) == (0, 2)
+    with pytest.raises(ValueError, match=re.escape("weight must be two integers, got [7, 0]")):
+        canonical_rep([7, 0], 5)
     assert canonical_rep((-3, 1), 5) == (1, -1)  # non-dominant input
 
 
@@ -155,15 +157,20 @@ def test_is_restricted():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
 def test_table_matches_direct_computation(p):
-    """The per-prime table answers exactly as the direct computation, over a
-    box larger than the one it covers."""
-    region = []
+    """The block index ``{(rep, facet): w}`` built by a scan of a box larger
+    than the region with the uncached bodies: ``linked_weight`` answers from
+    it at every facet, and ``region_weights`` lists its weights."""
+    index, region = {}, []
     for a in range(4 * p):
         for b in range(4 * p):
             w = (a, b)
-            assert classify(w, p) == _classify(w, p), w
-            assert canonical_rep(w, p) == _canonical_rep(w, p), w
-            in_box = a < 3 * p and b < 3 * p and a + b + 2 <= 4 * p
-            if in_box and _classify(w, p) != OUT:
+            facet, rep = classify.__wrapped__(w, p), canonical_rep.__wrapped__(w, p)
+            if a < 3 * p and b < 3 * p and a + b + 2 <= 4 * p and facet != OUT:
+                assert index.setdefault((rep, facet), w) == w, (w, facet)
                 region.append(w)
     assert region_weights(p) == region
+    for a in range(4 * p):
+        for b in range(4 * p):
+            rep = canonical_rep.__wrapped__((a, b), p)
+            for facet in ALL_FACETS:
+                assert linked_weight((a, b), facet, p) == index.get((rep, facet)), (a, b, facet)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sl3tensor.alcoves import classify, linked_weight, region_weights
+from sl3tensor.alcoves import canonical_rep, classify, linked_weight, region_weights
 from sl3tensor.decompose import decompose
 from sl3tensor.modchar import (
     from_simple_basis,
@@ -132,6 +132,8 @@ def test_m_char_is_memoized():
     (tilting_char, ((2, 0),), [((2.0, 0),), ((2, False),)]),
     (m_char, ((1, 3),), [((1.0, 3),), ((True, 3),)]),
     (decompose, ((1, 0), (0, 1)), [((1.0, 0), (0, 1)), ((1, 0), (0, True))]),
+    (classify, ((1, 0),), [((1.0, 0),), ((True, 0),)]),
+    (canonical_rep, ((1, 0),), [((1.0, 0),), ((True, 0),)]),
 ])
 def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
     # (1.0, 0) and (True, 0) hash as (1, 0), and 5.0 and True as 5 and 1: a
@@ -147,8 +149,10 @@ def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
         for p in (5.0, True):
             with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
                 fn(*good, p)
-    # the cache's counters, and the uncached body as __wrapped__
+    # the cache's counters, the cache itself as cached, and the uncached body
+    # as __wrapped__
     assert fn.cache_info().currsize >= 1 and not hasattr(fn.__wrapped__, "cache_info")
+    assert fn.cached.__wrapped__ is fn.__wrapped__ and fn.cached.cache_info() == fn.cache_info()
 
 
 def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sl3tensor.alcoves import ALL_FACETS, sigma
+from sl3tensor.alcoves import _CELLS, ALL_FACETS, VERTICES, sigma
 from sl3tensor.modchar import _expansion, tilting_delta_factors
 from sl3tensor.structures import delta_factors, diagram, diagram_dot
 
@@ -136,6 +136,32 @@ def test_edges_join_adjacent_layers():
                 assert lj == li + 1
                 assert 0 <= ii < len(d.layers[li])
                 assert 0 <= jj < len(d.layers[lj])
+
+
+# An alcove in cell (i, j) has length 2(i + j) + [upper triangle], so its
+# length parity is whether it is an upper triangle; a wall takes the parity
+# of its lower-numbered alcove, the first in its label.
+_UPPER = {label: upper for (_, _, upper), label in _CELLS.items()}
+
+
+def _parity(facet):
+    return _UPPER["C" + facet[1:].split("|")[0] if facet.startswith("W") else facet]
+
+
+def test_stored_diagrams_obey_length_parity():
+    # away from the vertices, whose classes are single weights: each layer
+    # holds one parity, consecutive layers alternate, and every edge joins
+    # opposite parities
+    records = [diagram(f, kind) for f in ALL_FACETS if f not in VERTICES
+               for kind in ("delta", "tilting")] + [diagram("C2", "m")]
+    assert len(records) == 61
+    for d in records:
+        parities = [{_parity(x) for x in layer} for layer in d.layers]
+        assert all(len(layer) == 1 for layer in parities), (d.facet, d.kind, parities)
+        assert all(a != b for a, b in zip(parities, parities[1:])), (d.facet, d.kind)
+        for li, ii, lj, jj in d.edges:
+            assert _parity(d.layers[li][ii]) != _parity(d.layers[lj][jj]), (d.facet, d.kind, li, ii)
+    assert sum(len(d.edges) for d in records) == 519
 
 
 def test_diagram_dot_output():

@@ -1,6 +1,7 @@
 import random
 import re
 import signal
+from math import isqrt
 
 import pytest
 
@@ -20,9 +21,11 @@ from sl3tensor import (
     to_simple_basis,
     weyl_comp_factors,
 )
-from sl3tensor.alcoves import _facet_table, region_weights
+from sl3tensor.alcoves import _class, region_weights
 from sl3tensor.decompose import summand_dim
 from sl3tensor.weights import (
+    _PRIME_BOUND,
+    _is_prime,
     dim_weyl,
     dominance_leq,
     dot_reflect,
@@ -159,9 +162,10 @@ def test_parse_weight_keeps_signs_and_spaces():
 
 # Every library function that takes p and answers from the region or the
 # records (sweep checks p on its own), called at weights that are valid at
-# p=5.  The memoized entry points check p before their cache, summand_dim
-# before its dimension cache, and the others read the region, whose table
-# checks p before it is built.
+# p=5.  The memoized entry points, classify and canonical_rep among them,
+# check p before their cache (an int p in the body, at a miss), summand_dim
+# before its dimension cache, and the others read the memoized entry points
+# or check p themselves.
 TAKES_P = {
     "classify": lambda p: classify((1, 1), p),
     "canonical_rep": lambda p: canonical_rep((3, 3), p),
@@ -186,24 +190,62 @@ def _hung(*_):
 
 @pytest.mark.parametrize("name", list(TAKES_P))
 def test_every_function_that_takes_p_refuses_a_bad_p(name):
-    # cold, then with the p=5 answer and the p=5 region cached, since 5.0
+    # cold, then with the p=5 answer and its class cached, since 5.0
     # and True hash as 5 and 1; the message tells "5" from 5; the alarm fails
-    # a call that never returns, as canonical_rep's walk would at a negative p
+    # a call that never returns, as canonical_rep's walk would at a negative
+    # p; an unhashable p must not reach a cache or the arithmetic
     call = TAKES_P[name]
-    _facet_table.cache_clear()
-    for memo in (simple_char, simple_dim, tilting_char, m_char, decompose):
+    _class.cache_clear()
+    for memo in (classify, canonical_rep, simple_char, simple_dim, tilting_char, m_char,
+                 decompose):
         memo.cache_clear()
     previous = signal.signal(signal.SIGALRM, _hung)
     try:
         for warm in (False, True):
             if warm:
                 call(5)
-            for p in (0, 1, 2, 3, 4, 6, 9, -5, 5.0, True, "5"):
+            for p in (0, 1, 2, 3, 4, 6, 9, -5, 5.0, True, "5", [5]):
                 message = f"p must be a prime >= 5, got {p!r}"
                 signal.alarm(2)
                 with pytest.raises(ValueError, match=re.escape(message)):
                     call(p)
                 signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _trial_division(n):
+    return n >= 5 and all(n % q for q in range(2, isqrt(n) + 1))
+
+
+def test_the_primality_test_agrees_with_trial_division():
+    assert [n for n in range(-5, 20000) if _is_prime(n) != _trial_division(n)] == []
+
+
+def test_the_primality_test_refuses_strong_pseudoprimes_to_small_bases():
+    # 3215031751 and 3825123056546413051, strong pseudoprimes to the bases
+    # 2, 3, 5, 7 and to every prime base up to 23: more bases must be tried
+    for n in (151 * 751 * 28351, 149491 * 747451 * 34233211):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match=re.escape(f"p must be a prime >= 5, got {n}")):
+            classify((0, 0), n)
+
+
+def test_a_p_past_the_exact_range_of_the_primality_test_is_refused():
+    for p in (_PRIME_BOUND, _PRIME_BOUND + 2, 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"p must be below {_PRIME_BOUND}")):
+            classify((0, 0), p)
+
+
+def test_a_huge_prime_answers_at_once():
+    # nothing is built per prime, and the primality test takes 13 rounds
+    previous = signal.signal(signal.SIGALRM, _hung)
+    try:
+        signal.alarm(2)
+        assert classify((0, 0), 10**18 + 3) == "C1"
+        assert canonical_rep((3, 3), 10**18 + 3) == (3, 3)
+        assert linked_weight((0, 0), "C1", 10**18 + 3) == (0, 0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
