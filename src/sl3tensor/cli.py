@@ -18,7 +18,7 @@ from . import structures
 from .alcoves import OUT, classify, linked_weight
 from .decompose import _KIND_CHAR, IntegrityError, decompose, sweep, verify
 from .modchar import to_simple_basis
-from .weights import Weight, _check_prime, _parse_int, parse_weight
+from .weights import _PRIME_BOUND, Weight, _check_prime, _parse_int, parse_weight
 from .weylchar import Character
 
 
@@ -27,11 +27,14 @@ def _json_dumps(data) -> str:
 
 
 def _prime(text: str) -> int:
-    """argparse type of ``--p``: a prime >= 5."""
+    """argparse type of ``--p``: a prime >= 5.  A p at or above the bound of
+    the exact primality test gets the library's message, which names it."""
+    p = 0
     try:
         _check_prime(p := _parse_int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"p must be a prime >= 5, got {text}") from None
+    except ValueError as exc:
+        message = str(exc) if p >= _PRIME_BOUND else f"p must be a prime >= 5, got {text}"
+        raise argparse.ArgumentTypeError(message) from None
     return p
 
 

@@ -327,29 +327,30 @@ def verify(d: Decomposition) -> Report:
     character sum by Brauer-Klimyk, not LR; the dimension; the recorded case
     and the summand shapes against the case recomputed from the weights
     (case 3 must hold an M); the diagram involution.  One pass over the
-    summands checks each one's shape, subtracts its character from the
-    Brauer-Klimyk product, adds its dimension and records its image under
-    the involution; the sum holds if no residue is left, and the involution
-    check compares the sorted images with the mirrored pair's summands.  A
-    summand outside the region, or an L or M off C2 or in the wrong case,
-    fails the shape check and the other three uncomputed; a record that
-    breaks a rule on its own fields cannot be built.  Each call computes
-    its own Brauer-Klimyk product; a sweep computes it once for both orders
-    of a pair and passes it to the same body, ``_verify``."""
-    return _verify(d, None)
+    summands, ``_tally``, checks each one's shape, subtracts its character
+    from the Brauer-Klimyk product, adds its dimension and records its image
+    under the involution; the sum holds if no residue is left, and the
+    involution check compares the sorted images with the mirrored pair's
+    summands.  A summand outside the region, or an L or M off C2 or in the
+    wrong case, fails the shape check and the other three uncomputed; a
+    record that breaks a rule on its own fields cannot be built.  Each call
+    computes its own product and tally; a sweep computes both once for the
+    two orders of a pair and passes the tally to the same body, ``_verify``,
+    so every order still gets every check."""
+    p = d.p
+    product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
+    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, product))
 
 
-def _verify(d: Decomposition, product: Optional[Character]) -> Report:
-    """The body of :func:`verify`.  ``product`` is the Brauer-Klimyk product
-    of the pair's simple characters, which a sweep computes once for both
-    orders of a pair; ``None`` computes it here."""
-    report = Report()
-    p, case = d.p, _case(d.left, d.right, d.p)
-    if product is None:
-        product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
+def _tally(summands: Tuple[Summand, ...], case: int, p: int, product: Character) -> tuple:
+    """The one pass of :func:`verify` over ``summands``: the first misshapen
+    summand (then the rest is uncomputed), whether a residue is left against
+    the Brauer-Klimyk ``product``, the dimension sum and the sorted images
+    under the involution.  Neither the case nor the product depends on the
+    order, so both orders of a pair may share it; no reader alters it."""
     residue = product.coeffs.copy()
     dims, images, bad = 0, [], ""
-    for s in d.summands:
+    for s in summands:
         bad = _misshapen(s, case, p)
         if bad:
             break
@@ -358,8 +359,18 @@ def _verify(d: Decomposition, product: Optional[Character]) -> Report:
             residue[mu] = residue.get(mu, 0) - m * c
         dims += m * _kind_dim(kind, w, p)
         images.append((kind, tau(w), m))
+    return bad, any(residue.values()), dims, sorted(images)
+
+
+def _verify(d: Decomposition, tally: tuple) -> Report:
+    """The body of :func:`verify`: the report of ``d`` from the ``_tally``
+    of its summands.  What depends on the order is read here: ``d``'s own
+    dimension and case, and the involution's mirrored ``decompose``."""
+    report = Report()
+    p, case = d.p, _case(d.left, d.right, d.p)
+    bad, leftover, dims, images = tally
     uncomputed = bad and f"misshapen summand {bad}"  # no residue or dimension to read
-    report.add("character-sum", not (uncomputed or any(residue.values())), uncomputed)
+    report.add("character-sum", not (uncomputed or leftover), uncomputed)
     report.add("dimension", not uncomputed and dims == d.dim_product,
                uncomputed or f"{dims} vs {d.dim_product}")
     if not bad and case == 3 and all(kind != "M" for kind, _, _ in images):
@@ -374,7 +385,7 @@ def _verify(d: Decomposition, product: Optional[Character]) -> Report:
     try:
         mirrored = decompose(tau(d.right), tau(d.left), p)
         got = sorted((s.kind, s.weight, s.multiplicity) for s in mirrored.summands)
-        report.add("tau-equivariance", sorted(images) == got)
+        report.add("tau-equivariance", images == got)
     except IntegrityError as exc:
         report.add("tau-equivariance", False, str(exc))
 
@@ -416,14 +427,18 @@ def _sweep_row(task) -> SweepResult:
     restricted nu2 >= nu, so that each ordered pair falls in exactly one
     task.  The two orders of a pair share their computation: the second
     order's ``decompose`` copies the first's memoized record, and a
-    verifying sweep computes the Brauer-Klimyk product once for both.  Each
-    order gets every check of :func:`verify`."""
+    verifying sweep computes the Brauer-Klimyk product and the summand
+    pass, ``_tally``, once for both.  The second order reuses the tally
+    only if its record holds the very summands tuple that the tally read;
+    otherwise it gets its own.  Each order gets every check of
+    :func:`verify`."""
     p, nu, run_verify = task
     counts, m_pairs, pairs, failures = dict.fromkeys(KINDS, 0), 0, 0, []
     for nu2 in restricted_weights(p):
         if nu2 < nu:
             continue
         product = mult_via_monomial(simple_char(nu, p), simple_char(nu2, p)) if run_verify else None
+        read = tally = None  # the summands tuple that ``tally`` read
         for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):
             pairs += 1
             try:
@@ -435,8 +450,10 @@ def _sweep_row(task) -> SweepResult:
                 counts[s.kind] += s.multiplicity
             m_pairs += any(s.kind == "M" for s in d.summands)
             if run_verify:
+                if d.summands is not read:
+                    read, tally = d.summands, _tally(d.summands, _case(left, right, p), p, product)
                 failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
-                             for c in _verify(d, product).failures()]
+                             for c in _verify(d, tally).failures()]
     return SweepResult(p, pairs, counts, m_pairs, failures)
 
 

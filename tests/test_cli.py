@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sl3tensor.cli import main
+from sl3tensor.weights import _PRIME_BOUND
 
 
 def run(capsys, *argv):
@@ -166,7 +167,16 @@ def test_a_prime_too_large_for_a_float_is_a_usage_error(capsys):
     p = "1" + "0" * 400
     code, out, err = run(capsys, "decompose", "--p", p, "--lhs", "1,0", "--rhs", "0,0")
     assert code == 2 and out == ""
-    assert f"argument --p: p must be a prime >= 5, got {p}\n" in err
+    assert f"argument --p: p must be below {_PRIME_BOUND} for an exact primality test, got {p}\n" in err
+
+
+def test_a_probable_prime_above_the_primality_bound_is_refused_by_name(capsys):
+    # it passes every Miller-Rabin base up to 41, but lies above the bound
+    # below which those bases decide primality
+    p = "3317044064679887385962123"
+    code, out, err = run(capsys, "facet", "--p", p, "--weight", "0,0")
+    assert code == 2 and out == ""
+    assert f"argument --p: p must be below {_PRIME_BOUND} for an exact primality test, got {p}\n" in err
 
 
 @pytest.mark.parametrize("lhs, rhs", [("1_0,0", "0,0"), ("1,0", "\u0663,0")])

@@ -50,7 +50,7 @@ from sl3tensor.modchar import (
     weyl_comp_factors,
 )
 from sl3tensor.structures import delta_factors, diagram
-from sl3tensor.weights import pairings, tau
+from sl3tensor.weights import pairings, parse_weight, tau
 from sl3tensor.weylchar import Character, _lr_items, mult, mult_via_monomial, sort_key
 
 
@@ -945,7 +945,8 @@ def test_sweep_no_verify_counts_match():
 
 def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     # cold: 325 = 25 * 26 / 2 unordered pairs, each with one LR and one
-    # Brauer-Klimyk product, and 625 ordered pairs, each verified and cached
+    # Brauer-Klimyk product and one pass over its summands, and 625 ordered
+    # pairs, each verified and cached
     decompose_module = sys.modules["sl3tensor.decompose"]
     calls = Counter()
 
@@ -957,12 +958,12 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("tensor_char", "mult_via_monomial", "_verify"):
+    for name in ("tensor_char", "mult_via_monomial", "_tally", "_verify"):
         monkeypatch.setattr(decompose_module, name, counted(name))
     _clear_sweep_caches()
     result = sweep(5, run_verify=True)
     assert result.passed and result.pairs == 625
-    assert calls == {"tensor_char": 325, "mult_via_monomial": 325, "_verify": 625}
+    assert calls == {"tensor_char": 325, "mult_via_monomial": 325, "_tally": 325, "_verify": 625}
     assert decompose.cache_info().currsize == 625
 
 
@@ -1012,6 +1013,34 @@ def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch
     # both orders of some pair fail: the shared work hides no order
     pairs = {tuple(f.split(": ")[0].split(" x ")) for f in swept}
     assert any((right, left) in pairs for left, right in pairs if left != right)
+
+
+def test_a_fault_in_the_copied_order_alone_fails_that_order(monkeypatch):
+    # the record of the second order (right < left) loses its last summand:
+    # its summands are no longer the tuple the first order's pass read, so
+    # the sweep must check them on their own, as verify does
+    decompose_module = sys.modules["sl3tensor.decompose"]
+    real = decompose_module.Decomposition
+
+    def dropping(p, left, right, case, summands, dim_product):
+        return real(p, left, right, case, summands[:-1] if right < left else summands,
+                    dim_product)
+
+    def clear():
+        decompose.cache_clear()
+        _resolve_block.cache_clear()
+
+    monkeypatch.setattr(decompose_module, "Decomposition", dropping)
+    try:
+        clear()
+        swept = sweep(5, run_verify=True).failures
+        clear()
+        reference = _failures_pair_by_pair(5)
+    finally:
+        clear()
+    assert swept == reference
+    orders = [(tuple(map(parse_weight, f.split(": ")[0].split(" x "))), f) for f in swept]
+    assert any(right < left and ": character-sum" in f for (left, right), f in orders)
 
 
 def test_sweep_parallel_agrees():
