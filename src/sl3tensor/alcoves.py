@@ -18,7 +18,9 @@ wall is named by the alcoves half a step to either side, in doubled integer
 pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
 memoized per weight behind the checks of ``weights._checked_cache``.
 ``linked_weight`` and ``region_weights`` read the class of a representative,
-built on first use from its orbit under the affine Weyl group (``_class``).
+built on first use from its orbit under the affine Weyl group (``_class``),
+classified by the uncached body ``classify.__wrapped__``: the memo holds only
+the weights callers ask about, ``decompose`` reading it as ``classify.cached``.
 Nothing is built per prime, so a huge prime answers at once.  Every function
 here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
@@ -180,7 +182,7 @@ def _class(rep: Weight, p: int) -> Dict[str, Weight]:
                 w = (x + u * p - 1, y + v * p - 1)
                 if not (0 <= w[0] < 3 * p and 0 <= w[1] < 3 * p and w[0] + w[1] + 2 <= 4 * p):
                     continue
-                label = classify.cached(w, p)
+                label = classify.__wrapped__(w, p)
                 if label != OUT and index.setdefault(label, w) != w:
                     raise AssertionError(
                         f"facet {label} holds two linked weights {index[label]} and {w}")

@@ -269,8 +269,8 @@ def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2; inp
 @_checked_cache
 def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     """Decompose the tensor product of two restricted simple modules, once
-    per unordered pair, in the order ``nu <= nu2`` (that of the LR key,
-    ``_lr_items``).  The other order copies that record's case, summands and
+    per unordered pair, in the order ``nu <= nu2``, so a sweep builds each
+    product once.  The other order copies that record's case, summands and
     dimension, which do not depend on the order: the products are equal, the
     summands sorted, and an integrity failure names only a block.  The body,
     ``__wrapped__``, reads the order ``nu <= nu2`` through the cache."""

@@ -152,10 +152,8 @@ class Quiver:
         self.vertices: Tuple[str, ...] = tuple(seen)
         self.by_name: Dict[str, Arrow] = {a.name: a for a in self.arrows}
         self.out: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
-        self.into: Dict[str, List[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
             self.out[a.src].append(a)
-            self.into[a.tgt].append(a)
 
     def path_ends(self, path: Path, start: str) -> str:
         v = start

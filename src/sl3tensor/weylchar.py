@@ -12,10 +12,11 @@ them against each other: :func:`lr_tensor` counts Littlewood-Richardson
 tableaux over 3-row partitions (each count in closed form), while
 :func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
 multiplicities of one factor, in closed form too (one more per hexagonal
-shell).  All arithmetic is exact, in Python integers.  ``Character(...)`` and
-``from_json`` check every term; the library builds characters from valid ones
-(sums, blocks, changes of basis, the Brauer-Klimyk product, which ``verify``
-runs on every pair) with the unchecked ``Character._trusted``.
+shell).  Neither keeps a product.  All arithmetic is exact, in Python integers.
+``Character(...)`` and ``from_json`` check every term; the library builds
+characters from valid ones (sums, blocks, changes of basis, the Brauer-Klimyk
+product, which ``verify`` runs on every pair) with the unchecked
+``Character._trusted``.
 """
 
 from __future__ import annotations
@@ -216,16 +217,15 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _weight(a: int, b: int) -> Weight:  # one shared tuple per weight
+def _weight(a: int, b: int) -> Weight:
+    """One tuple per weight, shared by the block memo's keys and characters."""
     return a, b
 
 
-@lru_cache(maxsize=None)
 def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, ...]]:
     """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each:
     flat tuples of the weights nu (each a shared :func:`_weight`) and counts.
-    The coefficients are symmetric in lam and mu, so the callers look the
-    table up under ``lam <= mu`` only: p^2 (p^2 + 1) / 2 tables in a sweep.
+    Not memoized: over a sweep the tables would grow as p^6 and save no time.
 
     Row fillings are encoded by value counts n_ij (value j in row i); the
     ballot condition forces row 1 to contain only 1s, leaving one free
@@ -264,23 +264,22 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, .
 
 
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
-    """Weyl-basis character of the tensor product of two Weyl characters."""
+    """Weyl-basis character of the tensor product of two Weyl characters, in the order given."""
     _check_weight(lam)
     _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
-    return Character("weyl", dict(zip(*_lr_items(min(lam, mu), max(lam, mu)))))
+    return Character("weyl", dict(zip(*_lr_items(lam, mu))))
 
 
 def mult(c1: Character, c2: Character) -> Character:
-    """Bilinear extension of :func:`lr_tensor` to Weyl-basis characters."""
+    """Bilinear extension of :func:`lr_tensor`: one LR table per pair of terms, not kept."""
     if c1.basis != "weyl" or c2.basis != "weyl":
         raise ValueError("expected weyl-basis characters")
     out: Dict[Weight, int] = {}
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
             k = k1 * k2
-            items = _lr_items(lam, mu) if lam <= mu else _lr_items(mu, lam)
-            for nu, c in zip(*items):
+            for nu, c in zip(*_lr_items(lam, mu)):
                 out[nu] = out.get(nu, 0) + k * c
     return Character("weyl", out)

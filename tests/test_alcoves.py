@@ -9,6 +9,7 @@ from sl3tensor.alcoves import (
     OUT,
     VERTICES,
     WALLS,
+    _class,
     canonical_rep,
     classify,
     is_restricted,
@@ -147,6 +148,15 @@ def test_linked_weight_examples():
 def test_linked_weight_identity(p):
     for w in region_weights(p):
         assert linked_weight(w, classify(w, p), p) == w
+
+
+def test_building_a_class_leaves_the_classify_memo_to_its_callers():
+    # _class classifies up to 54 orbit points; none of them was asked for
+    for fn in (classify, canonical_rep, _class):
+        fn.cache_clear()
+    assert linked_weight((1, 3), "C3", 5) == (7, 0)
+    assert _class.cache_info().currsize == 1
+    assert classify.cache_info().currsize == 0
 
 
 def test_is_restricted():

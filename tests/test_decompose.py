@@ -51,7 +51,7 @@ from sl3tensor.modchar import (
 )
 from sl3tensor.structures import delta_factors, diagram
 from sl3tensor.weights import pairings, parse_weight, tau
-from sl3tensor.weylchar import Character, _lr_items, mult, mult_via_monomial, sort_key
+from sl3tensor.weylchar import Character, mult, mult_via_monomial, sort_key
 
 
 def summand_set(d):
@@ -813,14 +813,6 @@ def test_sweep_resolves_each_distinct_block_once():
     assert _expansion.cache_info().currsize == expansions <= 2 * 33
 
 
-def test_a_sweep_builds_one_lr_table_per_unordered_pair():
-    # c^nu_{lam mu} = c^nu_{mu lam}: 25 weights give 25 * 26 / 2 tables
-    _clear_sweep_caches()
-    _lr_items.cache_clear()
-    sweep(5, run_verify=False)
-    assert _lr_items.cache_info().currsize == 325
-
-
 def test_rows_are_read_only():
     for case in (1, 2, 3):
         row = _row(case, "C7")
@@ -946,7 +938,7 @@ def test_sweep_no_verify_counts_match():
 def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     # cold: 325 = 25 * 26 / 2 unordered pairs, each with one LR and one
     # Brauer-Klimyk product and one pass over its summands, and 625 ordered
-    # pairs, each verified and cached
+    # pairs, each verified and cached; unverified, one LR product each too
     decompose_module = sys.modules["sl3tensor.decompose"]
     calls = Counter()
 
@@ -965,6 +957,10 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     assert result.passed and result.pairs == 625
     assert calls == {"tensor_char": 325, "mult_via_monomial": 325, "_tally": 325, "_verify": 625}
     assert decompose.cache_info().currsize == 625
+    calls.clear()
+    _clear_sweep_caches()
+    assert sweep(5, run_verify=False).pairs == 625
+    assert calls == {"tensor_char": 325}
 
 
 def _plant_bk_sign_flip(monkeypatch):

@@ -299,7 +299,7 @@ def test_lr_items_match_the_loop_on_the_grid():
 
 
 def test_lr_items_share_one_tuple_per_weight():
-    # the cache holds each distinct weight once, across every entry
+    # each distinct weight is one tuple, across every table built
     grid = [(a, b) for a in range(7) for b in range(7)]
     entries = [_lr_items(lam, mu) for lam in grid for mu in grid]
     weights = [w for ws, _ in entries for w in ws]
