@@ -19,8 +19,10 @@ pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
 memoized per weight behind the checks of ``weights._checked_cache``.
 ``linked_weight`` and ``region_weights`` read the class of a representative,
 built on first use from its orbit under the affine Weyl group (``_class``),
-classified by the uncached body ``classify.__wrapped__``: the memo holds only
-the weights callers ask about, ``decompose`` reading it as ``classify.cached``.
+whose candidates are labelled by ``_label``, the body of ``classify`` past its
+checks, uncached: the candidates are dominant by construction and the callers
+have checked p.  The ``classify`` memo holds only the weights callers ask
+about, ``decompose`` reading it as ``classify.cached``.
 Nothing is built per prime, so a huge prime answers at once.  Every function
 here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
@@ -116,6 +118,11 @@ def classify(w: Weight, p: int) -> str:
     _check_prime(p)
     if not is_dominant(w):
         raise ValueError(f"non-dominant weight {w}")
+    return _label(w, p)
+
+
+def _label(w: Weight, p: int) -> str:
+    """The body of :func:`classify` past its checks: w dominant, p checked."""
     r, s, t = pairings(w)
     vertex = {(p, p): "Vrho", (2 * p, p): "V1", (p, 2 * p): "V2"}.get((r, s))
     if vertex:
@@ -182,7 +189,7 @@ def _class(rep: Weight, p: int) -> Dict[str, Weight]:
                 w = (x + u * p - 1, y + v * p - 1)
                 if not (0 <= w[0] < 3 * p and 0 <= w[1] < 3 * p and w[0] + w[1] + 2 <= 4 * p):
                     continue
-                label = classify.__wrapped__(w, p)
+                label = _label(w, p)  # dominant by the box; p checked by the caller
                 if label != OUT and index.setdefault(label, w) != w:
                     raise AssertionError(
                         f"facet {label} holds two linked weights {index[label]} and {w}")

@@ -339,7 +339,7 @@ def verify(d: Decomposition) -> Report:
     so every order still gets every check."""
     p = d.p
     product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
-    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, product))
+    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, product), [None, None])
 
 
 def _tally(summands: Tuple[Summand, ...], case: int, p: int, product: Character) -> tuple:
@@ -362,10 +362,19 @@ def _tally(summands: Tuple[Summand, ...], case: int, p: int, product: Character)
     return bad, any(residue.values()), dims, sorted(images)
 
 
-def _verify(d: Decomposition, tally: tuple) -> Report:
+def _mirror_images(summands: Tuple[Summand, ...]) -> list:
+    """The sorted ``(kind, weight, multiplicity)`` of a mirrored record's summands."""
+    return sorted((s.kind, s.weight, s.multiplicity) for s in summands)
+
+
+def _verify(d: Decomposition, tally: tuple, mirror: list) -> Report:
     """The body of :func:`verify`: the report of ``d`` from the ``_tally``
     of its summands.  What depends on the order is read here: ``d``'s own
-    dimension and case, and the involution's mirrored ``decompose``."""
+    dimension and case, and the involution's mirrored ``decompose``.
+    ``mirror`` is ``[summands, images]``, the last mirrored summands tuple
+    and its :func:`_mirror_images`; they are rebuilt, in place, only when
+    the mirrored record holds another tuple, so the two orders of a pair,
+    whose mirrors share one tuple, sort it once."""
     report = Report()
     p, case = d.p, _case(d.left, d.right, d.p)
     bad, leftover, dims, images = tally
@@ -384,8 +393,9 @@ def _verify(d: Decomposition, tally: tuple) -> Report:
 
     try:
         mirrored = decompose(tau(d.right), tau(d.left), p)
-        got = sorted((s.kind, s.weight, s.multiplicity) for s in mirrored.summands)
-        report.add("tau-equivariance", images == got)
+        if mirrored.summands is not mirror[0]:
+            mirror[:] = mirrored.summands, _mirror_images(mirrored.summands)
+        report.add("tau-equivariance", images == mirror[1])
     except IntegrityError as exc:
         report.add("tau-equivariance", False, str(exc))
 
@@ -430,7 +440,8 @@ def _sweep_row(task) -> SweepResult:
     verifying sweep computes the Brauer-Klimyk product and the summand
     pass, ``_tally``, once for both.  The second order reuses the tally
     only if its record holds the very summands tuple that the tally read;
-    otherwise it gets its own.  Each order gets every check of
+    otherwise it gets its own.  The sorted images of the mirrored record
+    are shared the same way.  Each order gets every check of
     :func:`verify`."""
     p, nu, run_verify = task
     counts, m_pairs, pairs, failures = dict.fromkeys(KINDS, 0), 0, 0, []
@@ -439,6 +450,7 @@ def _sweep_row(task) -> SweepResult:
             continue
         product = mult_via_monomial(simple_char(nu, p), simple_char(nu2, p)) if run_verify else None
         read = tally = None  # the summands tuple that ``tally`` read
+        mirror = [None, None]  # the mirrored summands tuple and its sorted images
         for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):
             pairs += 1
             try:
@@ -453,7 +465,7 @@ def _sweep_row(task) -> SweepResult:
                 if d.summands is not read:
                     read, tally = d.summands, _tally(d.summands, _case(left, right, p), p, product)
                 failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
-                             for c in _verify(d, tally).failures()]
+                             for c in _verify(d, tally, mirror).failures()]
     return SweepResult(p, pairs, counts, m_pairs, failures)
 
 

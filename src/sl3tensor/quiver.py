@@ -663,13 +663,17 @@ _ISO_DIM_LIMIT = 14
 
 
 def is_isomorphic(m: FDModule, n: FDModule) -> bool:
-    """Exact isomorphism test by hom-space search.
+    """Exact isomorphism test by hom-space search, one vertex at a time.
 
-    The product of the per-vertex determinants is a polynomial on the hom
-    space; evaluating it on an integer grid one larger than its per-variable
-    degree decides whether an invertible homomorphism exists.  A block is
-    invertible exactly when its rank is full, so each grid point is tested
-    by row reduction.  Declared inapplicable above the dimension limit.
+    An invertible homomorphism exists exactly when the product of the
+    per-vertex determinants is a nonzero polynomial on the hom space, and
+    since the polynomials over Q form a domain, exactly when each factor is.
+    The factor at a vertex of dimension d has per-variable degree at most d,
+    so it is nonzero exactly when it is nonzero somewhere on the integer
+    grid {0..d}^n.  Each vertex block is tested on its own grid, by row
+    reduction (a block is invertible exactly when its rank is full), and the
+    first vertex whose block is singular on all of it decides False.
+    Declared inapplicable above the dimension limit.
     """
     if m.dims != n.dims:
         return False
@@ -680,27 +684,18 @@ def is_isomorphic(m: FDModule, n: FDModule) -> bool:
     basis = hom_space(m, n)
     if not basis:
         return False
-    degree = m.total_dim
     if len(basis) > 5:
         raise ValueError("hom space too large for the grid search")
-    for coeffs in itertools.product(range(degree + 1), repeat=len(basis)):
-        invertible = True
-        for v in m.pres.quiver.vertices:
-            if m.dims[v] == 0:
-                continue
-            block = tuple(
-                tuple(
-                    sum(c * phi[v][i][j] for c, phi in zip(coeffs, basis))
-                    for j in range(m.dims[v])
-                )
-                for i in range(m.dims[v])
-            )
-            if len(_rref(block)[1]) < m.dims[v]:
-                invertible = False
-                break
-        if invertible:
-            return True
-    return False
+    for v in m.pres.quiver.vertices:
+        d = m.dims[v]
+        blocks = (
+            [[sum(c * phi[v][i][j] for c, phi in zip(coeffs, basis)) for j in range(d)]
+             for i in range(d)]
+            for coeffs in itertools.product(range(d + 1), repeat=len(basis))
+        )
+        if d and not any(len(_rref(block)[1]) == d for block in blocks):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

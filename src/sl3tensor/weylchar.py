@@ -12,11 +12,13 @@ them against each other: :func:`lr_tensor` counts Littlewood-Richardson
 tableaux over 3-row partitions (each count in closed form), while
 :func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
 multiplicities of one factor, in closed form too (one more per hexagonal
-shell).  Neither keeps a product.  All arithmetic is exact, in Python integers.
-``Character(...)`` and ``from_json`` check every term; the library builds
-characters from valid ones (sums, blocks, changes of basis, the Brauer-Klimyk
-product, which ``verify`` runs on every pair) with the unchecked
-``Character._trusted``.
+shell).  Each fills its result in one pass and neither keeps a product.  All
+arithmetic is exact, in Python integers.  ``Character(...)`` and
+``from_json`` check every term; the library builds characters from valid ones
+(sums, blocks, changes of basis, the Brauer-Klimyk product, which ``verify``
+runs on every pair, and the LR product of two weights, ``lr_tensor``) with
+the unchecked ``Character._trusted``.  ``mult``, the LR product on
+``decompose``'s path, still builds a checked ``Character``.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ class Character:
         return self.combine(((-1, other),))
 
     def items_sorted(self) -> List[Tuple[Weight, int]]:
-        return sorted(self.coeffs.items(), key=lambda item: sort_key(item[0]))
+        # sort_key of each term's weight, inlined: one key call per term
+        return sorted(self.coeffs.items(),
+                      key=lambda item: (-(item[0][0] + item[0][1]), -item[0][0]))
 
     def dimension(self) -> int:
         """Total dimension; weyl basis only (simple needs p)."""
@@ -186,20 +190,28 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
     chi(top) * chi(small) = sum over the weights nu of chi(small), with
     multiplicity m, of sgn(w) * m * chi(w(top + nu + rho) - rho), where w
     makes the shifted weight dominant; shifted weights on a wall drop out.
-    The factor with the smaller Weyl dimension is expanded.  Independent of
-    the tableau route in :func:`lr_tensor`; the suite asserts the two agree.
+    The factor with the smaller Weyl dimension is expanded.  A shifted weight
+    inside the open chamber needs no w and adds with sign +1; only the others
+    take the sort below.  One pass fills the result.  Independent of the
+    tableau route in :func:`lr_tensor`; the suite asserts the two agree.
     """
     if c1.basis != "weyl" or c2.basis != "weyl":
         raise ValueError("expected weyl-basis characters")
     out: Dict[Weight, int] = {}
+    get = out.get
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
             small, top = (lam, mu) if dim_weyl(lam) <= dim_weyl(mu) else (mu, lam)
             r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
             for x, y, m in zip(*[iter(_monomial_items(small))] * 3):  # flat triples
+                r, s = r0 + x, s0 + y  # the shifted weight top + nu + rho
+                if r > 0 and s > 0:  # regular dominant: w = 1
+                    nu = (r - 1, s - 1)
+                    out[nu] = get(nu, 0) + k * m
+                    continue
                 # sort the e-coordinates (r+s, s, 0) downwards: a swap is a
                 # reflection, an equal pair a wall
-                u, v, w, sign = r0 + x + s0 + y, s0 + y, 0, k * m
+                u, v, w, sign = r + s, s, 0, k * m
                 if u < v:
                     u, v, sign = v, u, -sign
                 if v < w:
@@ -208,7 +220,7 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
                         u, v, sign = v, u, -sign
                 if u != v and v != w:
                     nu = (u - v - 1, v - w - 1)
-                    out[nu] = out.get(nu, 0) + sign
+                    out[nu] = get(nu, 0) + sign
     return Character._trusted("weyl", out)  # u > v > w: every nu is dominant
 
 
@@ -222,10 +234,12 @@ def _weight(a: int, b: int) -> Weight:
     return a, b
 
 
-def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, ...]]:
-    """LR skew tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each:
-    flat tuples of the weights nu (each a shared :func:`_weight`) and counts.
-    Not memoized: over a sweep the tables would grow as p^6 and save no time.
+def _lr_into(out: Dict[Weight, int], k: int, lam: Weight, mu: Weight) -> None:
+    """Add ``k`` times the LR product of ``lam`` and ``mu`` into ``out``: for
+    each weight nu (a shared :func:`_weight`), k times the number of LR skew
+    tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each.  Each nu
+    occurs once, in the same order at every call.  No table is kept: over a
+    sweep the tables would grow as p^6 and save no time.
 
     Row fillings are encoded by value counts n_ij (value j in row i); the
     ballot condition forces row 1 to contain only 1s, leaving one free
@@ -236,7 +250,7 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, .
     P = (lam[0] + lam[1], lam[1])
     Q = (mu[0] + mu[1], mu[1])
     total = sum(P) + sum(Q)
-    weights, counts = [], []
+    get = out.get
     # With R = nu1 + nu2, n21 is bounded above by P[0] - P[1] (columns),
     # Q[0] - s1 (n31 >= 0) and s2 (n22 >= 0); below by 0 and nu3 - P[1]
     # (columns: n31 + n32), s2 - Q[1] (n32 >= 0), Q[0] - s1 - P[1] (columns:
@@ -258,28 +272,32 @@ def _lr_items(lam: Weight, mu: Weight) -> Tuple[Tuple[Weight, ...], Tuple[int, .
             if lo < ballot - 2 * nu1:
                 lo = ballot - 2 * nu1
             if hi >= lo:
-                weights.append(_weight(2 * nu1 - R, R - nu1 - nu3))
-                counts.append(hi - lo + 1)
-    return tuple(weights), tuple(counts)
+                nu = _weight(2 * nu1 - R, R - nu1 - nu3)
+                out[nu] = get(nu, 0) + k * (hi - lo + 1)
 
 
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
-    """Weyl-basis character of the tensor product of two Weyl characters, in the order given."""
+    """Weyl-basis character of the tensor product of two Weyl characters, in
+    the order given: one :func:`_lr_into` pass, whose terms are valid by
+    construction (shared int pairs, dominant, with positive int counts), so
+    the result is built with ``Character._trusted``."""
     _check_weight(lam)
     _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
-    return Character("weyl", dict(zip(*_lr_items(lam, mu))))
+    out: Dict[Weight, int] = {}
+    _lr_into(out, 1, lam, mu)
+    return Character._trusted("weyl", out)
 
 
 def mult(c1: Character, c2: Character) -> Character:
-    """Bilinear extension of :func:`lr_tensor`: one LR table per pair of terms, not kept."""
+    """Bilinear extension of :func:`lr_tensor`: one :func:`_lr_into` pass per
+    pair of terms, adding into one result; no table is kept.  The result is
+    the checked ``Character("weyl", ...)``."""
     if c1.basis != "weyl" or c2.basis != "weyl":
         raise ValueError("expected weyl-basis characters")
     out: Dict[Weight, int] = {}
     for lam, k1 in c1.coeffs.items():
         for mu, k2 in c2.coeffs.items():
-            k = k1 * k2
-            for nu, c in zip(*_lr_items(lam, mu)):
-                out[nu] = out.get(nu, 0) + k * c
+            _lr_into(out, k1 * k2, lam, mu)
     return Character("weyl", out)

@@ -963,6 +963,29 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     assert calls == {"tensor_char": 325}
 
 
+def test_a_verified_sweep_sorts_each_mirrored_summands_tuple_once(monkeypatch):
+    # both orders of a pair mirror to records that share one summands
+    # tuple: 325 sorts for the 625 ordered pairs, each still checked; the
+    # public verify sorts its own at every call
+    decompose_module = sys.modules["sl3tensor.decompose"]
+    built = []
+
+    def counted(summands, images=decompose_module._mirror_images):
+        built.append(summands)
+        return images(summands)
+
+    monkeypatch.setattr(decompose_module, "_mirror_images", counted)
+    _clear_sweep_caches()
+    result = sweep(5, run_verify=True)
+    assert result.passed and result.pairs == 625
+    assert len(built) == 325
+    assert len({id(s) for s in built}) == 325
+    built.clear()
+    for pair in (((1, 2), (3, 0)), ((3, 0), (1, 2))):
+        assert verify(decompose(*pair, 5)).passed
+    assert len(built) == 2
+
+
 def _plant_bk_sign_flip(monkeypatch):
     """The Brauer-Klimyk product with the sign of its X(1,1) term flipped."""
     def flipped(c1, c2):

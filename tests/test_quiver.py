@@ -1,3 +1,4 @@
+import itertools
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -11,6 +12,7 @@ from sl3tensor.quiver import (
     PathAlgebra,
     Presentation,
     Quiver,
+    _rref,
     coefficient_quiver,
     hom_space,
     is_isomorphic,
@@ -220,6 +222,39 @@ def test_zero_module_has_empty_loewy_series(alg):
         assert zero.radical_series() == []
         assert zero.socle_series() == []
         assert zero.loewy() == ([], [], True)
+
+
+def _iso_by_product_grid(m, n):
+    """Reference: the product of all vertex determinants searched on the
+    grid {0..D}^n, D the total dimension and n the hom-space dimension."""
+    if m.dims != n.dims:
+        return False
+    if m.total_dim == 0:
+        return True
+    basis = hom_space(m, n)
+    vertices = [v for v in m.pres.quiver.vertices if m.dims[v]]
+    for coeffs in itertools.product(range(m.total_dim + 1), repeat=len(basis)):
+        if all(len(_rref([[sum(c * phi[v][i][j] for c, phi in zip(coeffs, basis))
+                           for j in range(m.dims[v])] for i in range(m.dims[v])])[1])
+               == m.dims[v] for v in vertices):
+            return True
+    return False
+
+
+def test_vertex_by_vertex_search_matches_the_product_grid(alg, projectives):
+    # the seven module pairs that sprime.report decides
+    p1, p2 = projectives["1"], projectives["2"]
+    m2 = sprime.module_m2(alg)
+    pairs = [(p1.contravariant_dual(), p1),
+             (p2.contravariant_dual().contravariant_dual(), p2),
+             (p2.contravariant_dual(), p2),
+             (m2.contravariant_dual(), m2)]
+    for path in (("b1'", "b1"), ("b2'", "b2"), ("a'", "a")):
+        q = p2.quotient_by(((1, path),))
+        pairs.append((q.contravariant_dual(), q))
+    got = [is_isomorphic(m, n) for m, n in pairs]
+    assert got == [_iso_by_product_grid(m, n) for m, n in pairs]
+    assert got == [True, True, False, True, False, False, False]
 
 
 def test_m2_not_isomorphic_to_other_quotients(alg):

@@ -7,7 +7,7 @@ import pytest
 from sl3tensor.weights import WEYL_GROUP, dim_weyl, tau
 from sl3tensor.weylchar import (
     Character,
-    _lr_items,
+    _lr_into,
     _monomial_items,
     lr_tensor,
     mult,
@@ -278,6 +278,25 @@ def _lr_count_by_loop(nu, P, Q):
     return count
 
 
+class _Writes(dict):
+    """A dict that records each weight written into it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, w, c):
+        self.writes.append(w)
+        super().__setitem__(w, c)
+
+
+def _lr_table(lam, mu):
+    """The LR kernel's weights, in the order written, and counts (k = 1)."""
+    out = _Writes()
+    _lr_into(out, 1, lam, mu)
+    return out.writes, [out[w] for w in out.writes]
+
+
 def test_lr_items_match_the_loop_on_the_grid():
     # every partition of the right size, with its count by the loop
     grid = [(a, b) for a in range(9) for b in range(9)]
@@ -293,18 +312,29 @@ def test_lr_items_match_the_loop_on_the_grid():
                     count = _lr_count_by_loop(nu, P, Q)
                     if count:
                         expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
-            weights, counts = items = _lr_items(lam, mu)
+            weights, counts = _lr_table(lam, mu)
             assert len(weights) == len(counts) == len(expect), (lam, mu)
-            assert dict(zip(*items)) == expect, (lam, mu)
+            assert dict(zip(weights, counts)) == expect, (lam, mu)
 
 
 def test_lr_items_share_one_tuple_per_weight():
     # each distinct weight is one tuple, across every table built
     grid = [(a, b) for a in range(7) for b in range(7)]
-    entries = [_lr_items(lam, mu) for lam in grid for mu in grid]
+    entries = [_lr_table(lam, mu) for lam in grid for mu in grid]
     weights = [w for ws, _ in entries for w in ws]
     assert len({id(w) for w in weights}) == len(set(weights))
     assert all(type(c) is int and c > 0 for _, cs in entries for c in cs)
+
+
+def test_lr_kernel_adds_k_times_each_count_into_the_callers_dict():
+    weights, counts = _lr_table((2, 1), (1, 3))
+    out = {(0, 0): 5, weights[-1]: 1}
+    _lr_into(out, -3, (2, 1), (1, 3))
+    expect = {(0, 0): 5}
+    for w, c in zip(weights, counts):
+        expect[w] = expect.get(w, 0) - 3 * c
+    expect[weights[-1]] += 1
+    assert out == expect
 
 
 @pytest.mark.parametrize("bad", [(1.5, 0), (True, 0), (0, False), (1, 0, 0)])
