@@ -2,26 +2,22 @@
 
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
-linkage blocks, and resolve each block by a table that holds no p.  Its rows,
-derived once from the facet expansions of :mod:`~sl3tensor.modchar` (which
-also give every tilting and simple character), write the Weyl character at
-each facet in the summand basis of the case: tilting characters; simple
-characters at the second alcove when exactly one factor lies there; and,
-when both do, simple-basis coordinates at the floor of a regular block
-(alcoves 3, 3', 2, 1), which a closed-form linear solve resolves in a basis
-that adds the non-highest-weight module M.  A negative multiplicity, an
-infeasible solve or a block whose summands' characters do not sum to it is an
-integrity failure naming the block; that sum check runs once per distinct
-block, at a miss of the block memo.  :func:`verify` checks what this did not
-compute; each record checks the rules on its own fields when it is built.
-Memoized by ``functools.lru_cache``: :func:`decompose` (behind the checks of
-``weights._checked_cache``), which computes each unordered pair once and
-copies the record for the other order; ``_resolve_block``, keyed on the
-block's weights, case and p; and the rows, ``_row``, keyed on the case and
-the facet (at most 3 x 33).  Results and their characters are immutable, so
-no memoized decomposition can be altered.  Inputs are checked on entry, so
-the internal reads of ``alcoves`` skip the gate: ``classify.cached``,
-``canonical_rep.cached`` and ``_class``.
+linkage blocks, and resolve each block in facet terms, with no p, by rows
+derived from the facet expansions of :mod:`~sl3tensor.modchar`.  A row
+writes the Weyl character at a facet in the summand basis of the case:
+tilting characters; simple characters at the second alcove when exactly one
+factor lies there; and, when both do, simple-basis coordinates at the floor
+of a regular block (alcoves 3, 3', 2, 1), which a closed-form linear solve
+resolves in a basis that adds the non-highest-weight module M.  A negative
+multiplicity, an infeasible solve or summands that do not sum to the block
+is an integrity failure naming the block.  :func:`verify` checks what this
+did not compute; each record checks its own fields when it is built.
+Memoized by ``functools.lru_cache``: :func:`decompose`, behind the checks of
+``weights._checked_cache``, once per unordered pair; ``_resolve_facets``, on
+the case and the block's facet pattern, at every p; the rows, ``_row``; and
+``_summand``, one record per summand.  Results are immutable.  Inputs are
+checked on entry, so the reads of ``alcoves`` skip the gate:
+``classify.cached``, ``canonical_rep.cached`` and ``_class``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .alcoves import OUT, _class, canonical_rep, classify, is_restricted, restricted_weights
@@ -170,15 +165,17 @@ def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
     return mult(simple_char(nu, p), simple_char(nu2, p))
 
 
-def _buckets(c: Character, p: int) -> Dict[Weight, Dict[Weight, int]]:
-    """The coefficients of each linkage block, keyed by its representative."""
+def _buckets(c: Character, p: int) -> Dict[Weight, Dict[str, int]]:
+    """The ``{facet: k}`` pattern of each linkage block, in the product's
+    order, keyed by its representative, whose ``_class`` maps it to weights."""
     if c.basis != "weyl":
         raise ValueError("expected a weyl-basis character")
-    buckets: Dict[Weight, Dict[Weight, int]] = {}
+    buckets: Dict[Weight, Dict[str, int]] = {}
     for w, k in c.coeffs.items():  # a Character holds checked weights, p is checked
-        if classify.cached(w, p) == OUT:
+        facet = classify.cached(w, p)
+        if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
-        buckets.setdefault(canonical_rep.cached(w, p), {})[w] = k
+        buckets.setdefault(canonical_rep.cached(w, p), {})[facet] = k
     return buckets
 
 
@@ -190,19 +187,14 @@ def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, in
     x + y + 2z + 2w = a1 for nonnegative integers.  Infeasibility is an
     integrity error.
     """
-    # z from combining the last two equations, then w from the third.
+    # 2z from combining the last two equations, then 2w from the third
     num_z = a1 - a3 - a3p
-    if num_z % 2:
-        raise IntegrityError("floor solve is non-integral")
-    z = num_z // 2
-    num_w = z - a2 + 2 * a3 + 2 * a3p
-    if num_w % 2:
+    num_w = num_z // 2 - a2 + 2 * a3 + 2 * a3p
+    if num_z % 2 or num_w % 2:
         raise IntegrityError("floor solve is non-integral")
     w = num_w // 2
-    x = a3 - w
-    y = a3p - w
-    solution = (x, y, z, w)
-    if any(v < 0 for v in solution):
+    solution = (a3 - w, a3p - w, num_z // 2, w)
+    if min(solution) < 0:
         raise IntegrityError(f"floor solve has negative part {solution}")
     return solution
 
@@ -226,40 +218,55 @@ def _row(case: int, facet: str) -> Tuple[Tuple[str, str, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _resolve_block(rep: Weight, items: Tuple, case: int, p: int) -> Tuple[Summand, ...]:
-    """Summands of the linkage block of ``rep`` (one class, as ``_buckets``
-    builds it) with coefficients ``items`` (flat: w0, k0, w1, k1, ...),
-    sorted: the sum of each weight's coefficient times the row of its facet,
-    with the case-3 floor coordinates resolved by :func:`case3_floor_solve`,
-    and each facet mapped back to the class's weight there."""
-    index = _class(rep, p)
+def _resolve_facets(case: int, pattern: Tuple[Tuple[str, int], ...]) -> Tuple[tuple, ...]:
+    """The summands ``(kind, facet, k)`` of a block with Weyl coefficients
+    ``pattern``: the rows of its facets, with :func:`case3_floor_solve`.  Their
+    expansions must sum to the pattern: the block's sum check, since a class
+    holds one weight per facet.  A negative part or a residue raises with its
+    ``(facet, k)`` terms as ``block``, for :func:`_resolve_block` to name."""
     terms: Dict[Tuple[str, str], int] = {}
-    for w, k in zip(items[::2], items[1::2]):
-        for kind, f, m in _row(case, classify.cached(w, p)):
+    for facet, k in pattern:
+        for kind, f, m in _row(case, facet):
             terms[kind, f] = terms.get((kind, f), 0) + k * m
     floor = [terms.pop(("L", f), 0) for f in FLOOR_FACETS] if case == 3 else ()
-    # the first negative part that a greedy pass from the top would meet
-    negative = [(sort_key(index[f]), index[f], k) for (_, f), k in terms.items() if k < 0]
+    negative = [(f, k) for (_, f), k in terms.items() if k < 0]
     if negative:
-        _, lead, k = min(negative)
-        raise IntegrityError(f"negative multiplicity {k} at {lead} during greedy pass", block=lead)
+        raise IntegrityError("negative", block=negative)
     if any(floor):
-        try:
-            x, y, z, w = case3_floor_solve(*floor)
-        except IntegrityError as exc:
-            raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
+        x, y, z, w = case3_floor_solve(*floor)  # its failure names no block
         terms.update({("T", "C3"): x, ("T", "C3p"): y, ("T", "C2"): z,
                       ("M", "C2"): w, ("T", "C1"): w})
-    summands = sorted((Summand(kind, index[f], k) for (kind, f), k in terms.items() if k),
-                      key=lambda s: (sort_key(s.weight), s.kind))
-    residue = dict(zip(items[::2], items[1::2]))
-    for s in summands:
-        for w, c in _KIND_CHAR[s.kind](s.weight, p).coeffs.items():
-            residue[w] = residue.get(w, 0) - s.multiplicity * c
-    if any(residue.values()):  # once per distinct block; the blocks partition the support
-        raise IntegrityError(f"summands do not sum to block {rep}, residue "
-                             f"{Character._trusted('weyl', residue)}", block=rep)
-    return tuple(summands)
+    summands = tuple((kind, f, k) for (kind, f), k in terms.items() if k)
+    residue = dict(pattern)
+    for kind, f, k in summands:
+        for g, c in _expansion(kind, f):
+            residue[g] = residue.get(g, 0) - k * c
+    if any(residue.values()):  # once per distinct pattern and case
+        raise IntegrityError("residue", block=list(residue.items()))
+    return summands
+
+
+_summand = lru_cache(maxsize=None)(Summand)  # one record per summand, shared by every pair
+
+
+def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
+                   p: int) -> List[Summand]:
+    """The summands of the block of ``rep`` with the facet ``pattern`` (its
+    :func:`_buckets` items), and any failure, named in the class's weights."""
+    index = _class(rep, p)
+    try:
+        terms = _resolve_facets(case, pattern)
+    except IntegrityError as exc:
+        if exc.block is None:  # the floor solve's
+            raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
+        parts = {index[f]: k for f, k in exc.block}
+        if str(exc) == "residue":
+            raise IntegrityError(f"summands do not sum to block {rep}, residue "
+                                 f"{Character._trusted('weyl', parts)}", block=rep) from None
+        lead = min(parts, key=sort_key)  # the first that a greedy pass from the top meets
+        raise IntegrityError(f"negative multiplicity {parts[lead]} at {lead} during greedy pass",
+                             block=lead) from None
+    return [_summand(kind, index[f], k) for kind, f, k in terms]
 
 
 def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2; inputs checked
@@ -279,8 +286,8 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
         return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
     blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
     case = _case(nu, nu2, p)
-    summands = [s for rep in sorted(blocks) for s in _resolve_block(
-        rep, tuple(chain.from_iterable(blocks[rep].items())), case, p)]
+    summands = [s for rep in sorted(blocks)
+                for s in _resolve_block(rep, tuple(blocks[rep].items()), case, p)]
     # kinds and weights are distinct: the blocks are disjoint
     summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
     return Decomposition(p, nu, nu2, case, summands, simple_dim(nu, p) * simple_dim(nu2, p))

@@ -1,22 +1,18 @@
 """Modular character engine.
 
-Every tilting and simple character comes from one facet expansion with no p
-in it, ``_expansion(kind, facet)``, derived once from the structure data:
-the Weyl factors of the stored tilting layers, and for the simple module
-its Weyl module less the expansions of its lower composition factors.  The
-character at a weight maps the expansion at its facet to the weights of its
-linkage class.  The M character (:func:`m_char`) sums the simple
-characters of the composition factors stored in the ``m`` record, each at
-the weight's linked weight.  All three are Weyl-basis characters, memoized
-by ``weights._checked_cache``, which checks the weight and p before the
-lookup (``simple_char.cache_info()`` reports hits, misses and size); the
-cached characters are immutable.  The change of basis from Weyl to simple
-characters sums the composition factors of each Weyl module, each of
-multiplicity one.
-
-Weights whose facet data would be needed outside the fundamental region are
-rejected rather than extrapolated, and a facet of an expansion with no
-linked weight below the weight is an ``AssertionError``, not a truncation.
+Every tilting, simple and M character comes from one facet expansion with no
+p in it, ``_expansion(kind, facet)``, derived once from the structure data:
+the Weyl factors of the stored tilting and ``m`` layers (M at C2 only), and
+for the simple module its Weyl module less the expansions of its lower
+composition factors.  The character at a weight maps the expansion at its
+facet to the weights of its class, read past the gates of ``alcoves``: all
+three are memoized by ``weights._checked_cache``, which checks the weight
+and p first (``simple_char.cache_info()`` reports hits, misses and size).
+The cached characters are immutable.  The change of basis to simple
+characters sums each Weyl module's composition factors, each once.  Weights
+whose facet data would be needed outside the fundamental region are
+rejected, and a facet of an expansion with no linked weight (below the
+weight, but for M) is an ``AssertionError``, not a truncation.
 """
 
 from __future__ import annotations
@@ -26,22 +22,23 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from . import structures
-from .alcoves import OUT, classify, linked_weight
+from .alcoves import OUT, _class, canonical_rep, classify
 from .weights import Weight, _checked_cache, dominance_leq
 from .weylchar import Character
 
 
 @lru_cache(maxsize=None)
 def _expansion(kind: str, facet: str) -> Tuple[Tuple[str, int], ...]:
-    """The Weyl factors ``(facet, k)`` of the ``kind`` module ("T" or "L") at
-    a facet, with no p: for T the Weyl factors of its stored layers; for L the
-    Weyl module less the L-expansions of its lower composition factors."""
+    """The Weyl factors ``(facet, k)`` of the ``kind`` module ("T", "L", or
+    "M" at C2) at a facet, with no p: for T and M the L-expansions of the
+    composition factors in their stored layers; for L the Weyl module less
+    the L-expansions of its lower composition factors."""
     out, terms = Counter(), Counter()
-    if kind == "T":
-        terms.update(structures.diagram(facet, "tilting").layer_multiset())
-    else:
+    if kind == "L":
         out[facet] = 1
         terms.subtract(g for g in structures.delta_factors(facet) if g != facet)
+    else:
+        terms.update(structures.diagram(facet, "tilting" if kind == "T" else "m").layer_multiset())
     for g, n in terms.items():
         for f, k in _expansion("L", g):
             out[f] += n * k
@@ -55,26 +52,26 @@ def tilting_delta_factors(facet: str) -> List[str]:
     return [f for f, k in _expansion("T", facet) for _ in range(k)]
 
 
-def _in_class(w: Weight, p: int, expansion_at) -> Dict[Weight, int]:
-    """``expansion_at(facet of w)``, ``(facet, k)`` terms, mapped to the
-    weights of w's linkage class.  Each weight exists and lies below w; a
-    missing one is an error, not a truncation."""
-    facet = classify(w, p)
+def _in_class(w: Weight, p: int, expansion_at, top: bool = True) -> Dict[Weight, int]:
+    """``expansion_at(facet of w)``, ``(facet, k)`` terms, mapped to the weights
+    of w's class (w and p checked by the caller).  Each exists and, if w is the
+    ``top``, lies below w; a missing one is an error, not a truncation."""
+    facet = classify.cached(w, p)  # the body checks p and dominance at a miss
     if facet == OUT:
         raise ValueError(f"weight {w} lies outside the fundamental region for p={p}")
-    out = {}
+    index, out = _class(canonical_rep.cached(w, p), p), {}
     for f, k in expansion_at(facet):
-        mu = linked_weight(w, f, p)
-        if mu is None or not dominance_leq(mu, w):
-            raise AssertionError(
-                f"no weight linked to {w} below it in facet {f} of {facet}, p={p}")
+        mu = index.get(f)
+        if mu is None or top and not dominance_leq(mu, w):
+            raise AssertionError(f"no weight linked to {w}{' below it' if top else ''} "
+                                 f"in facet {f} of {facet}, p={p}")
         out[mu] = k
     return out
 
 
 def weyl_comp_factors(w: Weight, p: int) -> List[Weight]:
-    """Composition factor weights of the Weyl module at w (multiplicity one
-    each)."""
+    """Composition factor weights of the Weyl module at w, each once."""
+    classify(w, p)  # the input gate, as the memoized entry points have
     return list(_in_class(w, p, lambda f: Counter(structures.delta_factors(f)).items()))
 
 
@@ -102,16 +99,12 @@ def tilting_char(w: Weight, p: int) -> Character:
 @_checked_cache
 def m_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the non-highest-weight indecomposable at a
-    second-alcove weight: the simple characters of the composition factors
-    of the stored ``m`` record (head and socle at w, heart the three
-    wall-reflected simples), each at w's linked weight."""
-    if classify(w, p) != "C2":
+    second-alcove weight, whose composition factors are stored in the ``m``
+    record (head and socle at w, heart the three wall-reflected simples, two
+    of them above w)."""
+    if classify.cached(w, p) != "C2":
         raise ValueError(f"{w} is not in the second alcove for p={p}")
-    factors = structures.diagram("C2", "m").layer_multiset()
-    mus = {f: linked_weight(w, f, p) for f in factors}
-    if None in mus.values():
-        raise AssertionError(f"a facet of the m record has no weight linked to {w}: {mus}, p={p}")
-    return Character("weyl").combine((k, simple_char(mus[f], p)) for f, k in factors.items())
+    return Character._trusted("weyl", _in_class(w, p, lambda f: _expansion("M", f), top=False))
 
 
 def to_simple_basis(c: Character, p: int) -> Character:

@@ -230,7 +230,7 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 
 @lru_cache(maxsize=None)
 def _weight(a: int, b: int) -> Weight:
-    """One tuple per weight, shared by the block memo's keys and characters."""
+    """One tuple per LR weight; with the block memo keyed on facets it saves no memory."""
     return a, b
 
 

@@ -6,7 +6,6 @@ import pickle
 import random
 import sys
 from collections import Counter
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from sl3tensor.alcoves import (
     ALL_FACETS,
+    _class,
     canonical_rep,
     classify,
     linked_weight,
@@ -30,7 +30,9 @@ from sl3tensor.decompose import (
     _KIND_CHAR,
     _buckets,
     _resolve_block,
+    _resolve_facets,
     _row,
+    _summand,
     _sweep_row,
     case3_floor_solve,
     decompose,
@@ -89,9 +91,21 @@ def test_tensor_char_rejects_bad_input():
         tensor_char((0, 0), (0, 0), 9)
 
 
+def _in_weights(rep, pattern, p):
+    """A block's ``{facet: k}`` pattern (or its items) read back as ``{weight: k}``."""
+    index = _class(rep, p)
+    return {index[f]: k for f, k in dict(pattern).items()}
+
+
 def test_buckets_case3():
     tc = tensor_char((3, 1), (3, 1), 5)
-    blocks = _buckets(tc, 5)
+    patterns = _buckets(tc, 5)
+    # each pattern keys a weight's coefficient by its facet, in the product's order
+    for rep, pattern in patterns.items():
+        assert list(_in_weights(rep, pattern, 5).items()) == [
+            (w, k) for w, k in tc.coeffs.items() if canonical_rep(w, 5) == rep]
+        assert all(classify(w, 5) == f for w, f in zip(_in_weights(rep, pattern, 5), pattern))
+    blocks = {rep: _in_weights(rep, pattern, 5) for rep, pattern in patterns.items()}
     # keyed by the canonical linkage representative of each support weight
     for rep, b in blocks.items():
         assert all(canonical_rep(w, 5) == rep for w in b)
@@ -111,7 +125,8 @@ def test_buckets_trivial_and_case2():
     blocks = _buckets(tensor_char((2, 2), (1, 1), 5), 5)
     assert len(blocks) == 4
     # each block carries a single simple character
-    for coeffs in blocks.values():
+    for rep, pattern in blocks.items():
+        coeffs = _in_weights(rep, pattern, 5)
         assert len(to_simple_basis(Character._trusted("weyl", coeffs), 5).coeffs) == 1
     # out of the region: inside the box around it, and past the box
     for w in ((14, 0), (30, 30)):
@@ -121,8 +136,8 @@ def test_buckets_trivial_and_case2():
 
 def _resolve_character(c, case, p):
     """Every block of a Weyl-basis character, resolved and concatenated."""
-    return [s for rep, coeffs in sorted(_buckets(c, p).items())
-            for s in _resolve_block(rep, tuple(chain.from_iterable(coeffs.items())), case, p)]
+    return [s for rep, pattern in sorted(_buckets(c, p).items())
+            for s in _resolve_block(rep, tuple(pattern.items()), case, p)]
 
 
 def test_greedy_tilting_examples():
@@ -156,7 +171,7 @@ def test_greedy_tilting_recovers_tilting_combination(p):
 
 def test_greedy_negative_coefficient_is_integrity_error():
     with pytest.raises(IntegrityError) as info:
-        _resolve_block((0, 0), ((0, 0), -1), 1, 5)
+        _resolve_block((0, 0), (("C1", -1),), 1, 5)
     assert str(info.value) == "negative multiplicity -1 at (0, 0) during greedy pass"
     assert info.value.block == (0, 0)
 
@@ -482,14 +497,14 @@ def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
     # of the blocks of L(1,1) x L(1,1) at p=5 only that of (1, 1) has a
     # weight at C2, (2, 2)
     _plant_wrong_row(monkeypatch)
-    _resolve_block.cache_clear()
+    _resolve_facets.cache_clear()
     decompose.cache_clear()
     try:
         with pytest.raises(IntegrityError, match="do not sum to block") as info:
             decompose((1, 1), (1, 1), 5)
         assert info.value.block == canonical_rep((2, 2), 5) == (1, 1)
     finally:
-        _resolve_block.cache_clear()
+        _resolve_facets.cache_clear()
         decompose.cache_clear()
 
 
@@ -717,8 +732,8 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
         for nu2 in weights:
             total = tensor_char(nu, nu2, p)
             _as_if_checked(total)
-            for coeffs in _buckets(total, p).values():
-                block = Character._trusted("weyl", coeffs)
+            for rep, pattern in _buckets(total, p).items():
+                block = Character._trusted("weyl", _in_weights(rep, pattern, p))
                 _as_if_checked(block)
                 _as_if_checked(to_simple_basis(block, p))
             _as_if_checked(summands_char(decompose(nu, nu2, p).summands, p))
@@ -726,25 +741,25 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
 
 
 def _block_keys(p):
-    """``(rep, flat items, case)`` of every block of every pair at p that a
-    sweep splits into blocks, in sweep order, as ``decompose`` keys its block
-    memo: the pairs with nu <= nu2, since the other order copies their
-    record."""
+    """``(rep, facet pattern, case)`` of every block of every pair at p that
+    a sweep splits into blocks, in sweep order, as ``decompose`` looks its
+    blocks up (the memo keys on the case and the pattern): the pairs with
+    nu <= nu2, since the other order copies their record."""
     for nu in restricted_weights(p):
         for nu2 in restricted_weights(p):
             if nu2 < nu:
                 continue
             case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-            for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
-                yield rep, tuple(chain.from_iterable(coeffs.items())), case
+            for rep, pattern in _buckets(tensor_char(nu, nu2, p), p).items():
+                yield rep, tuple(pattern.items()), case
 
 
-def _resolve_by_weights(rep, items, case, p):
+def _resolve_by_weights(rep, pattern, case, p):
     """The block resolver on weights, as a reference for the table: peel the
     top weight's tilting character (its simple one at a second-alcove weight
     in case 2) down to the floor of a regular case-3 block, then solve the
     floor in the simple basis."""
-    block = Character("weyl", dict(zip(items[::2], items[1::2])))
+    block = Character("weyl", _in_weights(rep, pattern, p))
     regular = all(n % p for n in pairings(rep))
     floor = tuple(linked_weight(rep, f, p) for f in FLOOR_FACETS) if case == 3 and regular else ()
     assert None not in floor
@@ -771,24 +786,23 @@ def _resolve_by_weights(rep, items, case, p):
     return summands
 
 
-def _assert_resolves_as_by_weights(rep, items, case, p):
-    """The table resolver gives the weight-level reference's summands,
-    sorted."""
-    got = _resolve_block(rep, items, case, p)
-    assert type(got) is tuple
-    assert list(got) == sorted(got, key=lambda s: (sort_key(s.weight), s.kind))
-    assert Counter(got) == Counter(_resolve_by_weights(rep, items, case, p)), (p, rep, case)
+def _assert_resolves_as_by_weights(rep, pattern, case, p):
+    """The table resolver gives the weight-level reference's summands; its
+    memo hands out a tuple.  ``decompose`` sorts them (``_assert_commutes``)."""
+    got = _resolve_block(rep, pattern, case, p)
+    assert type(_resolve_facets(case, pattern)) is tuple
+    assert Counter(got) == Counter(_resolve_by_weights(rep, pattern, case, p)), (p, rep, case)
 
 
 def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
     for p in (5, 7):
-        for rep, items, case in dict.fromkeys(_block_keys(p)):
-            _assert_resolves_as_by_weights(rep, items, case, p)
+        for rep, pattern, case in dict.fromkeys(_block_keys(p)):
+            _assert_resolves_as_by_weights(rep, pattern, case, p)
 
 
 def _clear_sweep_caches():
     """Every memo between a sweep and the facet expansions."""
-    for fn in (decompose, _resolve_block, _row, _expansion,
+    for fn in (decompose, _resolve_facets, _summand, _row, _expansion,
                simple_char, simple_dim, tilting_char, m_char):
         fn.cache_clear()
 
@@ -796,33 +810,33 @@ def _clear_sweep_caches():
 def test_sweep_resolves_each_distinct_block_once():
     _clear_sweep_caches()
     sweep(5, run_verify=False)
-    keys = list(_block_keys(5))
-    info = _resolve_block.cache_info()
+    keys = [(case, pattern) for _, pattern, case in _block_keys(5)]
+    info = _resolve_facets.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
     # the rows and the expansions hold no p: at most one per case (kind)
-    # and facet, and p=7 builds none that p=5 built, so both sweeps leave
-    # what p=7 alone leaves
+    # and facet, M at C2 alone, and p=7 builds none that p=5 built, so both
+    # sweeps leave what p=7 alone leaves
     assert _row.cache_info().currsize <= 3 * 33
-    assert _expansion.cache_info().currsize <= 2 * 33
+    assert _expansion.cache_info().currsize <= 2 * 33 + 1
     sweep(7, run_verify=False)
     rows, expansions = _row.cache_info().currsize, _expansion.cache_info().currsize
     _clear_sweep_caches()
     sweep(7, run_verify=False)
     assert _row.cache_info().currsize == rows <= 3 * 33
-    assert _expansion.cache_info().currsize == expansions <= 2 * 33
+    assert _expansion.cache_info().currsize == expansions <= 2 * 33 + 1
 
 
 def test_rows_are_read_only():
     for case in (1, 2, 3):
         row = _row(case, "C7")
         assert type(row) is tuple and all(type(term) is tuple for term in row)
-    # every expansion, so every entry its cache can hold
-    for kind in ("T", "L"):
-        for facet in ALL_FACETS:
-            expansion = _expansion(kind, facet)
-            assert type(expansion) is tuple and all(type(term) is tuple for term in expansion)
-    assert _expansion.cache_info().currsize == 2 * len(ALL_FACETS) == 66
+    # every expansion, so every entry its cache can hold: T and L at each
+    # facet, M at C2
+    for kind, facet in [(kind, f) for kind in ("T", "L") for f in ALL_FACETS] + [("M", "C2")]:
+        expansion = _expansion(kind, facet)
+        assert type(expansion) is tuple and all(type(term) is tuple for term in expansion)
+    assert _expansion.cache_info().currsize == 2 * len(ALL_FACETS) + 1 == 67
     # L(C2) = X(C2) - X(C1), and X(C1) = T(C1) = L(C1)
     assert _row(2, "C2") == (("L", "C2", 1), ("T", "C1", 1))
     assert _row(3, "C2") == (("L", "C2", 1), ("L", "C1", 1))
@@ -863,25 +877,41 @@ def test_block_failure_names_the_real_block_not_its_witness():
         ((0, 2), (0, 2)): "floor solve has negative part (1, 1, -2, 0) in block (0, 2)",
     }
     for (rep, w), message in expected.items():
-        coeffs = dict(blocks[rep])
-        coeffs[w] = -coeffs[w]
+        pattern = dict(blocks[rep])
+        pattern[classify(w, 5)] = -pattern[classify(w, 5)]
         with pytest.raises(IntegrityError) as exc:
-            _resolve_block(rep, tuple(chain.from_iterable(coeffs.items())), 3, 5)
+            _resolve_block(rep, tuple(pattern.items()), 3, 5)
         assert str(exc.value) == message and exc.value.block == w
 
 
-def test_block_memo_keys_on_case_and_prime():
-    # X(3,1) + X(2,0) is T(3,1) at p=5; (3,1) lies in C2 there, so case 2
-    # takes L(3,1) first.  At p=7 both weights lie in C1 of their own
-    # classes, so each is its own block and its own tilting.
-    items = ((3, 1), 1, (2, 0), 1)
+def test_block_memo_keys_on_case_not_on_p():
+    # X(C2) + X(C1) is T(C2) in case 1 and L(C2) + 2 T(C1) in case 2, at
+    # every p; each prime maps the pattern to its own class: C2 holds (3, 1)
+    # at p=5 and (5, 3) at p=7 in the class of (2, 0)
+    pattern = (("C2", 1), ("C1", 1))
+    _resolve_facets.cache_clear()
     t31, l31, t20 = Summand("T", (3, 1), 1), Summand("L", (3, 1), 1), Summand("T", (2, 0), 2)
-    assert _resolve_block((2, 0), items, 1, 5) == (t31,)
-    assert _resolve_block((2, 0), items, 2, 5) == (l31, t20)
+    assert _resolve_block((2, 0), pattern, 1, 5) == [t31]
+    assert Counter(_resolve_block((2, 0), pattern, 2, 5)) == Counter([l31, t20])
+    assert _resolve_facets.cache_info()[:2] == (0, 2)  # hits, misses
+    assert _resolve_block((2, 0), pattern, 1, 7) == [Summand("T", (5, 3), 1)]
+    assert Counter(_resolve_block((2, 0), pattern, 2, 7)) == Counter([Summand("L", (5, 3), 1), t20])
+    assert _resolve_facets.cache_info()[:2] == (2, 2)
+    # at p=7, (3, 1) and (2, 0) both lie in C1, of classes of their own
     assert canonical_rep((3, 1), 7) != canonical_rep((2, 0), 7)
-    assert _resolve_block(canonical_rep((3, 1), 7), ((3, 1), 1), 1, 7) == (t31,)
-    assert _resolve_block(canonical_rep((2, 0), 7), ((2, 0), 1), 1, 7) == (
-        Summand("T", (2, 0), 1),)
+    assert _resolve_block(canonical_rep((3, 1), 7), (("C1", 1),), 1, 7) == [
+        Summand("T", (3, 1), 1)]
+    assert _resolve_block(canonical_rep((2, 0), 7), (("C1", 1),), 1, 7) == [
+        Summand("T", (2, 0), 1)]
+    # a p=7 sweep after a p=5 sweep hits the patterns that p=5 made
+    _clear_sweep_caches()
+    sweep(5, run_verify=False)
+    made = {(case, pattern) for _, pattern, case in _block_keys(5)}
+    assert _resolve_facets.cache_info().misses == len(made)
+    sweep(7, run_verify=False)
+    seen = {(case, pattern) for _, pattern, case in _block_keys(7)}
+    assert made & seen
+    assert _resolve_facets.cache_info().misses == len(made | seen)
 
 
 def _assert_commutes(nu, nu2, p):
@@ -893,9 +923,9 @@ def _assert_commutes(nu, nu2, p):
     case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
     assert (d.p, d.left, d.right, d.case, d.dim_product) == (
         p, nu2, nu, case, simple_dim(nu, p) * simple_dim(nu2, p)), (p, nu, nu2)
-    reference = [s for rep, coeffs in _buckets(tensor_char(nu2, nu, p), p).items()
-                 for s in _resolve_by_weights(
-                     rep, tuple(chain.from_iterable(coeffs.items())), case, p)]
+    assert list(d.summands) == sorted(d.summands, key=lambda s: (sort_key(s.weight), s.kind))
+    reference = [s for rep, pattern in _buckets(tensor_char(nu2, nu, p), p).items()
+                 for s in _resolve_by_weights(rep, tuple(pattern.items()), case, p)]
     assert Counter(d.summands) == Counter(reference), (p, nu, nu2)
 
 
@@ -921,9 +951,8 @@ def test_random_prime_pairs_verify_and_commute(case):
     assert verify(d).passed, (p, nu, nu2)
     _assert_commutes(nu, nu2, p)
     assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
-    for rep, coeffs in _buckets(tensor_char(nu, nu2, p), p).items():
-        items = tuple(chain.from_iterable(coeffs.items()))
-        _assert_resolves_as_by_weights(rep, items, d.case, p)
+    for rep, pattern in _buckets(tensor_char(nu, nu2, p), p).items():
+        _assert_resolves_as_by_weights(rep, tuple(pattern.items()), d.case, p)
 
 
 def test_sweep_no_verify_counts_match():
@@ -1018,7 +1047,7 @@ def _failures_pair_by_pair(p):
 def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch, plant):
     def clear():  # the results; the rows stay as planted
         decompose.cache_clear()
-        _resolve_block.cache_clear()
+        _resolve_facets.cache_clear()
 
     plant(monkeypatch)
     try:
@@ -1047,7 +1076,7 @@ def test_a_fault_in_the_copied_order_alone_fails_that_order(monkeypatch):
 
     def clear():
         decompose.cache_clear()
-        _resolve_block.cache_clear()
+        _resolve_facets.cache_clear()
 
     monkeypatch.setattr(decompose_module, "Decomposition", dropping)
     try:

@@ -14,6 +14,7 @@ from sl3tensor.modchar import (
     to_simple_basis,
     weyl_comp_factors,
 )
+from sl3tensor.structures import diagram
 from sl3tensor.weights import dim_weyl, tau
 from sl3tensor.weylchar import Character
 
@@ -158,12 +159,12 @@ def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
 def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
     # (3, 1) lies in C2 at p=5; its C1 weight (2, 0) is a Weyl factor of
     # its simple and its tilting character and a composition factor of its
-    # Weyl module.  Drop it from the linkage lookup that modchar reads
+    # Weyl module.  Drop it from the class index that modchar reads
     # (through sys.modules: the package's names shadow its submodules).
     modchar = sys.modules["sl3tensor.modchar"]
-    real = modchar.linked_weight
-    monkeypatch.setattr(modchar, "linked_weight",
-                        lambda w, target, p: None if target == "C1" else real(w, target, p))
+    real = modchar._class
+    monkeypatch.setattr(modchar, "_class",
+                        lambda rep, p: {f: w for f, w in real(rep, p).items() if f != "C1"})
     caches = (simple_char, tilting_char, m_char)
     for fn in caches:
         fn.cache_clear()
@@ -172,8 +173,10 @@ def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
         for fn in (simple_char, tilting_char, weyl_comp_factors):
             with pytest.raises(AssertionError, match=re.escape(message)):
                 fn((3, 1), 5)
-        # M's record holds C1, so its character is incomplete too
-        with pytest.raises(AssertionError, match=re.escape("'C1': None")):
+        # M's record holds C1, so its character is incomplete too; two of
+        # its weights lie above (3, 1), so it is not bounded by it
+        with pytest.raises(AssertionError, match=re.escape(
+                "no weight linked to (3, 1) in facet C1 of C2, p=5")):
             m_char((3, 1), 5)
     finally:
         for fn in caches:
@@ -203,6 +206,17 @@ def test_m_char_weyl_form_is_sum_of_wall_reflections(p):
         assert m_char(w, p) == Character(
             "weyl", {mu3: 1, mu3p: 1, mu1: 1}
         )
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_m_char_is_the_sum_of_its_records_simple_characters(p):
+    """The facet expansion of M gives what summing the simple characters of
+    the ``m`` record's factors, each at w's linked weight, gives."""
+    factors = diagram("C2", "m").layer_multiset()
+    for w in region_weights(p):
+        if classify(w, p) == "C2":
+            assert m_char(w, p) == Character("weyl").combine(
+                (k, simple_char(linked_weight(w, f, p), p)) for f, k in factors.items()), (p, w)
 
 
 def test_to_simple_basis_examples():
