@@ -16,13 +16,14 @@ the positive coroots: the cell indices ``(r // p, s // p)`` select a box and
 the sign of ``t - (i + j + 1) p`` selects its lower or upper triangle; a
 wall is named by the alcoves half a step to either side, in doubled integer
 pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
-memoized per weight behind the checks of ``weights._checked_cache``.
-``linked_weight`` and ``region_weights`` read the class of a representative,
-built on first use from its orbit under the affine Weyl group (``_class``),
-whose candidates are labelled by ``_label``, the body of ``classify`` past its
-checks, uncached: the candidates are dominant by construction and the callers
-have checked p.  The ``classify`` memo holds only the weights callers ask
-about, ``decompose`` reading it as ``classify.cached``.
+memoized per weight behind the checks of ``weights._checked_cache``;
+``_placed`` holds both answers past the checks, one entry per product weight
+of ``decompose``.  ``linked_weight`` and ``region_weights`` read the class of
+a representative, built on first use from its orbit under the affine Weyl
+group (``_class``), whose candidates are labelled by ``_label``, the body of
+``classify`` past its checks, uncached: the candidates are dominant by
+construction and the callers have checked p.  The ``classify`` memo holds
+only the weights callers ask about.
 Nothing is built per prime, so a huge prime answers at once.  Every function
 here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
@@ -143,6 +144,12 @@ def _label(w: Weight, p: int) -> str:
     return label
 
 
+@lru_cache(maxsize=None)
+def _placed(w: Weight, p: int) -> Tuple[Weight, str]:
+    """``(canonical_rep(w, p), classify(w, p))`` past their checks: w dominant, p checked."""
+    return _rep(w, p), _label(w, p)
+
+
 def is_restricted(w: Weight, p: int) -> bool:
     return 0 <= w[0] <= p - 1 and 0 <= w[1] <= p - 1
 
@@ -159,6 +166,11 @@ def canonical_rep(w: Weight, p: int) -> Weight:
     may be non-dominant (coordinates down to -1) for singular classes.
     """
     _check_prime(p)  # at a negative p the walk would never end
+    return _rep(w, p)
+
+
+def _rep(w: Weight, p: int) -> Weight:
+    """The body of :func:`canonical_rep` past its check: p checked."""
     r, s, _ = pairings(w)
     while True:
         for image, _ in WEYL_GROUP:

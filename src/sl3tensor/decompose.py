@@ -16,8 +16,9 @@ Memoized by ``functools.lru_cache``: :func:`decompose`, behind the checks of
 ``weights._checked_cache``, once per unordered pair; ``_resolve_facets``, on
 the case and the block's facet pattern, at every p; the rows, ``_row``; and
 ``_summand``, one record per summand.  Results are immutable.  Inputs are
-checked on entry, so the reads of ``alcoves`` skip the gate:
-``classify.cached``, ``canonical_rep.cached`` and ``_class``.
+checked on entry; later reads of values checked or built here skip the gates
+(``.cached``, ``alcoves._placed``, ``_class``): characters, dimensions, facets,
+the other order and the τ mirror.  A sweep's ``decompose`` of each order checks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .alcoves import OUT, _class, canonical_rep, classify, is_restricted, restricted_weights
+from .alcoves import OUT, _class, _placed, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, _check_prime, _check_weight, _checked_cache, _is_int, tau
 from .weylchar import Character, mult, mult_via_monomial, sort_key
@@ -134,16 +135,17 @@ class Decomposition(_Frozen):
         return " + ".join(str(s) for s in self.summands) or "0"
 
 
-# Weyl-basis character of one copy of each summand kind.  The names are
-# looked up at call time, so a wrapped (say, traced) function is seen.
+# The Weyl character of each summand kind for the command line, by name at call
+# time, so a traced function is seen; the library reads ``_CACHED_CHAR``.
 _KIND_CHAR = {"T": lambda w, p: tilting_char(w, p),
               "L": lambda w, p: simple_char(w, p),
               "M": lambda w, p: m_char(w, p)}
+_CACHED_CHAR = {"T": tilting_char.cached, "L": simple_char.cached, "M": m_char.cached}
 
 
 @lru_cache(maxsize=None)
 def _kind_dim(kind: str, w: Weight, p: int) -> int:
-    return _KIND_CHAR[kind](w, p).dimension()
+    return _CACHED_CHAR[kind](w, p).dimension()
 
 
 def summand_dim(s: Summand, p: int) -> int:
@@ -162,7 +164,7 @@ def _check_pair(nu: Weight, nu2: Weight, p: int) -> None:
 def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
     """Weyl-basis character of the product of the two simple modules."""
     _check_pair(nu, nu2, p)
-    return mult(simple_char(nu, p), simple_char(nu2, p))
+    return mult(simple_char.cached(nu, p), simple_char.cached(nu2, p))
 
 
 def _buckets(c: Character, p: int) -> Dict[Weight, Dict[str, int]]:
@@ -172,10 +174,10 @@ def _buckets(c: Character, p: int) -> Dict[Weight, Dict[str, int]]:
         raise ValueError("expected a weyl-basis character")
     buckets: Dict[Weight, Dict[str, int]] = {}
     for w, k in c.coeffs.items():  # a Character holds checked weights, p is checked
-        facet = classify.cached(w, p)
+        rep, facet = _placed(w, p)
         if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
-        buckets.setdefault(canonical_rep.cached(w, p), {})[facet] = k
+        buckets.setdefault(rep, {})[facet] = k
     return buckets
 
 
@@ -282,15 +284,16 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     summands sorted, and an integrity failure names only a block.  The body,
     ``__wrapped__``, reads the order ``nu <= nu2`` through the cache."""
     if nu2 < nu:
-        d = decompose(nu2, nu, p)
+        d = decompose.cached(nu2, nu, p)
         return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
     blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
     case = _case(nu, nu2, p)
     summands = [s for rep in sorted(blocks)
                 for s in _resolve_block(rep, tuple(blocks[rep].items()), case, p)]
     # kinds and weights are distinct: the blocks are disjoint
-    summands.sort(key=lambda s: (sort_key(s.weight), s.kind))
-    return Decomposition(p, nu, nu2, case, summands, simple_dim(nu, p) * simple_dim(nu2, p))
+    summands.sort(key=lambda s: (-(s.weight[0] + s.weight[1]), -s.weight[0], s.kind))  # sort_key
+    return Decomposition(p, nu, nu2, case, summands,
+                         simple_dim.cached(nu, p) * simple_dim.cached(nu2, p))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def verify(d: Decomposition) -> Report:
     two orders of a pair and passes the tally to the same body, ``_verify``,
     so every order still gets every check."""
     p = d.p
-    product = mult_via_monomial(simple_char(d.left, p), simple_char(d.right, p))
+    product = mult_via_monomial(simple_char.cached(d.left, p), simple_char.cached(d.right, p))
     return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, product), [None, None])
 
 
@@ -362,7 +365,7 @@ def _tally(summands: Tuple[Summand, ...], case: int, p: int, product: Character)
         if bad:
             break
         kind, w, m = s.kind, s.weight, s.multiplicity
-        for mu, c in _KIND_CHAR[kind](w, p).coeffs.items():
+        for mu, c in _CACHED_CHAR[kind](w, p).coeffs.items():
             residue[mu] = residue.get(mu, 0) - m * c
         dims += m * _kind_dim(kind, w, p)
         images.append((kind, tau(w), m))
@@ -399,7 +402,7 @@ def _verify(d: Decomposition, tally: tuple, mirror: list) -> Report:
         return report
 
     try:
-        mirrored = decompose(tau(d.right), tau(d.left), p)
+        mirrored = decompose.cached(tau(d.right), tau(d.left), p)
         if mirrored.summands is not mirror[0]:
             mirror[:] = mirrored.summands, _mirror_images(mirrored.summands)
         report.add("tau-equivariance", images == mirror[1])
@@ -455,7 +458,8 @@ def _sweep_row(task) -> SweepResult:
     for nu2 in restricted_weights(p):
         if nu2 < nu:
             continue
-        product = mult_via_monomial(simple_char(nu, p), simple_char(nu2, p)) if run_verify else None
+        product = (mult_via_monomial(simple_char.cached(nu, p), simple_char.cached(nu2, p))
+                   if run_verify else None)
         read = tally = None  # the summands tuple that ``tally`` read
         mirror = [None, None]  # the mirrored summands tuple and its sorted images
         for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):

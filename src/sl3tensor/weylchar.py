@@ -228,15 +228,9 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
 # Littlewood-Richardson product
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _weight(a: int, b: int) -> Weight:
-    """One tuple per LR weight; with the block memo keyed on facets it saves no memory."""
-    return a, b
-
-
 def _lr_into(out: Dict[Weight, int], k: int, lam: Weight, mu: Weight) -> None:
     """Add ``k`` times the LR product of ``lam`` and ``mu`` into ``out``: for
-    each weight nu (a shared :func:`_weight`), k times the number of LR skew
+    each weight nu (a plain int pair), k times the number of LR skew
     tableaux of shape nu/P and content Q (Q[2] = 0), 3 rows each.  Each nu
     occurs once, in the same order at every call.  No table is kept: over a
     sweep the tables would grow as p^6 and save no time.
@@ -272,14 +266,14 @@ def _lr_into(out: Dict[Weight, int], k: int, lam: Weight, mu: Weight) -> None:
             if lo < ballot - 2 * nu1:
                 lo = ballot - 2 * nu1
             if hi >= lo:
-                nu = _weight(2 * nu1 - R, R - nu1 - nu3)
+                nu = (2 * nu1 - R, R - nu1 - nu3)
                 out[nu] = get(nu, 0) + k * (hi - lo + 1)
 
 
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
     """Weyl-basis character of the tensor product of two Weyl characters, in
     the order given: one :func:`_lr_into` pass, whose terms are valid by
-    construction (shared int pairs, dominant, with positive int counts), so
+    construction (int pairs, dominant, with positive int counts), so
     the result is built with ``Character._trusted``."""
     _check_weight(lam)
     _check_weight(mu)

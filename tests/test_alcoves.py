@@ -10,6 +10,7 @@ from sl3tensor.alcoves import (
     VERTICES,
     WALLS,
     _class,
+    _placed,
     canonical_rep,
     classify,
     is_restricted,
@@ -157,6 +158,18 @@ def test_building_a_class_leaves_the_classify_memo_to_its_callers():
     assert linked_weight((1, 3), "C3", 5) == (7, 0)
     assert _class.cache_info().currsize == 1
     assert classify.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_one_lookup_reads_the_representative_and_the_facet(p):
+    # every dominant weight of the box a, b < 3p, those outside the region too
+    facets = set()
+    for a in range(3 * p):
+        for b in range(3 * p):
+            expect = (canonical_rep((a, b), p), classify((a, b), p))
+            assert _placed((a, b), p) == expect, (a, b)
+            facets.add(expect[1])
+    assert facets == set(ALL_FACETS) | {OUT}
 
 
 def test_is_restricted():

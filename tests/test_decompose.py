@@ -992,6 +992,24 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     assert calls == {"tensor_char": 325}
 
 
+def test_a_verified_sweep_reads_past_the_input_gates(monkeypatch):
+    # cold: the sweep's own decompose of each of the 625 ordered pairs
+    # checks its two weights, and the library reads what it has checked or
+    # built past the gates; a read that slips back through one adds at
+    # least 600 passes
+    weights_module = sys.modules["sl3tensor.weights"]
+    passes = [0]
+
+    def counted(w, check=weights_module._check_weight):
+        passes[0] += 1
+        check(w)
+
+    monkeypatch.setattr(weights_module, "_check_weight", counted)
+    _clear_sweep_caches()
+    assert sweep(5, run_verify=True).passed
+    assert 2 * 625 <= passes[0] < 3 * 625, passes[0]
+
+
 def test_a_verified_sweep_sorts_each_mirrored_summands_tuple_once(monkeypatch):
     # both orders of a pair mirror to records that share one summands
     # tuple: 325 sorts for the 625 ordered pairs, each still checked; the

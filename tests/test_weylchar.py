@@ -317,12 +317,15 @@ def test_lr_items_match_the_loop_on_the_grid():
             assert dict(zip(weights, counts)) == expect, (lam, mu)
 
 
-def test_lr_items_share_one_tuple_per_weight():
-    # each distinct weight is one tuple, across every table built
+def test_lr_tables_repeat_with_exact_int_pair_weights():
+    # a table built twice is the same, in the same order; each weight is a
+    # plain pair of exact ints and each count a positive int
     grid = [(a, b) for a in range(7) for b in range(7)]
     entries = [_lr_table(lam, mu) for lam in grid for mu in grid]
+    assert entries == [_lr_table(lam, mu) for lam in grid for mu in grid]
     weights = [w for ws, _ in entries for w in ws]
-    assert len({id(w) for w in weights}) == len(set(weights))
+    assert all(type(w) is tuple and len(w) == 2 and type(w[0]) is int and type(w[1]) is int
+               for w in weights)
     assert all(type(c) is int and c > 0 for _, cs in entries for c in cs)
 
 
@@ -408,6 +411,25 @@ def test_combine_rejects_a_bool_factor_as_construction_does(k):
         Character("weyl", {(1, 0): k})
     with pytest.raises(ValueError, match=f"coefficient must be an integer, got {k}"):
         Character("weyl").combine([(k, c)])
+
+
+def test_equal_characters_hash_equal_however_built():
+    terms = {(2, 1): 3, (0, 0): -1, (1, 1): 2}
+    checked = Character("weyl", terms)
+    trusted = Character._trusted("weyl", dict(reversed(list(terms.items()))))
+    assert list(checked.coeffs) != list(trusted.coeffs)  # insertion orders differ
+    assert checked == trusted and hash(checked) == hash(trusted)
+    assert hash(Character("weyl", {**terms, (5, 5): 0})) == hash(checked)  # zeros dropped
+    assert len({checked, trusted, Character("simple", terms)}) == 2
+
+
+def test_subtraction_is_combine_with_minus_one():
+    a = Character("weyl", {(2, 1): 3, (0, 0): 1})
+    b = Character._trusted("weyl", {(2, 1): 3, (1, 1): 2})
+    assert a - b == a.combine(((-1, b),)) == Character("weyl", {(0, 0): 1, (1, 1): -2})
+    assert a - a == Character("weyl") and not (a - a).coeffs
+    with pytest.raises(ValueError, match="basis mismatch: weyl vs simple"):
+        a - Character("simple", {(0, 0): 1})
 
 
 def test_character_basis_validation():
