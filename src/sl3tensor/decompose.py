@@ -11,11 +11,15 @@ of a regular block (alcoves 3, 3', 2, 1), which a closed-form linear solve
 resolves in a basis that adds the non-highest-weight module M.  A negative
 multiplicity, an infeasible solve or summands that do not sum to the block
 is an integrity failure naming the block.  :func:`verify` checks what this
-did not compute; each record checks its own fields when it is built.
+did not compute; each record checks its own fields when it is built.  Both
+products stay the plain ``{weight: int}`` dicts of the kernels of
+:mod:`~sl3tensor.weylchar`: the LR one into the block pass (``_buckets``),
+the Brauer-Klimyk one as the residue of verify's pass (``_tally``).
 Memoized by ``functools.lru_cache``: :func:`decompose`, behind the checks of
 ``weights._checked_cache``, once per unordered pair; ``_resolve_facets``, on
-the case and the block's facet pattern, at every p; the rows, ``_row``; and
-``_summand``, one record per summand.  Results are immutable.  Inputs are
+the case and the block's facet pattern, at every p; the rows, ``_row``;
+``_summand``, one record per summand; and ``_kind_terms``, verify's one
+lookup per summand.  Results are immutable.  Inputs are
 checked on entry; later reads of values checked or built here skip the gates
 (``.cached``, ``alcoves._placed``, ``_class``): characters, dimensions, facets,
 the other order and the τ mirror.  A sweep's ``decompose`` of each order checks.
@@ -26,12 +30,12 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .alcoves import OUT, _class, _placed, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, _check_prime, _check_weight, _checked_cache, _is_int, tau
-from .weylchar import Character, mult, mult_via_monomial, sort_key
+from .weylchar import Character, _bk_product, _lr_product, mult, sort_key
 
 KINDS = ("T", "L", "M")
 FLOOR_FACETS = ("C3", "C3p", "C2", "C1")  # the floor of a regular class
@@ -144,13 +148,20 @@ _CACHED_CHAR = {"T": tilting_char.cached, "L": simple_char.cached, "M": m_char.c
 
 
 @lru_cache(maxsize=None)
-def _kind_dim(kind: str, w: Weight, p: int) -> int:
-    return _CACHED_CHAR[kind](w, p).dimension()
+def _kind_terms(kind: str, w: Weight, p: int) -> Tuple[str, tuple, int]:
+    """``(facet, Weyl terms, dimension)`` of the ``kind`` module at ``w`` past
+    the gates, for :func:`_tally`; no terms where its shape check refuses the
+    summand before reading them: outside the region, and L or M off C2."""
+    facet = classify.cached(w, p)
+    if facet == OUT or kind != "T" and facet != "C2":
+        return facet, (), 0
+    c = _CACHED_CHAR[kind](w, p)
+    return facet, tuple(c.coeffs.items()), c.dimension()
 
 
 def summand_dim(s: Summand, p: int) -> int:
-    _check_prime(p)  # before _kind_dim's cache, where 5.0 would hit 5
-    return s.multiplicity * _kind_dim(s.kind, s.weight, p)
+    _check_prime(p)  # before the character's cache, where 5.0 would hit 5
+    return s.multiplicity * _CACHED_CHAR[s.kind](s.weight, p).dimension()
 
 
 def _check_pair(nu: Weight, nu2: Weight, p: int) -> None:
@@ -167,13 +178,15 @@ def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
     return mult(simple_char.cached(nu, p), simple_char.cached(nu2, p))
 
 
-def _buckets(c: Character, p: int) -> Dict[Weight, Dict[str, int]]:
-    """The ``{facet: k}`` pattern of each linkage block, in the product's
-    order, keyed by its representative, whose ``_class`` maps it to weights."""
-    if c.basis != "weyl":
-        raise ValueError("expected a weyl-basis character")
+def _buckets(product: Mapping[Weight, int], p: int) -> Dict[Weight, Dict[str, int]]:
+    """The ``{facet: k}`` pattern of each linkage block of a Weyl-basis
+    ``{weight: k}`` product, in its order, keyed by its representative, whose
+    ``_class`` maps it to weights.  A cancelled, zero term is skipped before
+    it is placed, as a ``Character`` drops it, so the patterns are the same."""
     buckets: Dict[Weight, Dict[str, int]] = {}
-    for w, k in c.coeffs.items():  # a Character holds checked weights, p is checked
+    for w, k in product.items():  # the kernels' weights are dominant int pairs, p is checked
+        if not k:
+            continue
         rep, facet = _placed(w, p)
         if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
@@ -286,7 +299,9 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     if nu2 < nu:
         d = decompose.cached(nu2, nu, p)
         return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
-    blocks = _buckets(tensor_char(nu, nu2, p), p)  # checks p and the weights
+    _check_pair(nu, nu2, p)
+    blocks = _buckets(_lr_product(simple_char.cached(nu, p).coeffs,
+                                  simple_char.cached(nu2, p).coeffs), p)
     case = _case(nu, nu2, p)
     summands = [s for rep in sorted(blocks)
                 for s in _resolve_block(rep, tuple(blocks[rep].items()), case, p)]
@@ -324,14 +339,6 @@ class Report(_Record):
         return [c for c in self.checks if not c.ok]
 
 
-def _misshapen(s: Summand, case: int, p: int) -> str:
-    """Why a summand cannot occur in the case; empty if it can: T may sit at
-    any facet of the region, L only at C2 in case 2 and M only at C2 in case 3."""
-    facet = classify.cached(s.weight, p)  # a Summand's weight is checked
-    ok = s.kind == "T" or facet == "C2" and case == {"L": 2, "M": 3}[s.kind]
-    return "" if ok and facet != OUT else f"{s} at facet {facet} in case {case}"
-
-
 def verify(d: Decomposition) -> Report:
     """Re-check a decomposition by what ``decompose`` did not compute: the
     character sum by Brauer-Klimyk, not LR; the dimension; the recorded case
@@ -348,27 +355,32 @@ def verify(d: Decomposition) -> Report:
     two orders of a pair and passes the tally to the same body, ``_verify``,
     so every order still gets every check."""
     p = d.p
-    product = mult_via_monomial(simple_char.cached(d.left, p), simple_char.cached(d.right, p))
-    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, product), [None, None])
+    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, d.left, d.right),
+                   [None, None])
 
 
-def _tally(summands: Tuple[Summand, ...], case: int, p: int, product: Character) -> tuple:
+def _tally(summands: Tuple[Summand, ...], case: int, p: int, nu: Weight, nu2: Weight) -> tuple:
     """The one pass of :func:`verify` over ``summands``: the first misshapen
     summand (then the rest is uncomputed), whether a residue is left against
-    the Brauer-Klimyk ``product``, the dimension sum and the sorted images
-    under the involution.  Neither the case nor the product depends on the
-    order, so both orders of a pair may share it; no reader alters it."""
-    residue = product.coeffs.copy()
+    the Brauer-Klimyk product of the simple characters at ``nu`` and
+    ``nu2``, which is the residue's start, the dimension sum and the sorted
+    images under the involution.  T may sit at any facet of the region, L
+    only at C2 in case 2 and M only at C2 in case 3.  Neither the case nor
+    the product depends on the order, so both orders of a pair may share
+    the tally; no reader alters it."""
+    residue = _bk_product(simple_char.cached(nu, p).coeffs, simple_char.cached(nu2, p).coeffs)
+    get = residue.get
     dims, images, bad = 0, [], ""
     for s in summands:
-        bad = _misshapen(s, case, p)
-        if bad:
-            break
         kind, w, m = s.kind, s.weight, s.multiplicity
-        for mu, c in _CACHED_CHAR[kind](w, p).coeffs.items():
-            residue[mu] = residue.get(mu, 0) - m * c
-        dims += m * _kind_dim(kind, w, p)
-        images.append((kind, tau(w), m))
+        facet, terms, dim = _kind_terms(kind, w, p)
+        if facet == OUT or kind != "T" and (facet != "C2" or case != (2 if kind == "L" else 3)):
+            bad = f"{s} at facet {facet} in case {case}"
+            break
+        for mu, c in terms:
+            residue[mu] = get(mu, 0) - m * c
+        dims += m * dim
+        images.append((kind, (w[1], w[0]), m))  # tau(w)
     return bad, any(residue.values()), dims, sorted(images)
 
 
@@ -458,8 +470,6 @@ def _sweep_row(task) -> SweepResult:
     for nu2 in restricted_weights(p):
         if nu2 < nu:
             continue
-        product = (mult_via_monomial(simple_char.cached(nu, p), simple_char.cached(nu2, p))
-                   if run_verify else None)
         read = tally = None  # the summands tuple that ``tally`` read
         mirror = [None, None]  # the mirrored summands tuple and its sorted images
         for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):
@@ -474,7 +484,7 @@ def _sweep_row(task) -> SweepResult:
             m_pairs += any(s.kind == "M" for s in d.summands)
             if run_verify:
                 if d.summands is not read:
-                    read, tally = d.summands, _tally(d.summands, _case(left, right, p), p, product)
+                    read, tally = d.summands, _tally(d.summands, _case(left, right, p), p, nu, nu2)
                 failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
                              for c in _verify(d, tally, mirror).failures()]
     return SweepResult(p, pairs, counts, m_pairs, failures)

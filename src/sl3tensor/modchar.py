@@ -8,11 +8,14 @@ composition factors.  The character at a weight maps the expansion at its
 facet to the weights of its class, read past the gates of ``alcoves``: all
 three are memoized by ``weights._checked_cache``, which checks the weight
 and p first (``simple_char.cache_info()`` reports hits, misses and size).
-The cached characters are immutable.  The change of basis to simple
-characters sums each Weyl module's composition factors, each once.  Weights
-whose facet data would be needed outside the fundamental region are
-rejected, and a facet of an expansion with no linked weight (below the
-weight, but for M) is an ``AssertionError``, not a truncation.
+The cached characters are immutable and built unchecked
+(``Character._trusted``): their terms are class weights and integer
+expansion counts; the simple and tilting ones assert their unit lead.  The
+change of basis to simple characters sums each Weyl module's composition
+factors, each once.  Weights whose facet data would be needed outside the
+fundamental region are rejected, and a facet of an expansion with no linked
+weight (below the weight, but for M) is an ``AssertionError``, not a
+truncation.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def weyl_comp_factors(w: Weight, p: int) -> List[Weight]:
 @_checked_cache
 def simple_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the simple module at w."""
-    result = Character("weyl", _in_class(w, p, lambda f: _expansion("L", f)))
+    result = Character._trusted("weyl", _in_class(w, p, lambda f: _expansion("L", f)))
     assert result.coeffs.get(w) == 1, f"lost unitriangularity at {w}"
     return result
 
@@ -91,7 +94,7 @@ def simple_dim(w: Weight, p: int) -> int:
 @_checked_cache
 def tilting_char(w: Weight, p: int) -> Character:
     """Weyl-basis character of the indecomposable tilting module at w."""
-    result = Character("weyl", _in_class(w, p, lambda f: _expansion("T", f)))
+    result = Character._trusted("weyl", _in_class(w, p, lambda f: _expansion("T", f)))
     assert result.coeffs.get(w) == 1, f"tilting character at {w} lost its top"
     return result
 

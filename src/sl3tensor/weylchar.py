@@ -12,20 +12,22 @@ them against each other: :func:`lr_tensor` counts Littlewood-Richardson
 tableaux over 3-row partitions (each count in closed form), while
 :func:`mult_via_monomial` applies the Brauer-Klimyk rule to the weight
 multiplicities of one factor, in closed form too (one more per hexagonal
-shell).  Each fills its result in one pass and neither keeps a product.  All
-arithmetic is exact, in Python integers.  ``Character(...)`` and
+shell).  Each route is a kernel, ``_lr_product`` or ``_bk_product``, that
+fills a plain ``{weight: int}`` dict from two coefficient maps in one pass,
+cancelled weights kept with 0, for ``decompose`` and ``verify`` to read, and
+keeps no product; ``mult``, ``lr_tensor`` and ``mult_via_monomial`` wrap
+them.  All arithmetic is exact, in Python integers.  ``Character(...)`` and
 ``from_json`` check every term; the library builds characters from valid ones
-(sums, blocks, changes of basis, the Brauer-Klimyk product, which ``verify``
-runs on every pair, and the LR product of two weights, ``lr_tensor``) with
-the unchecked ``Character._trusted``.  ``mult``, the LR product on
-``decompose``'s path, still builds a checked ``Character``.
+(sums, blocks, changes of basis, the modular characters and the products
+``lr_tensor`` and ``mult_via_monomial``) with the unchecked
+``Character._trusted``.  ``mult`` builds a checked ``Character``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .weights import Weight, _check_weight, _is_int, dim_weyl, is_dominant
 
@@ -51,10 +53,7 @@ class Character:
             raise ValueError(f"unknown basis {basis!r}")
         cleaned = {}
         for w, c in (coeffs or {}).items():
-            # exact types first; the general test only on a miss
-            if not (type(w) is tuple and len(w) == 2 and type(w[0]) is int
-                    and type(w[1]) is int):
-                _check_weight(w)
+            _check_weight(w)
             if type(c) is not int and not _is_int(c):
                 raise ValueError(f"coefficient must be an integer, got {c!r}")
             if c == 0:
@@ -158,7 +157,7 @@ class Character:
 def _monomial_items(lam: Weight) -> Tuple[int, ...]:
     """Weight multiplicities of the Weyl character at ``lam = (a, b)``, flat:
     ``(mu0[0], mu0[1], m0, ...)``, read by ``verify`` through
-    :func:`mult_via_monomial`.  One more per hexagonal shell until the shells
+    :func:`_bk_product`.  One more per hexagonal shell until the shells
     become triangles (Fulton-Harris 13.2).  mu = lam - c1*alpha1 - c2*alpha2
     has e-coordinates (x, y, c2) = (a+b-c1, b+c1-c2, c2); lam - dom(mu) =
     d1*alpha1 + d2*alpha2 with d1 = a+b-max, d2 = min of them; m(mu) =
@@ -184,23 +183,23 @@ def _monomial_items(lam: Weight) -> Tuple[int, ...]:
 # Brauer-Klimyk product
 # ---------------------------------------------------------------------------
 
-def mult_via_monomial(c1: Character, c2: Character) -> Character:
-    """Weyl-basis product by the Brauer-Klimyk rule.
+def _bk_product(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> Dict[Weight, int]:
+    """The Brauer-Klimyk product of two Weyl-basis coefficient maps, as a
+    plain dict that the caller owns; a cancelled weight stays, with 0.
 
     chi(top) * chi(small) = sum over the weights nu of chi(small), with
     multiplicity m, of sgn(w) * m * chi(w(top + nu + rho) - rho), where w
     makes the shifted weight dominant; shifted weights on a wall drop out.
     The factor with the smaller Weyl dimension is expanded.  A shifted weight
     inside the open chamber needs no w and adds with sign +1; only the others
-    take the sort below.  One pass fills the result.  Independent of the
-    tableau route in :func:`lr_tensor`; the suite asserts the two agree.
+    take the sort below.  One pass fills the result, whose weights are all
+    dominant (u > v > w).  Independent of the tableau route in
+    :func:`_lr_product`; the suite asserts the two agree.
     """
-    if c1.basis != "weyl" or c2.basis != "weyl":
-        raise ValueError("expected weyl-basis characters")
     out: Dict[Weight, int] = {}
     get = out.get
-    for lam, k1 in c1.coeffs.items():
-        for mu, k2 in c2.coeffs.items():
+    for lam, k1 in f.items():
+        for mu, k2 in g.items():
             small, top = (lam, mu) if dim_weyl(lam) <= dim_weyl(mu) else (mu, lam)
             r0, s0, k = top[0] + 1, top[1] + 1, k1 * k2
             for x, y, m in zip(*[iter(_monomial_items(small))] * 3):  # flat triples
@@ -221,7 +220,14 @@ def mult_via_monomial(c1: Character, c2: Character) -> Character:
                 if u != v and v != w:
                     nu = (u - v - 1, v - w - 1)
                     out[nu] = get(nu, 0) + sign
-    return Character._trusted("weyl", out)  # u > v > w: every nu is dominant
+    return out
+
+
+def mult_via_monomial(c1: Character, c2: Character) -> Character:
+    """Weyl-basis product by the Brauer-Klimyk rule, :func:`_bk_product`."""
+    if c1.basis != "weyl" or c2.basis != "weyl":
+        raise ValueError("expected weyl-basis characters")
+    return Character._trusted("weyl", _bk_product(c1.coeffs, c2.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -270,28 +276,32 @@ def _lr_into(out: Dict[Weight, int], k: int, lam: Weight, mu: Weight) -> None:
                 out[nu] = get(nu, 0) + k * (hi - lo + 1)
 
 
+def _lr_product(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> Dict[Weight, int]:
+    """The LR product of two Weyl-basis coefficient maps, as a plain dict
+    that the caller owns: one :func:`_lr_into` pass per pair of terms, adding
+    into one result.  A weight whose terms cancel stays, with 0."""
+    out: Dict[Weight, int] = {}
+    for lam, k1 in f.items():
+        for mu, k2 in g.items():
+            _lr_into(out, k1 * k2, lam, mu)
+    return out
+
+
 def lr_tensor(lam: Weight, mu: Weight) -> Character:
     """Weyl-basis character of the tensor product of two Weyl characters, in
-    the order given: one :func:`_lr_into` pass, whose terms are valid by
+    the order given: :func:`_lr_product`, whose terms are valid by
     construction (int pairs, dominant, with positive int counts), so
     the result is built with ``Character._trusted``."""
     _check_weight(lam)
     _check_weight(mu)
     if not is_dominant(lam) or not is_dominant(mu):
         raise ValueError(f"non-dominant weights {lam}, {mu}")
-    out: Dict[Weight, int] = {}
-    _lr_into(out, 1, lam, mu)
-    return Character._trusted("weyl", out)
+    return Character._trusted("weyl", _lr_product({lam: 1}, {mu: 1}))
 
 
 def mult(c1: Character, c2: Character) -> Character:
-    """Bilinear extension of :func:`lr_tensor`: one :func:`_lr_into` pass per
-    pair of terms, adding into one result; no table is kept.  The result is
-    the checked ``Character("weyl", ...)``."""
+    """Bilinear extension of :func:`lr_tensor`, :func:`_lr_product`, as the
+    checked ``Character("weyl", ...)``."""
     if c1.basis != "weyl" or c2.basis != "weyl":
         raise ValueError("expected weyl-basis characters")
-    out: Dict[Weight, int] = {}
-    for lam, k1 in c1.coeffs.items():
-        for mu, k2 in c2.coeffs.items():
-            _lr_into(out, k1 * k2, lam, mu)
-    return Character("weyl", out)
+    return Character("weyl", _lr_product(c1.coeffs, c2.coeffs))

@@ -29,6 +29,7 @@ from sl3tensor.decompose import (
     SweepResult,
     _KIND_CHAR,
     _buckets,
+    _kind_terms,
     _resolve_block,
     _resolve_facets,
     _row,
@@ -53,7 +54,7 @@ from sl3tensor.modchar import (
 )
 from sl3tensor.structures import delta_factors, diagram
 from sl3tensor.weights import pairings, parse_weight, tau
-from sl3tensor.weylchar import Character, mult, mult_via_monomial, sort_key
+from sl3tensor.weylchar import Character, _lr_product, mult_via_monomial, sort_key
 
 
 def summand_set(d):
@@ -99,7 +100,7 @@ def _in_weights(rep, pattern, p):
 
 def test_buckets_case3():
     tc = tensor_char((3, 1), (3, 1), 5)
-    patterns = _buckets(tc, 5)
+    patterns = _buckets(tc.coeffs, 5)
     # each pattern keys a weight's coefficient by its facet, in the product's order
     for rep, pattern in patterns.items():
         assert list(_in_weights(rep, pattern, 5).items()) == [
@@ -121,8 +122,8 @@ def test_buckets_case3():
 
 
 def test_buckets_trivial_and_case2():
-    assert len(_buckets(Character("weyl", {(0, 0): 1}), 5)) == 1
-    blocks = _buckets(tensor_char((2, 2), (1, 1), 5), 5)
+    assert len(_buckets({(0, 0): 1}, 5)) == 1
+    blocks = _buckets(tensor_char((2, 2), (1, 1), 5).coeffs, 5)
     assert len(blocks) == 4
     # each block carries a single simple character
     for rep, pattern in blocks.items():
@@ -131,12 +132,12 @@ def test_buckets_trivial_and_case2():
     # out of the region: inside the box around it, and past the box
     for w in ((14, 0), (30, 30)):
         with pytest.raises(ValueError, match="outside the region"):
-            _buckets(Character("weyl", {w: 1}), 5)
+            _buckets({w: 1}, 5)
 
 
 def _resolve_character(c, case, p):
     """Every block of a Weyl-basis character, resolved and concatenated."""
-    return [s for rep, pattern in sorted(_buckets(c, p).items())
+    return [s for rep, pattern in sorted(_buckets(c.coeffs, p).items())
             for s in _resolve_block(rep, tuple(pattern.items()), case, p)]
 
 
@@ -467,8 +468,13 @@ def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
     # one extra X(0,0) in the LR product that decompose sees: the blocks
     # still sum, and only the Brauer-Klimyk product in verify differs
     decompose_module = sys.modules["sl3tensor.decompose"]
-    monkeypatch.setattr(decompose_module, "mult",
-                        lambda c1, c2: mult(c1, c2) + Character("weyl", {(0, 0): 1}))
+
+    def plus_one(f, g, product=decompose_module._lr_product):
+        out = product(f, g)
+        out[0, 0] = out.get((0, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(decompose_module, "_lr_product", plus_one)
     decompose.cache_clear()
     try:
         d = decompose((1, 0), (0, 1), 5)
@@ -732,7 +738,7 @@ def test_internal_characters_match_checked_construction_on_every_p5_pair():
         for nu2 in weights:
             total = tensor_char(nu, nu2, p)
             _as_if_checked(total)
-            for rep, pattern in _buckets(total, p).items():
+            for rep, pattern in _buckets(total.coeffs, p).items():
                 block = Character._trusted("weyl", _in_weights(rep, pattern, p))
                 _as_if_checked(block)
                 _as_if_checked(to_simple_basis(block, p))
@@ -750,7 +756,7 @@ def _block_keys(p):
             if nu2 < nu:
                 continue
             case = 1 + (classify(nu, p) == "C2") + (classify(nu2, p) == "C2")
-            for rep, pattern in _buckets(tensor_char(nu, nu2, p), p).items():
+            for rep, pattern in _buckets(tensor_char(nu, nu2, p).coeffs, p).items():
                 yield rep, tuple(pattern.items()), case
 
 
@@ -802,7 +808,7 @@ def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
 
 def _clear_sweep_caches():
     """Every memo between a sweep and the facet expansions."""
-    for fn in (decompose, _resolve_facets, _summand, _row, _expansion,
+    for fn in (decompose, _resolve_facets, _summand, _row, _expansion, _kind_terms,
                simple_char, simple_dim, tilting_char, m_char):
         fn.cache_clear()
 
@@ -871,7 +877,7 @@ def test_facet_level_characters_hold_no_p(p):
 def test_block_failure_names_the_real_block_not_its_witness():
     # two blocks of L(3,1) x L(3,1) with one coefficient negated: a greedy
     # and a floor-solve failure
-    blocks = _buckets(tensor_char((3, 1), (3, 1), 5), 5)
+    blocks = _buckets(tensor_char((3, 1), (3, 1), 5).coeffs, 5)
     expected = {
         ((-1, 1), (6, 2)): "negative multiplicity -1 at (6, 2) during greedy pass",
         ((0, 2), (0, 2)): "floor solve has negative part (1, 1, -2, 0) in block (0, 2)",
@@ -924,7 +930,7 @@ def _assert_commutes(nu, nu2, p):
     assert (d.p, d.left, d.right, d.case, d.dim_product) == (
         p, nu2, nu, case, simple_dim(nu, p) * simple_dim(nu2, p)), (p, nu, nu2)
     assert list(d.summands) == sorted(d.summands, key=lambda s: (sort_key(s.weight), s.kind))
-    reference = [s for rep, pattern in _buckets(tensor_char(nu2, nu, p), p).items()
+    reference = [s for rep, pattern in _buckets(tensor_char(nu2, nu, p).coeffs, p).items()
                  for s in _resolve_by_weights(rep, tuple(pattern.items()), case, p)]
     assert Counter(d.summands) == Counter(reference), (p, nu, nu2)
 
@@ -951,7 +957,7 @@ def test_random_prime_pairs_verify_and_commute(case):
     assert verify(d).passed, (p, nu, nu2)
     _assert_commutes(nu, nu2, p)
     assert any(s.kind == "M" for s in d.summands) == (d.case == 3), (p, nu, nu2)
-    for rep, pattern in _buckets(tensor_char(nu, nu2, p), p).items():
+    for rep, pattern in _buckets(tensor_char(nu, nu2, p).coeffs, p).items():
         _assert_resolves_as_by_weights(rep, tuple(pattern.items()), d.case, p)
 
 
@@ -966,8 +972,9 @@ def test_sweep_no_verify_counts_match():
 
 def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
     # cold: 325 = 25 * 26 / 2 unordered pairs, each with one LR and one
-    # Brauer-Klimyk product and one pass over its summands, and 625 ordered
-    # pairs, each verified and cached; unverified, one LR product each too
+    # Brauer-Klimyk product (the kernels decompose and _tally call) and one
+    # pass over its summands, and 625 ordered pairs, each verified and
+    # cached; unverified, one LR product each too
     decompose_module = sys.modules["sl3tensor.decompose"]
     calls = Counter()
 
@@ -979,17 +986,17 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("tensor_char", "mult_via_monomial", "_tally", "_verify"):
+    for name in ("_lr_product", "_bk_product", "_tally", "_verify"):
         monkeypatch.setattr(decompose_module, name, counted(name))
     _clear_sweep_caches()
     result = sweep(5, run_verify=True)
     assert result.passed and result.pairs == 625
-    assert calls == {"tensor_char": 325, "mult_via_monomial": 325, "_tally": 325, "_verify": 625}
+    assert calls == {"_lr_product": 325, "_bk_product": 325, "_tally": 325, "_verify": 625}
     assert decompose.cache_info().currsize == 625
     calls.clear()
     _clear_sweep_caches()
     assert sweep(5, run_verify=False).pairs == 625
-    assert calls == {"tensor_char": 325}
+    assert calls == {"_lr_product": 325}
 
 
 def test_a_verified_sweep_reads_past_the_input_gates(monkeypatch):
@@ -1008,6 +1015,38 @@ def test_a_verified_sweep_reads_past_the_input_gates(monkeypatch):
     _clear_sweep_caches()
     assert sweep(5, run_verify=True).passed
     assert 2 * 625 <= passes[0] < 3 * 625, passes[0]
+
+
+def test_a_verified_sweep_builds_no_checked_character(monkeypatch):
+    # cold: the kernels' products stay plain dicts into the block pass and
+    # the tally, and the modular characters are built from valid terms
+    built = [0]
+
+    def counted(self, *args, init=Character.__init__):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Character, "__init__", counted)
+    _clear_sweep_caches()
+    assert sweep(5, run_verify=True).passed
+    assert built[0] == 0
+    Character("weyl", {(0, 0): 1})  # the count sees a checked construction
+    assert built[0] == 1
+
+
+def test_buckets_of_the_raw_lr_product_match_the_checked_product_on_every_p5_pair():
+    # the kernel's dict keeps a weight whose terms cancel, with 0; the block
+    # pass skips it, so each block's pattern, in order, is the checked one's
+    p, cancelled = 5, 0
+    for nu in restricted_weights(p):
+        for nu2 in restricted_weights(p):
+            raw = _lr_product(simple_char(nu, p).coeffs, simple_char(nu2, p).coeffs)
+            cancelled += 0 in raw.values()
+            got, expect = (
+                [(rep, list(pattern.items())) for rep, pattern in _buckets(c, p).items()]
+                for c in (raw, tensor_char(nu, nu2, p).coeffs))
+            assert got == expect, (nu, nu2)
+    assert cancelled
 
 
 def test_a_verified_sweep_sorts_each_mirrored_summands_tuple_once(monkeypatch):
@@ -1035,13 +1074,15 @@ def test_a_verified_sweep_sorts_each_mirrored_summands_tuple_once(monkeypatch):
 
 def _plant_bk_sign_flip(monkeypatch):
     """The Brauer-Klimyk product with the sign of its X(1,1) term flipped."""
-    def flipped(c1, c2):
-        coeffs = dict(mult_via_monomial(c1, c2).coeffs)
+    decompose_module = sys.modules["sl3tensor.decompose"]
+
+    def flipped(f, g, product=decompose_module._bk_product):
+        coeffs = product(f, g)
         if (1, 1) in coeffs:
             coeffs[1, 1] = -coeffs[1, 1]
-        return Character._trusted("weyl", coeffs)
+        return coeffs
 
-    monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "mult_via_monomial", flipped)
+    monkeypatch.setattr(decompose_module, "_bk_product", flipped)
 
 
 def _failures_pair_by_pair(p):
