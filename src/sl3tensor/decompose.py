@@ -11,7 +11,9 @@ of a regular block (alcoves 3, 3', 2, 1), which a closed-form linear solve
 resolves in a basis that adds the non-highest-weight module M.  A negative
 multiplicity, an infeasible solve or summands that do not sum to the block
 is an integrity failure naming the block.  :func:`verify` checks what this
-did not compute; each record checks its own fields when it is built.  Both
+did not compute.  ``Summand(...)`` and ``Decomposition(...)`` check their
+fields; ``decompose``, which checks each unordered pair's inputs once, and
+``_summand`` build theirs from checked parts with ``_Frozen._trusted``.  Both
 products stay the plain ``{weight: int}`` dicts of the kernels of
 :mod:`~sl3tensor.weylchar`: the LR one into the block pass (``_buckets``),
 the Brauer-Klimyk one as the residue of verify's pass (``_tally``).
@@ -66,9 +68,19 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A hashable record; ``__init__`` sets its fields by ``object.__setattr__``."""
+    """A hashable record; ``__init__`` checks its fields, ``_trusted`` does not."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> "_Frozen":  # the fields, in slot order
+        for k, v in zip(self.__slots__, values):
+            object.__setattr__(self, k, v)
+        return self
+
+    @classmethod
+    def _trusted(cls, *values) -> "_Frozen":
+        """Unchecked, for fields built from checked parts."""
+        return object.__new__(cls)._set(*values)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -95,9 +107,7 @@ class Summand(_Frozen):
             raise ValueError(f"weight {weight} is not dominant")
         if not (_is_int(multiplicity) and multiplicity > 0):
             raise ValueError(f"multiplicity must be a positive int, got {multiplicity!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        self._set(kind, weight, multiplicity)
 
     def __str__(self) -> str:
         text = f"{self.kind}({self.weight[0]},{self.weight[1]})"
@@ -121,8 +131,7 @@ class Decomposition(_Frozen):
                 raise ValueError(f"summand must be a Summand, got {s!r}")
         if not (_is_int(dim_product) and dim_product > 0):
             raise ValueError(f"dim_product must be a positive int, got {dim_product!r}")
-        for k, v in zip(self.__slots__, (p, left, right, case, tuple(summands), dim_product)):
-            object.__setattr__(self, k, v)
+        self._set(p, left, right, case, tuple(summands), dim_product)
 
     def to_json(self) -> dict:
         return {
@@ -190,7 +199,10 @@ def _buckets(product: Mapping[Weight, int], p: int) -> Dict[Weight, Dict[str, in
         rep, facet = _placed(w, p)
         if facet == OUT:
             raise ValueError(f"support weight {w} outside the region for p={p}")
-        buckets.setdefault(rep, {})[facet] = k
+        pattern = buckets.get(rep)
+        if pattern is None:
+            pattern = buckets[rep] = {}
+        pattern[facet] = k
     return buckets
 
 
@@ -261,7 +273,7 @@ def _resolve_facets(case: int, pattern: Tuple[Tuple[str, int], ...]) -> Tuple[tu
     return summands
 
 
-_summand = lru_cache(maxsize=None)(Summand)  # one record per summand, shared by every pair
+_summand = lru_cache(maxsize=None)(Summand._trusted)  # one per summand, shared by every pair
 
 
 def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
@@ -298,7 +310,7 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
     ``__wrapped__``, reads the order ``nu <= nu2`` through the cache."""
     if nu2 < nu:
         d = decompose.cached(nu2, nu, p)
-        return Decomposition(p, nu, nu2, d.case, d.summands, d.dim_product)
+        return Decomposition._trusted(p, nu, nu2, d.case, d.summands, d.dim_product)
     _check_pair(nu, nu2, p)
     blocks = _buckets(_lr_product(simple_char.cached(nu, p).coeffs,
                                   simple_char.cached(nu2, p).coeffs), p)
@@ -307,8 +319,8 @@ def decompose(nu: Weight, nu2: Weight, p: int) -> Decomposition:
                 for s in _resolve_block(rep, tuple(blocks[rep].items()), case, p)]
     # kinds and weights are distinct: the blocks are disjoint
     summands.sort(key=lambda s: (-(s.weight[0] + s.weight[1]), -s.weight[0], s.kind))  # sort_key
-    return Decomposition(p, nu, nu2, case, summands,
-                         simple_dim.cached(nu, p) * simple_dim.cached(nu2, p))
+    return Decomposition._trusted(p, nu, nu2, case, tuple(summands),
+                                  simple_dim.cached(nu, p) * simple_dim.cached(nu2, p))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +343,6 @@ class Report(_Record):
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, ok, detail))
 
     def failures(self) -> List[Check]:
         return [c for c in self.checks if not c.ok]
@@ -398,28 +407,29 @@ def _verify(d: Decomposition, tally: tuple, mirror: list) -> Report:
     the mirrored record holds another tuple, so the two orders of a pair,
     whose mirrors share one tuple, sort it once."""
     report = Report()
+    add = report.checks.append
     p, case = d.p, _case(d.left, d.right, d.p)
     bad, leftover, dims, images = tally
     uncomputed = bad and f"misshapen summand {bad}"  # no residue or dimension to read
-    report.add("character-sum", not (uncomputed or leftover), uncomputed)
-    report.add("dimension", not uncomputed and dims == d.dim_product,
-               uncomputed or f"{dims} vs {d.dim_product}")
+    add(Check("character-sum", not (uncomputed or leftover), uncomputed))
+    add(Check("dimension", not uncomputed and dims == d.dim_product,
+              uncomputed or f"{dims} vs {d.dim_product}"))
     if not bad and case == 3 and all(kind != "M" for kind, _, _ in images):
         bad = "no M summand in case 3"
     if d.case != case:
         bad = f"case {d.case} recorded, case {case} from the weights"
-    report.add("summand-shape", not bad, bad)
+    add(Check("summand-shape", not bad, bad))
     if uncomputed:
-        report.add("tau-equivariance", False, uncomputed)
+        add(Check("tau-equivariance", False, uncomputed))
         return report
 
     try:
         mirrored = decompose.cached(tau(d.right), tau(d.left), p)
         if mirrored.summands is not mirror[0]:
             mirror[:] = mirrored.summands, _mirror_images(mirrored.summands)
-        report.add("tau-equivariance", images == mirror[1])
+        add(Check("tau-equivariance", images == mirror[1]))
     except IntegrityError as exc:
-        report.add("tau-equivariance", False, str(exc))
+        add(Check("tau-equivariance", False, str(exc)))
 
     return report
 
@@ -458,19 +468,19 @@ def _sweep_row(task) -> SweepResult:
     """The sweep tally of the pairs (nu, nu2) and (nu2, nu) over every
     restricted nu2 >= nu, so that each ordered pair falls in exactly one
     task.  The two orders of a pair share their computation: the second
-    order's ``decompose`` copies the first's memoized record, and a
-    verifying sweep computes the Brauer-Klimyk product and the summand
-    pass, ``_tally``, once for both.  The second order reuses the tally
-    only if its record holds the very summands tuple that the tally read;
-    otherwise it gets its own.  The sorted images of the mirrored record
-    are shared the same way.  Each order gets every check of
-    :func:`verify`."""
+    order's ``decompose`` copies the first's memoized record, every sweep
+    counts the summands' kinds once for both, and a verifying sweep computes
+    the Brauer-Klimyk product and the summand pass, ``_tally``, once for
+    both.  The second order reuses the counts and the tally only if its
+    record holds the very summands tuple that they read; otherwise it gets
+    its own.  The sorted images of the mirrored record are shared the same
+    way.  Each order gets every check of :func:`verify`."""
     p, nu, run_verify = task
     counts, m_pairs, pairs, failures = dict.fromkeys(KINDS, 0), 0, 0, []
     for nu2 in restricted_weights(p):
         if nu2 < nu:
             continue
-        read = tally = None  # the summands tuple that ``tally`` read
+        read = None  # the summands tuple that ``kinds`` and ``tally`` read
         mirror = [None, None]  # the mirrored summands tuple and its sorted images
         for left, right in ((nu, nu2),) if nu2 == nu else ((nu, nu2), (nu2, nu)):
             pairs += 1
@@ -479,12 +489,16 @@ def _sweep_row(task) -> SweepResult:
             except IntegrityError as exc:
                 failures.append(f"{_tag(left, right)}: {exc}")
                 continue
-            for s in d.summands:
-                counts[s.kind] += s.multiplicity
-            m_pairs += any(s.kind == "M" for s in d.summands)
+            if d.summands is not read:
+                read, kinds = d.summands, dict.fromkeys(KINDS, 0)
+                for s in read:
+                    kinds[s.kind] += s.multiplicity
+                if run_verify:
+                    tally = _tally(read, _case(left, right, p), p, nu, nu2)
+            for kind, n in kinds.items():
+                counts[kind] += n
+            m_pairs += kinds["M"] > 0  # multiplicities are positive
             if run_verify:
-                if d.summands is not read:
-                    read, tally = d.summands, _tally(d.summands, _case(left, right, p), p, nu, nu2)
                 failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
                              for c in _verify(d, tally, mirror).failures()]
     return SweepResult(p, pairs, counts, m_pairs, failures)

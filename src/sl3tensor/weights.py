@@ -149,10 +149,10 @@ def dominance_leq(mu: Weight, lam: Weight) -> bool:
 
 def dim_weyl(w: Weight) -> int:
     """Weyl dimension ``(a+1)(b+1)(a+b+2)/2``; rejects non-dominant weights."""
-    if not is_dominant(w):
+    a, b = w
+    if a < 0 or b < 0:
         raise ValueError(f"non-dominant weight {w}")
-    r, s, t = pairings(w)
-    return r * s * t // 2
+    return (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
 def dot_reflect(w: Weight, root: str, m: int, p: int) -> Weight:

@@ -255,25 +255,31 @@ def _lr_into(out: Dict[Weight, int], k: int, lam: Weight, mu: Weight) -> None:
     # Q[0] - s1 (n31 >= 0) and s2 (n22 >= 0); below by 0 and nu3 - P[1]
     # (columns: n31 + n32), s2 - Q[1] (n32 >= 0), Q[0] - s1 - P[1] (columns:
     # n31), Q[1] - s1 and s2 - s1 (ballot).  The bounds that fall by one per
-    # unit of nu1 merge into `up` and `down`, constant for each nu3.
+    # unit of nu1 merge into `up` and `down`, constant for each nu3.  Only
+    # the nu1 where every upper bound reaches every lower one are visited:
+    # floor <= width caps nu3 at P[0], and (ballot - width) / 2 is R / 2.
     width = P[0] - P[1]
     low_q = P[0] + Q[0] - P[1] if Q[0] - Q[1] > P[1] else P[0] + Q[1]
-    last = total // 3 if total // 3 < P[1] + Q[1] else P[1] + Q[1]
-    for nu3 in range(last + 1):  # nu3 <= n31 + n32 <= P[1] + Q[1]
+    for nu3 in range(min(total // 3, P[1] + Q[1], P[0]) + 1):  # nu3 <= n31 + n32
         R = total - nu3
         up = P[0] + Q[0] if P[0] + Q[0] < R - P[1] else R - P[1]
         down = R - P[1] - Q[1] if R - Q[1] > low_q + P[1] else low_q
         floor, ballot = (nu3 - P[1] if nu3 > P[1] else 0), R - P[1] + P[0]
-        top = up if up < R - nu3 else R - nu3  # nu1 = P[0] + s1, s1 <= Q[0]
+        if up < down:
+            continue
+        top = up - floor if up - floor < R - nu3 else R - nu3  # nu1 = P[0] + s1, s1 <= Q[0]
         bottom = (R + 1) // 2 if (R + 1) // 2 > P[0] else P[0]
+        if bottom < ballot - up:
+            bottom = ballot - up
+        if bottom < down - width:
+            bottom = down - width
         for nu1 in range(top, bottom - 1, -1):
             hi = up - nu1 if up - nu1 < width else width
             lo = down - nu1 if down - nu1 > floor else floor
             if lo < ballot - 2 * nu1:
                 lo = ballot - 2 * nu1
-            if hi >= lo:
-                nu = (2 * nu1 - R, R - nu1 - nu3)
-                out[nu] = get(nu, 0) + k * (hi - lo + 1)
+            nu = (2 * nu1 - R, R - nu1 - nu3)
+            out[nu] = get(nu, 0) + k * (hi - lo + 1)
 
 
 def _lr_product(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> Dict[Weight, int]:

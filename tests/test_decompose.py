@@ -1034,6 +1034,31 @@ def test_a_verified_sweep_builds_no_checked_character(monkeypatch):
     assert built[0] == 1
 
 
+def test_a_verified_sweep_builds_no_checked_record(monkeypatch):
+    # cold: decompose checks each unordered pair's inputs once, in its body,
+    # and builds its records, and the interned summands, from checked parts
+    decompose_module = sys.modules["sl3tensor.decompose"]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in (Decomposition, Summand):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(decompose_module, "_check_pair",
+                        counted("_check_pair", decompose_module._check_pair))
+    _clear_sweep_caches()
+    assert sweep(5, run_verify=True).passed
+    assert calls == {"_check_pair": 325}
+    # the counts see a checked construction of each record
+    s = Summand("T", (1, 1), 1)
+    Decomposition(5, (0, 0), (0, 0), 1, (s,), 1)
+    assert calls == {"_check_pair": 326, "Summand": 1, "Decomposition": 1}
+
+
 def test_buckets_of_the_raw_lr_product_match_the_checked_product_on_every_p5_pair():
     # the kernel's dict keeps a weight whose terms cancel, with 0; the block
     # pass skips it, so each block's pattern, in order, is the checked one's
@@ -1126,8 +1151,7 @@ def test_a_fault_in_the_copied_order_alone_fails_that_order(monkeypatch):
     # the record of the second order (right < left) loses its last summand:
     # its summands are no longer the tuple the first order's pass read, so
     # the sweep must check them on their own, as verify does
-    decompose_module = sys.modules["sl3tensor.decompose"]
-    real = decompose_module.Decomposition
+    real = Decomposition._trusted  # the record builder that decompose calls
 
     def dropping(p, left, right, case, summands, dim_product):
         return real(p, left, right, case, summands[:-1] if right < left else summands,
@@ -1137,7 +1161,7 @@ def test_a_fault_in_the_copied_order_alone_fails_that_order(monkeypatch):
         decompose.cache_clear()
         _resolve_facets.cache_clear()
 
-    monkeypatch.setattr(decompose_module, "Decomposition", dropping)
+    monkeypatch.setattr(Decomposition, "_trusted", dropping)
     try:
         clear()
         swept = sweep(5, run_verify=True).failures

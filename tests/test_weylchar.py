@@ -298,23 +298,30 @@ def _lr_table(lam, mu):
 
 
 def test_lr_items_match_the_loop_on_the_grid():
-    # every partition of the right size, with its count by the loop
+    # every partition of the right size, with its count by the loop: on the
+    # 9 x 9 grid, then at the sizes of the p=13 box (coordinates up to 12),
+    # every pair with a zero coordinate, where the kernel's row bounds
+    # meet, and a seeded sample
     grid = [(a, b) for a in range(9) for b in range(9)]
-    for lam in grid:
+    box = [(a, b) for a in range(13) for b in range(13)]
+    rng = random.Random(13)
+    pairs = [(lam, mu) for lam in grid for mu in grid]
+    pairs += [(lam, mu) for lam in box for mu in box if 0 in lam + mu and max(lam + mu) > 8]
+    pairs += [(rng.choice(box), rng.choice(box)) for _ in range(300)]
+    for lam, mu in pairs:
         P = (lam[0] + lam[1], lam[1], 0)
-        for mu in grid:
-            Q = (mu[0] + mu[1], mu[1], 0)
-            total = sum(P) + sum(Q)
-            expect = {}
-            for nu3 in range(total // 3 + 1):
-                for nu2 in range(nu3, (total - nu3) // 2 + 1):
-                    nu = (total - nu2 - nu3, nu2, nu3)
-                    count = _lr_count_by_loop(nu, P, Q)
-                    if count:
-                        expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
-            weights, counts = _lr_table(lam, mu)
-            assert len(weights) == len(counts) == len(expect), (lam, mu)
-            assert dict(zip(weights, counts)) == expect, (lam, mu)
+        Q = (mu[0] + mu[1], mu[1], 0)
+        total = sum(P) + sum(Q)
+        expect = {}
+        for nu3 in range(total // 3 + 1):
+            for nu2 in range(nu3, (total - nu3) // 2 + 1):
+                nu = (total - nu2 - nu3, nu2, nu3)
+                count = _lr_count_by_loop(nu, P, Q)
+                if count:
+                    expect[(nu[0] - nu[1], nu[1] - nu[2])] = count
+        weights, counts = _lr_table(lam, mu)
+        assert len(weights) == len(counts) == len(expect), (lam, mu)
+        assert dict(zip(weights, counts)) == expect, (lam, mu)
 
 
 def test_lr_tables_repeat_with_exact_int_pair_weights():
