@@ -7,7 +7,6 @@ from .decompose import (
     Decomposition,
     IntegrityError,
     Summand,
-    case3_floor_solve,
     decompose,
     sweep,
     tensor_char,
@@ -49,7 +48,6 @@ __all__ = [
     "Summand",
     "Weight",
     "canonical_rep",
-    "case3_floor_solve",
     "classify",
     "decompose",
     "delta_factors",

@@ -2,16 +2,17 @@
 
 The driver follows the character algorithm: expand the product of two simple
 characters through the Littlewood-Richardson rule, split the result into
-linkage blocks, and resolve each block in facet terms, with no p, by rows
-derived from the facet expansions of :mod:`~sl3tensor.modchar`.  A row
-writes the Weyl character at a facet in the summand basis of the case:
-tilting characters; simple characters at the second alcove when exactly one
-factor lies there; and, when both do, simple-basis coordinates at the floor
-of a regular block (alcoves 3, 3', 2, 1), which a closed-form linear solve
-resolves in a basis that adds the non-highest-weight module M.  A negative
-multiplicity, an infeasible solve or summands that do not sum to the block
-is an integrity failure naming the block.  :func:`verify` checks what this
-did not compute.  ``Summand(...)`` and ``Decomposition(...)`` check their
+linkage blocks, and resolve each block in facet terms, with no p: rows
+derived from the facet expansions of :mod:`~sl3tensor.modchar` write the
+Weyl character at each facet in tilting coordinates, and cases 2 and 3 each
+change one basis element, read from the same records: L replaces T at the
+second alcove when one factor lies there; when both do, the
+non-highest-weight module M plus T replaces T at the bottom alcove, which
+solves the floor of a regular block (alcoves 3, 3', 2, 1).  Each row and
+change asserts at its build that it expands back, so the summands sum to
+the block; a negative multiplicity or an infeasible floor solve is an
+integrity failure naming the block.  :func:`verify` checks what this did
+not compute.  ``Summand(...)`` and ``Decomposition(...)`` check their
 fields; ``decompose``, which checks each unordered pair's inputs once, and
 ``_summand`` build theirs from checked parts with ``_Frozen._trusted``.  Both
 products stay the plain ``{weight: int}`` dicts of the kernels of
@@ -19,19 +20,19 @@ products stay the plain ``{weight: int}`` dicts of the kernels of
 the Brauer-Klimyk one as the residue of verify's pass (``_tally``).
 Memoized by ``functools.lru_cache``: :func:`decompose`, behind the checks of
 ``weights._checked_cache``, once per unordered pair; ``_resolve_facets``, on
-the case and the block's facet pattern, at every p; the rows, ``_row``;
-``_summand``, one record per summand; and ``_kind_terms``, verify's one
-lookup per summand.  Results are immutable.  Inputs are
-checked on entry; later reads of values checked or built here skip the gates
-(``.cached``, ``alcoves._placed``, ``_class``): characters, dimensions, facets,
-the other order and the τ mirror.  A sweep's ``decompose`` of each order checks.
+the case and the block's facet pattern, at every p; the 33 rows, ``_row``,
+and the two changes, ``_change``; ``_summand``, one record per summand; and
+``_kind_terms``, verify's one lookup per summand.  Results are immutable.
+Inputs are checked on entry; later reads of values checked or built here
+skip the gates (``.cached``, ``alcoves._placed``, ``_class``): characters,
+dimensions, facets, the other order and the τ mirror.  A sweep's
+``decompose`` of each order checks.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .alcoves import OUT, _class, _placed, classify, is_restricted, restricted_weights
@@ -206,71 +207,72 @@ def _buckets(product: Mapping[Weight, int], p: int) -> Dict[Weight, Dict[str, in
     return buckets
 
 
-def case3_floor_solve(a3: int, a3p: int, a2: int, a1: int) -> Tuple[int, int, int, int]:
-    """Resolve a regular-block floor in the basis of the three tilting
-    characters at the floor together with M plus its simple companion.
+def _through(terms, table) -> Dict[str, int]:
+    """``(facet, k)`` terms mapped through ``table``'s at each facet, zeros dropped."""
+    out: Dict[str, int] = {}
+    for g, c in terms:
+        for f, k in table(g):
+            out[f] = out.get(f, 0) + c * k
+    return {f: k for f, k in out.items() if k}
 
-    Solves x + w = a3, y + w = a3p, 2x + 2y + z + 2w = a2,
-    x + y + 2z + 2w = a1 for nonnegative integers.  Infeasibility is an
-    integrity error.
-    """
-    # 2z from combining the last two equations, then 2w from the third
-    num_z = a1 - a3 - a3p
-    num_w = num_z // 2 - a2 + 2 * a3 + 2 * a3p
-    if num_z % 2 or num_w % 2:
-        raise IntegrityError("floor solve is non-integral")
-    w = num_w // 2
-    solution = (a3 - w, a3p - w, num_z // 2, w)
-    if min(solution) < 0:
-        raise IntegrityError(f"floor solve has negative part {solution}")
-    return solution
+
+_tilting = partial(_expansion, "T")  # the Weyl factors of T at a facet
 
 
 @lru_cache(maxsize=None)
-def _row(case: int, facet: str) -> Tuple[Tuple[str, str, int], ...]:
-    """The Weyl character at ``facet`` as ``(kind, facet, k)`` terms of the
-    case's summand basis, with no p: the summand at the facet less the rows
-    of the other Weyl factors of its :func:`~sl3tensor.modchar._expansion`.
-    The summand is L at C2 in case 2 and at the floor facets in case 3, else
-    T; so the case-3 floor rows are simple-basis coordinates, ``("L", g,
-    k)``, for the floor solve."""
-    kind = "L" if (case == 3 and facet in FLOOR_FACETS) or (case == 2 and facet == "C2") else "T"
-    lower = dict(_expansion(kind, facet))
-    assert lower.pop(facet, 0) == 1, f"{kind} at {facet} has no unit lead"
-    row = Counter({(kind, facet): 1})
-    for g, c in lower.items():
-        for term_kind, f, k in _row(case, g):
-            row[term_kind, f] -= c * k
-    return tuple((term_kind, f, k) for (term_kind, f), k in row.items() if k)
+def _row(facet: str) -> Tuple[Tuple[str, int], ...]:
+    """The Weyl character at ``facet`` in tilting coordinates ``(facet, k)``,
+    with no p: T at the facet less the rows of its other Weyl factors.  It
+    must expand back to the unit, so a wrongly built row fails here."""
+    lower = dict(_tilting(facet))
+    assert lower.pop(facet, 0) == 1, f"T at {facet} has no unit lead"
+    row = ((facet, 1),) + tuple(_through([(g, -c) for g, c in lower.items()], _row).items())
+    expanded = _through(row, _tilting)
+    assert expanded == {facet: 1}, f"the row of {facet} expands to {expanded}"
+    return row
+
+
+@lru_cache(maxsize=None)
+def _change(case: int) -> Tuple[str, Tuple[Tuple[str, str], ...], Tuple[Tuple[str, int], ...]]:
+    """``(pivot, summands, coordinates)``: the summands that replace T at the
+    pivot facet in cases 2 and 3, and their sum in tilting coordinates by the
+    rows, which must expand back: L(C2) = T(C2) - 2 T(C1), and M + T(C1) =
+    T(C3) + T(C3') - 2 T(C2) + 4 T(C1), so the floor solve is w = t1 / 4."""
+    pivot, *summands = {2: ("C2", ("L", "C2")), 3: ("C1", ("M", "C2"), ("T", "C1"))}[case]
+    weyl = _through([(s, 1) for s in summands], lambda s: _expansion(*s))
+    coords = _through(weyl.items(), _row)
+    expanded = _through(coords.items(), _tilting)
+    assert expanded == weyl, f"the change of case {case}, {coords}, expands to {expanded}"
+    return pivot, tuple(summands), tuple(coords.items())
 
 
 @lru_cache(maxsize=None)
 def _resolve_facets(case: int, pattern: Tuple[Tuple[str, int], ...]) -> Tuple[tuple, ...]:
     """The summands ``(kind, facet, k)`` of a block with Weyl coefficients
-    ``pattern``: the rows of its facets, with :func:`case3_floor_solve`.  Their
-    expansions must sum to the pattern: the block's sum check, since a class
-    holds one weight per facet.  A negative part or a residue raises with its
-    ``(facet, k)`` terms as ``block``, for :func:`_resolve_block` to name."""
-    terms: Dict[Tuple[str, str], int] = {}
-    for facet, k in pattern:
-        for kind, f, m in _row(case, facet):
-            terms[kind, f] = terms.get((kind, f), 0) + k * m
-    floor = [terms.pop(("L", f), 0) for f in FLOOR_FACETS] if case == 3 else ()
-    negative = [(f, k) for (_, f), k in terms.items() if k < 0]
+    ``pattern``: its tilting coordinates by the rows, in the case's basis
+    (:func:`_change`).  Only what is not linear is checked: a negative part
+    off the case-3 floor raises with its ``(facet, k)`` terms as ``block``,
+    for :func:`_resolve_block` to name, then the floor solve's integrality
+    and sign."""
+    coords = _through(pattern, _row)
+    pivot, floor, rest = None, (), 0
+    if case > 1:
+        pivot, summands, change = _change(case)
+        w, rest = divmod(coords.get(pivot, 0), dict(change)[pivot])
+        for f, c in change:
+            coords[f] = coords.get(f, 0) - w * c
+        coords[pivot] = w  # the summands' multiplicity
+        floor = FLOOR_FACETS if case == 3 else ()  # the change's support
+    negative = [(f, k) for f, k in coords.items() if k < 0 and f not in floor]
     if negative:
         raise IntegrityError("negative", block=negative)
-    if any(floor):
-        x, y, z, w = case3_floor_solve(*floor)  # its failure names no block
-        terms.update({("T", "C3"): x, ("T", "C3p"): y, ("T", "C2"): z,
-                      ("M", "C2"): w, ("T", "C1"): w})
-    summands = tuple((kind, f, k) for (kind, f), k in terms.items() if k)
-    residue = dict(pattern)
-    for kind, f, k in summands:
-        for g, c in _expansion(kind, f):
-            residue[g] = residue.get(g, 0) - k * c
-    if any(residue.values()):  # once per distinct pattern and case
-        raise IntegrityError("residue", block=list(residue.items()))
-    return summands
+    if rest:
+        raise IntegrityError("floor solve is non-integral")  # its failures name no block
+    solution = tuple(coords.get(f, 0) for f in floor)
+    if min(solution, default=0) < 0:
+        raise IntegrityError(f"floor solve has negative part {solution}")
+    return tuple((kind, g, k) for f, k in coords.items() if k
+                 for kind, g in (summands if f == pivot else (("T", f),)))
 
 
 _summand = lru_cache(maxsize=None)(Summand._trusted)  # one per summand, shared by every pair
@@ -279,7 +281,8 @@ _summand = lru_cache(maxsize=None)(Summand._trusted)  # one per summand, shared 
 def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
                    p: int) -> List[Summand]:
     """The summands of the block of ``rep`` with the facet ``pattern`` (its
-    :func:`_buckets` items), and any failure, named in the class's weights."""
+    :func:`_buckets` items), and any failure, named in the class's weights:
+    a negative part at its highest weight, a floor solve's by ``rep``."""
     index = _class(rep, p)
     try:
         terms = _resolve_facets(case, pattern)
@@ -287,9 +290,6 @@ def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
         if exc.block is None:  # the floor solve's
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
         parts = {index[f]: k for f, k in exc.block}
-        if str(exc) == "residue":
-            raise IntegrityError(f"summands do not sum to block {rep}, residue "
-                                 f"{Character._trusted('weyl', parts)}", block=rep) from None
         lead = min(parts, key=sort_key)  # the first that a greedy pass from the top meets
         raise IntegrityError(f"negative multiplicity {parts[lead]} at {lead} during greedy pass",
                              block=lead) from None

@@ -6,6 +6,7 @@ import pickle
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +30,13 @@ from sl3tensor.decompose import (
     SweepResult,
     _KIND_CHAR,
     _buckets,
+    _change,
     _kind_terms,
     _resolve_block,
     _resolve_facets,
     _row,
     _summand,
     _sweep_row,
-    case3_floor_solve,
     decompose,
     summand_dim,
     sweep,
@@ -484,34 +485,44 @@ def test_verify_checks_the_sum_by_the_second_product_route(monkeypatch):
         decompose.cache_clear()
 
 
-def _plant_wrong_row(monkeypatch):
-    """One more T(C2) in the case-1 row of C2, as the block resolver reads it."""
-    for facet in ALL_FACETS:  # built first, so no other row reads the wrong one
-        _row(1, facet)
+def _plant_wrong_row(monkeypatch, prebuild=True):
+    """One more T(C2) in the row of C2, as the block resolver and the row
+    and basis-change builds read it.  With ``prebuild``, every row and both
+    basis changes are built first, so none of them reads the wrong row."""
+    if prebuild:
+        for facet in ALL_FACETS:
+            _row(facet)
+        _change(2), _change(3)
 
-    def wrong_row(case, facet):
-        row = _row(case, facet)
-        if (case, facet) == (1, "C2"):
-            assert row[0] == ("T", "C2", 1)
-            row = (("T", "C2", 2),) + row[1:]
+    def wrong_row(facet):
+        row = _row(facet)
+        if facet == "C2":
+            assert row[0] == ("C2", 1)
+            row = (("C2", 2),) + row[1:]
         return row
 
     monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "_row", wrong_row)
 
 
 def test_a_wrong_row_fails_the_sum_check_of_its_block(monkeypatch):
-    # of the blocks of L(1,1) x L(1,1) at p=5 only that of (1, 1) has a
-    # weight at C2, (2, 2)
-    _plant_wrong_row(monkeypatch)
-    _resolve_facets.cache_clear()
-    decompose.cache_clear()
+    # built from the wrong row of C2, the row of C3 fails its own identity
+    # before any answer: C2 is a Weyl factor of T(C3)
+    def clear():
+        for fn in (_row, _change, _resolve_facets, decompose):
+            fn.cache_clear()
+
+    _plant_wrong_row(monkeypatch, prebuild=False)
+    clear()
     try:
-        with pytest.raises(IntegrityError, match="do not sum to block") as info:
-            decompose((1, 1), (1, 1), 5)
-        assert info.value.block == canonical_rep((2, 2), 5) == (1, 1)
+        with pytest.raises(AssertionError, match="the row of C3 expands to"):
+            decompose((3, 1), (3, 1), 5)
+        # of the blocks of L(1,1) x L(1,1) at p=5 only that of (1, 1) has a
+        # weight at C2, (2, 2), and no row it reads is built from the row of
+        # C2: the answer is built, and verify refuses it
+        d = decompose((1, 1), (1, 1), 5)
+        assert {"character-sum", "dimension"} <= {c.name for c in verify(d).failures()}
     finally:
-        _resolve_facets.cache_clear()
-        decompose.cache_clear()
+        clear()
 
 
 def test_cached_decomposition_is_immutable():
@@ -760,6 +771,26 @@ def _block_keys(p):
                 yield rep, tuple(pattern.items()), case
 
 
+def case3_floor_solve(a3, a3p, a2, a1):
+    """Resolve a regular-block floor in the basis of the three tilting
+    characters at the floor together with M plus its simple companion.
+
+    Solves x + w = a3, y + w = a3p, 2x + 2y + z + 2w = a2,
+    x + y + 2z + 2w = a1 for nonnegative integers.  Infeasibility is an
+    integrity error.
+    """
+    # 2z from combining the last two equations, then 2w from the third
+    num_z = a1 - a3 - a3p
+    num_w = num_z // 2 - a2 + 2 * a3 + 2 * a3p
+    if num_z % 2 or num_w % 2:
+        raise IntegrityError("floor solve is non-integral")
+    w = num_w // 2
+    solution = (a3 - w, a3p - w, num_z // 2, w)
+    if min(solution) < 0:
+        raise IntegrityError(f"floor solve has negative part {solution}")
+    return solution
+
+
 def _resolve_by_weights(rep, pattern, case, p):
     """The block resolver on weights, as a reference for the table: peel the
     top weight's tilting character (its simple one at a second-alcove weight
@@ -808,7 +839,7 @@ def test_block_memo_matches_weight_resolution_on_every_p5_and_p7_block():
 
 def _clear_sweep_caches():
     """Every memo between a sweep and the facet expansions."""
-    for fn in (decompose, _resolve_facets, _summand, _row, _expansion, _kind_terms,
+    for fn in (decompose, _resolve_facets, _summand, _row, _change, _expansion, _kind_terms,
                simple_char, simple_dim, tilting_char, m_char):
         fn.cache_clear()
 
@@ -820,44 +851,83 @@ def test_sweep_resolves_each_distinct_block_once():
     info = _resolve_facets.cache_info()
     assert info.misses == len(set(keys))
     assert info.hits == len(keys) - len(set(keys)) > 0
-    # the rows and the expansions hold no p: at most one per case (kind)
-    # and facet, M at C2 alone, and p=7 builds none that p=5 built, so both
-    # sweeps leave what p=7 alone leaves
-    assert _row.cache_info().currsize <= 3 * 33
+    # the rows and the expansions hold no p: at most one row per facet, one
+    # expansion per kind and facet, M at C2 alone, and p=7 builds none that
+    # p=5 built, so both sweeps leave what p=7 alone leaves
+    assert _row.cache_info().currsize <= 33
     assert _expansion.cache_info().currsize <= 2 * 33 + 1
     sweep(7, run_verify=False)
     rows, expansions = _row.cache_info().currsize, _expansion.cache_info().currsize
     _clear_sweep_caches()
     sweep(7, run_verify=False)
-    assert _row.cache_info().currsize == rows <= 3 * 33
+    assert _row.cache_info().currsize == rows <= 33
     assert _expansion.cache_info().currsize == expansions <= 2 * 33 + 1
 
 
 def test_rows_are_read_only():
-    for case in (1, 2, 3):
-        row = _row(case, "C7")
-        assert type(row) is tuple and all(type(term) is tuple for term in row)
+    row = _row("C7")
+    assert type(row) is tuple and all(type(term) is tuple for term in row)
+    for case in (2, 3):
+        pivot, summands, coords = _change(case)
+        assert type(summands) is tuple and all(type(term) is tuple for term in summands)
+        assert type(coords) is tuple and all(type(term) is tuple for term in coords)
     # every expansion, so every entry its cache can hold: T and L at each
     # facet, M at C2
     for kind, facet in [(kind, f) for kind in ("T", "L") for f in ALL_FACETS] + [("M", "C2")]:
         expansion = _expansion(kind, facet)
         assert type(expansion) is tuple and all(type(term) is tuple for term in expansion)
     assert _expansion.cache_info().currsize == 2 * len(ALL_FACETS) + 1 == 67
-    # L(C2) = X(C2) - X(C1), and X(C1) = T(C1) = L(C1)
-    assert _row(2, "C2") == (("L", "C2", 1), ("T", "C1", 1))
-    assert _row(3, "C2") == (("L", "C2", 1), ("L", "C1", 1))
+    # T(C2) = X(C2) + X(C1), and X(C1) = T(C1); L(C2) = X(C2) - X(C1)
+    assert _row("C2") == (("C2", 1), ("C1", -1))
+    assert _change(2) == ("C2", (("L", "C2"),), (("C2", 1), ("C1", -2)))
+    assert _change(3)[:2] == ("C1", (("M", "C2"), ("T", "C1")))
+    assert dict(_change(3)[2]) == {"C3": 1, "C3p": 1, "C2": -2, "C1": 4}
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_every_row_recombines_to_the_weyl_character_at_every_weight(p):
-    # every facet holds weights at p=5 and 7, so this reads all 3 x 33 rows
-    char = {"T": tilting_char, "L": simple_char}
+    # every facet holds weights at p=5 and 7, so this reads all 33 rows
     for w in region_weights(p):
-        facet = classify(w, p)
-        for case in (1, 2, 3):
-            got = Character("weyl").combine(
-                (k, char[kind](linked_weight(w, f, p), p)) for kind, f, k in _row(case, facet))
-            assert got == Character("weyl", {w: 1}), (p, w, case)
+        got = Character("weyl").combine(
+            (k, tilting_char(linked_weight(w, f, p), p)) for f, k in _row(classify(w, p)))
+        assert got == Character("weyl", {w: 1}), (p, w)
+
+
+def _in_tilting_by_layers(simple):
+    """Composition factors ``{facet: k}`` in tilting coordinates, by exact
+    elimination on the system whose columns are the stored tilting layers:
+    a route that reads neither ``_expansion`` nor the rows."""
+    layers = {f: diagram(f, "tilting").layer_multiset() for f in ALL_FACETS}
+    system = [[Fraction(layers[f][g]) for f in ALL_FACETS] + [Fraction(simple.get(g, 0))]
+              for g in ALL_FACETS]
+    n = len(ALL_FACETS)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if system[r][col])
+        system[col], system[pivot] = system[pivot], system[col]
+        system[col] = [x / system[col][col] for x in system[col]]
+        for r in range(n):
+            if r != col and system[r][col]:
+                system[r] = [a - system[r][col] * b for a, b in zip(system[r], system[col])]
+    assert all(row[n].denominator == 1 for row in system)
+    return {f: int(row[n]) for f, row in zip(ALL_FACETS, system) if row[n]}
+
+
+def test_rows_and_basis_changes_match_the_stored_layers():
+    # the Weyl module at each facet, from its delta diagram, gives its row
+    for facet in ALL_FACETS:
+        assert dict(_row(facet)) == _in_tilting_by_layers(Counter(delta_factors(facet))), facet
+        expanded = Counter()
+        for f, k in _row(facet):
+            for g, c in _expansion("T", f):
+                expanded[g] += k * c
+        assert {g: c for g, c in expanded.items() if c} == {facet: 1}, facet
+    # L(C2), and M + T(C1) from the m and tilting records, which give the
+    # floor solve w = t1 / 4 and (t3 - w, t3' - w, t2 + 2w, w)
+    l2 = Counter({"C2": 1})
+    m1 = diagram("C2", "m").layer_multiset() + diagram("C1", "tilting").layer_multiset()
+    assert _in_tilting_by_layers(l2) == dict(_change(2)[2]) == {"C2": 1, "C1": -2}
+    assert _in_tilting_by_layers(m1) == dict(_change(3)[2]) == {
+        "C3": 1, "C3p": 1, "C2": -2, "C1": 4}
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
