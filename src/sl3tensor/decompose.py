@@ -73,9 +73,13 @@ class _Frozen(_Record):
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):  # the slots' setters, past __setattr__
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, k).__set__ for k in cls.__slots__)
+
     def _set(self, *values) -> "_Frozen":  # the fields, in slot order
-        for k, v in zip(self.__slots__, values):
-            object.__setattr__(self, k, v)
+        for setter, v in zip(self._setters, values):
+            setter(self, v)
         return self
 
     @classmethod
@@ -362,19 +366,24 @@ def verify(d: Decomposition) -> Report:
     record that breaks a rule on its own fields cannot be built.  Each call
     computes its own product and tally; a sweep computes both once for the
     two orders of a pair and passes the tally to the same body, ``_verify``,
-    so every order still gets every check."""
+    so every order still gets every check.  The body gives the four checks
+    as ``(name, ok, detail)`` values, which only this wraps as a ``Report``
+    of ``Check``s; a sweep reads them as they are."""
     p = d.p
-    return _verify(d, _tally(d.summands, _case(d.left, d.right, p), p, d.left, d.right),
-                   [None, None])
+    report = Report()
+    tally = _tally(d.summands, _case(d.left, d.right, p), p, d.left, d.right)
+    report.checks = [Check(*c) for c in _verify(d, tally, [None, None])]
+    return report
 
 
 def _tally(summands: Tuple[Summand, ...], case: int, p: int, nu: Weight, nu2: Weight) -> tuple:
     """The one pass of :func:`verify` over ``summands``: the first misshapen
     summand (then the rest is uncomputed), whether a residue is left against
     the Brauer-Klimyk product of the simple characters at ``nu`` and
-    ``nu2``, which is the residue's start, the dimension sum and the sorted
-    images under the involution.  T may sit at any facet of the region, L
-    only at C2 in case 2 and M only at C2 in case 3.  Neither the case nor
+    ``nu2``, which is the residue's start, the dimension sum, the sorted
+    images under the involution and ``case``, the case of the pair, which
+    :func:`_verify` reads from here.  T may sit at any facet of the region,
+    L only at C2 in case 2 and M only at C2 in case 3.  Neither the case nor
     the product depends on the order, so both orders of a pair may share
     the tally; no reader alters it."""
     residue = _bk_product(simple_char.cached(nu, p).coeffs, simple_char.cached(nu2, p).coeffs)
@@ -390,7 +399,7 @@ def _tally(summands: Tuple[Summand, ...], case: int, p: int, nu: Weight, nu2: We
             residue[mu] = get(mu, 0) - m * c
         dims += m * dim
         images.append((kind, (w[1], w[0]), m))  # tau(w)
-    return bad, any(residue.values()), dims, sorted(images)
+    return bad, any(residue.values()), dims, sorted(images), case
 
 
 def _mirror_images(summands: Tuple[Summand, ...]) -> list:
@@ -398,40 +407,36 @@ def _mirror_images(summands: Tuple[Summand, ...]) -> list:
     return sorted((s.kind, s.weight, s.multiplicity) for s in summands)
 
 
-def _verify(d: Decomposition, tally: tuple, mirror: list) -> Report:
-    """The body of :func:`verify`: the report of ``d`` from the ``_tally``
-    of its summands.  What depends on the order is read here: ``d``'s own
-    dimension and case, and the involution's mirrored ``decompose``.
-    ``mirror`` is ``[summands, images]``, the last mirrored summands tuple
-    and its :func:`_mirror_images`; they are rebuilt, in place, only when
-    the mirrored record holds another tuple, so the two orders of a pair,
-    whose mirrors share one tuple, sort it once."""
-    report = Report()
-    add = report.checks.append
-    p, case = d.p, _case(d.left, d.right, d.p)
-    bad, leftover, dims, images = tally
+def _verify(d: Decomposition, tally: tuple, mirror: list) -> tuple:
+    """The body of :func:`verify`: the four checks of ``d`` as plain
+    ``(name, ok, detail)`` tuples, character-sum, dimension, summand-shape
+    and tau-equivariance, from the ``_tally`` of its summands, which also
+    holds the pair's case.  What depends on the order is read here: ``d``'s
+    own dimension and recorded case, and the involution's mirrored
+    ``decompose``.  ``mirror`` is ``[summands, images]``, the last mirrored
+    summands tuple and its :func:`_mirror_images`; they are rebuilt, in
+    place, only when the mirrored record holds another tuple, so the two
+    orders of a pair, whose mirrors share one tuple, sort it once."""
+    bad, leftover, dims, images, case = tally
     uncomputed = bad and f"misshapen summand {bad}"  # no residue or dimension to read
-    add(Check("character-sum", not (uncomputed or leftover), uncomputed))
-    add(Check("dimension", not uncomputed and dims == d.dim_product,
-              uncomputed or f"{dims} vs {d.dim_product}"))
+    total = ("character-sum", not (uncomputed or leftover), uncomputed)
+    dimension = ("dimension", not uncomputed and dims == d.dim_product,
+                 uncomputed or f"{dims} vs {d.dim_product}")
     if not bad and case == 3 and all(kind != "M" for kind, _, _ in images):
         bad = "no M summand in case 3"
     if d.case != case:
         bad = f"case {d.case} recorded, case {case} from the weights"
-    add(Check("summand-shape", not bad, bad))
+    shape = ("summand-shape", not bad, bad)
     if uncomputed:
-        add(Check("tau-equivariance", False, uncomputed))
-        return report
+        return total, dimension, shape, ("tau-equivariance", False, uncomputed)
 
     try:
-        mirrored = decompose.cached(tau(d.right), tau(d.left), p)
-        if mirrored.summands is not mirror[0]:
-            mirror[:] = mirrored.summands, _mirror_images(mirrored.summands)
-        add(Check("tau-equivariance", images == mirror[1]))
+        mirrored = decompose.cached(tau(d.right), tau(d.left), d.p)
     except IntegrityError as exc:
-        add(Check("tau-equivariance", False, str(exc)))
-
-    return report
+        return total, dimension, shape, ("tau-equivariance", False, str(exc))
+    if mirrored.summands is not mirror[0]:
+        mirror[:] = mirrored.summands, _mirror_images(mirrored.summands)
+    return total, dimension, shape, ("tau-equivariance", images == mirror[1], "")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +479,10 @@ def _sweep_row(task) -> SweepResult:
     both.  The second order reuses the counts and the tally only if its
     record holds the very summands tuple that they read; otherwise it gets
     its own.  The sorted images of the mirrored record are shared the same
-    way.  Each order gets every check of :func:`verify`."""
+    way.  Each order gets every check of :func:`verify`, from the same body,
+    ``_verify``, read as ``(name, ok, detail)`` values: a failing one is
+    formatted as ``verify``'s ``Check`` would be, and no ``Check`` or
+    ``Report`` is built."""
     p, nu, run_verify = task
     counts, m_pairs, pairs, failures = dict.fromkeys(KINDS, 0), 0, 0, []
     for nu2 in restricted_weights(p):
@@ -499,8 +507,8 @@ def _sweep_row(task) -> SweepResult:
                 counts[kind] += n
             m_pairs += kinds["M"] > 0  # multiplicities are positive
             if run_verify:
-                failures += [f"{_tag(left, right)}: {c.name} {c.detail}"
-                             for c in _verify(d, tally, mirror).failures()]
+                failures += [f"{_tag(left, right)}: {name} {detail}"
+                             for name, ok, detail in _verify(d, tally, mirror) if not ok]
     return SweepResult(p, pairs, counts, m_pairs, failures)
 
 

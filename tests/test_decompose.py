@@ -24,8 +24,10 @@ from sl3tensor.alcoves import (
 from sl3tensor.decompose import (
     FLOOR_FACETS,
     KINDS,
+    Check,
     Decomposition,
     IntegrityError,
+    Report,
     Summand,
     SweepResult,
     _KIND_CHAR,
@@ -238,7 +240,13 @@ def test_decompose_case3_worked_example():
     }
     assert d.dim_product == 324
     assert [summand_dim(s, 5) for s in d.summands] == [165, 90, 63, 6]
-    assert verify(d).passed
+    report = verify(d)
+    assert report.passed
+    # the public report, pinned: its checks' names, verdicts and details
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("character-sum", True, ""), ("dimension", True, "324 vs 324"),
+        ("summand-shape", True, ""), ("tau-equivariance", True, "")]
+    assert all(type(c) is Check and c.ok is True for c in report.checks)
 
 
 def test_decompose_case2_worked_example():
@@ -1106,7 +1114,9 @@ def test_a_verified_sweep_builds_no_checked_character(monkeypatch):
 
 def test_a_verified_sweep_builds_no_checked_record(monkeypatch):
     # cold: decompose checks each unordered pair's inputs once, in its body,
-    # and builds its records, and the interned summands, from checked parts
+    # and builds its records, and the interned summands, from checked parts;
+    # the sweep reads each order's checks as plain values, so only the
+    # public verify builds a Report of Checks
     decompose_module = sys.modules["sl3tensor.decompose"]
     calls = Counter()
 
@@ -1116,17 +1126,21 @@ def test_a_verified_sweep_builds_no_checked_record(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for cls in (Decomposition, Summand):
+    for cls in (Decomposition, Summand, Check, Report):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     monkeypatch.setattr(decompose_module, "_check_pair",
                         counted("_check_pair", decompose_module._check_pair))
     _clear_sweep_caches()
     assert sweep(5, run_verify=True).passed
     assert calls == {"_check_pair": 325}
+    # one public verify wraps its four checks in one report
+    assert verify(decompose((3, 1), (3, 1), 5)).passed
+    assert calls == {"_check_pair": 325, "Check": 4, "Report": 1}
     # the counts see a checked construction of each record
     s = Summand("T", (1, 1), 1)
     Decomposition(5, (0, 0), (0, 0), 1, (s,), 1)
-    assert calls == {"_check_pair": 326, "Summand": 1, "Decomposition": 1}
+    assert calls == {"_check_pair": 326, "Check": 4, "Report": 1, "Summand": 1,
+                     "Decomposition": 1}
 
 
 def test_buckets_of_the_raw_lr_product_match_the_checked_product_on_every_p5_pair():
@@ -1180,6 +1194,41 @@ def _plant_bk_sign_flip(monkeypatch):
     monkeypatch.setattr(decompose_module, "_bk_product", flipped)
 
 
+def _plant_in_records(monkeypatch, change):
+    """``Decomposition._trusted``, the record builder that ``decompose``
+    calls for both orders, with ``change`` applied to each record's fields."""
+    real = Decomposition._trusted
+    monkeypatch.setattr(Decomposition, "_trusted", lambda *fields: real(*change(*fields)))
+
+
+def _plant_dimension_off_by_one(monkeypatch):
+    """Each case-2 record holds one more than its product's dimension."""
+    _plant_in_records(monkeypatch, lambda p, left, right, case, summands, dim:
+                      (p, left, right, case, summands, dim + (case == 2)))
+
+
+def _plant_case_3_recorded_as_1(monkeypatch):
+    """Each case-3 record holds case 1."""
+    _plant_in_records(monkeypatch, lambda p, left, right, case, summands, dim:
+                      (p, left, right, 1 if case == 3 else case, summands, dim))
+
+
+def _plant_failing_pair(monkeypatch):
+    """``(1, 2) x (3, 0)`` raises in both orders, so its mirror, ``(0, 3) x
+    (2, 1)``, fails tau-equivariance with its message."""
+    def refused(p, left, right, *rest):
+        if {left, right} == {(1, 2), (3, 0)}:
+            raise IntegrityError(f"planted in {left} x {right}", block=left)
+        return p, left, right, *rest
+
+    _plant_in_records(monkeypatch, refused)
+
+
+def _plant_identity_involution(monkeypatch):
+    """The involution that verify mirrors by read as the identity."""
+    monkeypatch.setattr(sys.modules["sl3tensor.decompose"], "tau", lambda w: w)
+
+
 def _failures_pair_by_pair(p):
     """The failures of a sweep, from ``decompose`` and the public ``verify``
     on each ordered pair in turn."""
@@ -1196,9 +1245,18 @@ def _failures_pair_by_pair(p):
     return sorted(failures)
 
 
-@pytest.mark.parametrize("plant", [_plant_bk_sign_flip, _plant_wrong_row],
-                         ids=["brauer-klimyk-sign", "wrong-row"])
-def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch, plant):
+@pytest.mark.parametrize("plant, failed", [
+    (_plant_bk_sign_flip, "character-sum"),
+    (_plant_wrong_row, "character-sum"),
+    (_plant_dimension_off_by_one, "dimension"),
+    (_plant_case_3_recorded_as_1, "summand-shape"),
+    (_plant_failing_pair, "tau-equivariance planted"),
+    (_plant_identity_involution, "tau-equivariance"),
+], ids=["brauer-klimyk-sign", "wrong-row", "dimension", "recorded-case", "failing-mirror",
+        "identity-involution"])
+def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch, plant, failed):
+    # each plant fails the check named by ``failed``; the sweep's failure
+    # strings equal the public verify's, byte for byte
     def clear():  # the results; the rows stay as planted
         decompose.cache_clear()
         _resolve_facets.cache_clear()
@@ -1212,6 +1270,7 @@ def test_a_planted_fault_fails_the_same_pairs_as_a_pair_by_pair_loop(monkeypatch
     finally:
         clear()
     assert swept == reference
+    assert any(f.split(": ", 1)[1].startswith(failed) for f in swept), swept[:5]
     # both orders of some pair fail: the shared work hides no order
     pairs = {tuple(f.split(": ")[0].split(" x ")) for f in swept}
     assert any((right, left) in pairs for left, right in pairs if left != right)
