@@ -19,12 +19,10 @@ pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
 memoized per weight behind the checks of ``weights._checked_cache``;
 ``_placed`` holds both answers past the checks, one entry per product weight
 of ``decompose``.  ``linked_weight`` and ``region_weights`` read the class of
-a representative, built on first use from its orbit under the affine Weyl
-group (``_class``), whose candidates are labelled by ``_label``, the body of
-``classify`` past its checks, uncached: the candidates are dominant by
-construction and the callers have checked p.  The ``classify`` memo holds
-only the weights callers ask about.
-Nothing is built per prime, so a huge prime answers at once.  Every function
+a representative (``_class``): its images under the 14 affine Weyl elements
+of ``_ELEMENTS``, one per alcove, labelled by ``_label``, the uncached body of
+``classify``.  Nothing is built per prime and the walk of ``canonical_rep``
+starts mod 3p, so a huge prime or weight answers at once.  Every function
 here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
 
@@ -35,10 +33,15 @@ from typing import Dict, List, Optional, Tuple
 
 from .weights import WEYL_GROUP, Weight, _check_prime, _checked_cache, is_dominant, pairings
 
-ALCOVES = (
-    "C1", "C2", "C3", "C3p", "C4", "C4p", "C5", "C6", "C6p",
-    "C7", "C8", "C8p", "C9", "C9p",
-)
+# alcove -> (index of A in WEYL_GROUP, u, v): the element x + rho -> A(x + rho)
+# + p(u, v) of the affine Weyl group W_p = W x pZ(roots) that maps the bottom
+# alcove onto it, the same at every p (the linkage principle, Jantzen RAGS II.6)
+_ELEMENTS = {
+    "C1": (0, 0, 0), "C2": (5, 1, 1), "C3": (3, 1, 1), "C3p": (4, 1, 1), "C4": (2, 1, 1),
+    "C4p": (1, 1, 1), "C5": (0, 1, 1), "C6": (4, 3, 0), "C6p": (3, 0, 3), "C7": (5, 2, 2),
+    "C8": (1, 3, 0), "C8p": (2, 0, 3), "C9": (3, 2, 2), "C9p": (4, 2, 2),
+}
+ALCOVES = tuple(_ELEMENTS)
 WALLS = (
     "W1|2", "W2|3", "W2|3p", "W3|4", "W3p|4p", "W4|5", "W4p|5", "W4|6",
     "W4p|6p", "W5|7", "W6|8", "W6p|8p", "W7|9", "W7|9p", "W8|9", "W8p|9p",
@@ -123,7 +126,7 @@ def classify(w: Weight, p: int) -> str:
 
 
 def _label(w: Weight, p: int) -> str:
-    """The body of :func:`classify` past its checks: w dominant, p checked."""
+    """The body of :func:`classify` past its checks: a, b >= -1 (OUT if one is -1), p checked."""
     r, s, t = pairings(w)
     vertex = {(p, p): "Vrho", (2 * p, p): "V1", (p, 2 * p): "V2"}.get((r, s))
     if vertex:
@@ -170,8 +173,9 @@ def canonical_rep(w: Weight, p: int) -> Weight:
 
 
 def _rep(w: Weight, p: int) -> Weight:
-    """The body of :func:`canonical_rep` past its check: p checked."""
-    r, s, _ = pairings(w)
+    """The body of :func:`canonical_rep` past its check, p checked: a walk from the
+    pairings mod 3p (a translation by pZ(roots)), so it is bounded at any w."""
+    r, s = (w[0] + 1) % (3 * p), (w[1] + 1) % (3 * p)
     while True:
         for image, _ in WEYL_GROUP:
             rr, ss = image(r, s)
@@ -189,22 +193,18 @@ def _rep(w: Weight, p: int) -> Weight:
 
 @lru_cache(maxsize=None)
 def _class(rep: Weight, p: int) -> Dict[str, Weight]:
-    """``{facet: w}`` over the in-region weights linked to ``rep``, from the
-    points x + rho = A(rep + rho) + p(u, v) of its orbit, A in the Weyl group
-    and u = v mod 3, in the box a, b < 3p, a + b + 2 <= 4p."""
+    """``{facet: w}`` over the in-region weights linked to ``rep``: the images
+    x + rho = A(rep + rho) + p(u, v) of ``rep``, in the closed bottom alcove,
+    under the 14 elements of ``_ELEMENTS``, one in each closed alcove."""
     r, s, _ = pairings(rep)
     index: Dict[str, Weight] = {}
-    for image, _ in WEYL_GROUP:
-        x, y = image(r, s)
-        for u in range(5):
-            for v in range(u % 3, 5, 3):
-                w = (x + u * p - 1, y + v * p - 1)
-                if not (0 <= w[0] < 3 * p and 0 <= w[1] < 3 * p and w[0] + w[1] + 2 <= 4 * p):
-                    continue
-                label = _label(w, p)  # dominant by the box; p checked by the caller
-                if label != OUT and index.setdefault(label, w) != w:
-                    raise AssertionError(
-                        f"facet {label} holds two linked weights {index[label]} and {w}")
+    for i, u, v in _ELEMENTS.values():
+        x, y = WEYL_GROUP[i][0](r, s)
+        w = (x + u * p - 1, y + v * p - 1)
+        label = _label(w, p)  # a, b >= -1 in a closed alcove; p checked by the caller
+        if label != OUT and index.setdefault(label, w) != w:
+            raise AssertionError(
+                f"facet {label} holds two linked weights {index[label]} and {w}")
     return index
 
 

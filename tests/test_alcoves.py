@@ -1,5 +1,6 @@
 import random
 import re
+import signal
 
 import pytest
 
@@ -9,7 +10,9 @@ from sl3tensor.alcoves import (
     OUT,
     VERTICES,
     WALLS,
+    _ELEMENTS,
     _class,
+    _label,
     _placed,
     canonical_rep,
     classify,
@@ -19,7 +22,7 @@ from sl3tensor.alcoves import (
     sigma,
     wall_components,
 )
-from sl3tensor.weights import dot_reflect, is_dominant, pairings, tau
+from sl3tensor.weights import WEYL_GROUP, dot_reflect, is_dominant, pairings, tau
 
 
 def test_classify_examples():
@@ -136,6 +139,55 @@ def test_canonical_rep_lands_in_bottom_closure():
             assert r >= 0 and s >= 0 and t <= p
 
 
+def _hung(*_):
+    raise TimeoutError("no answer within the alarm")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_a_far_translate_has_the_same_class(p):
+    """p(3, 0) and p(0, 3) lie in pZ(roots), so a translate by 3p * 10**24 is
+    linked to its weight; the walk to the representative starts mod 3p, so
+    it answers at once however far the translate is."""
+    far = 3 * p * 10**24
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(10)
+    try:
+        big, near = (10**30, 3), (10**30 % (3 * p), 3)
+        assert canonical_rep(big, p) == canonical_rep(near, p)
+        for facet in ALL_FACETS:
+            assert linked_weight(big, facet, p) == linked_weight(near, facet, p)
+        for a in range(-p, 3 * p):
+            for b in range(-p, 3 * p):
+                rep = canonical_rep((a, b), p)
+                for shifted in ((a + far, b), (a, b + far), (a - far, b + far)):
+                    assert canonical_rep(shifted, p) == rep, (a, b, shifted)
+                    for facet in ALL_FACETS:
+                        assert linked_weight(shifted, facet, p) == linked_weight((a, b), facet, p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_elements_are_tau_equivariant():
+    """The element of an alcove's mirror is tau A tau, with u and v swapped."""
+    def conjugate(i):  # the index of tau A tau, read on a basis
+        A = WEYL_GROUP[i][0]
+        images = [tau(A(*tau(e))) for e in ((1, 0), (0, 1))]
+        return next(j for j, (B, _) in enumerate(WEYL_GROUP) if [B(1, 0), B(0, 1)] == images)
+
+    assert tuple(_ELEMENTS) == ALCOVES
+    for alcove, (i, u, v) in _ELEMENTS.items():
+        assert _ELEMENTS[sigma(alcove)] == (conjugate(i), v, u), alcove
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_label_reads_out_on_the_chamber_walls(p):
+    # _class labels images with a coordinate of -1; none lies in the region
+    for c in range(-1, 3 * p):
+        assert _label((-1, c), p) == OUT, c
+        assert _label((c, -1), p) == OUT, c
+
+
 def test_linked_weight_examples():
     assert linked_weight((1, 3), "C3", 5) == (7, 0)
     assert linked_weight((1, 3), "C1", 5) == (0, 2)
@@ -152,7 +204,7 @@ def test_linked_weight_identity(p):
 
 
 def test_building_a_class_leaves_the_classify_memo_to_its_callers():
-    # _class classifies up to 54 orbit points; none of them was asked for
+    # _class labels the 14 images of its representative; none of them was asked for
     for fn in (classify, canonical_rep, _class):
         fn.cache_clear()
     assert linked_weight((1, 3), "C3", 5) == (7, 0)
@@ -178,7 +230,7 @@ def test_is_restricted():
     assert is_restricted((3, 1), 5)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
 def test_table_matches_direct_computation(p):
     """The block index ``{(rep, facet): w}`` built by a scan of a box larger
     than the region with the uncached bodies: ``linked_weight`` answers from

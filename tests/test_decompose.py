@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import importlib
 import json
 import os
@@ -20,6 +21,7 @@ from sl3tensor.alcoves import (
     linked_weight,
     region_weights,
     restricted_weights,
+    sigma,
 )
 from sl3tensor.decompose import (
     FLOOR_FACETS,
@@ -870,6 +872,31 @@ def test_sweep_resolves_each_distinct_block_once():
     sweep(7, run_verify=False)
     assert _row.cache_info().currsize == rows <= 33
     assert _expansion.cache_info().currsize == expansions <= 2 * 33 + 1
+
+
+def test_block_supports_at_p5_lie_in_those_at_p7(monkeypatch):
+    """The (case, support) keys of the blocks that decompose-only sweeps
+    resolve, a support being the set of facets a block's Weyl pattern
+    touches: pinned as sets at p=5 and p=7 by their sorted text, closed
+    under the facet involution, and the p=5 set inside the p=7 set."""
+    module = sys.modules["sl3tensor.decompose"]  # the package attribute is the function
+    keys, resolve = {5: set(), 7: set()}, module._resolve_facets
+    for p in keys:
+        def recording(case, pattern, seen=keys[p]):
+            seen.add((case, frozenset(f for f, _ in pattern)))
+            return resolve(case, pattern)
+        monkeypatch.setattr(module, "_resolve_facets", recording)
+        _clear_sweep_caches()
+        sweep(p, run_verify=False)
+    digests = {5: "245ea4722a68f2dc426ea7aa836f8420b5ba1b951054048a63bcb84c141dac4f",
+               7: "f59b3501187fe3a77797127e4e4228c4f10809e63f764d75be19197e3ad92f0f"}
+    for p, supports in keys.items():
+        text = "\n".join(sorted(f"{case} {' '.join(sorted(facets))}" for case, facets in supports))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[p], (p, text)
+        assert {(case, frozenset(map(sigma, facets))) for case, facets in supports} == supports
+    assert [sorted(Counter(case for case, _ in keys[p]).items()) for p in keys] == [
+        [(1, 32), (2, 26), (3, 19)], [(1, 34), (2, 33), (3, 29)]]
+    assert (len(keys[5]), len(keys[7])) == (77, 96) and keys[5] <= keys[7]
 
 
 def test_rows_are_read_only():
