@@ -11,19 +11,20 @@ labels are plain strings:
 * vertices     ``"Vrho"`` (= (p-1)rho), ``"V1"``, ``"V2"``,
 * ``"out"``    for dominant weights outside the region.
 
-Classification is by the pairing triple ``(r, s, t)`` of a weight against
-the positive coroots: the cell indices ``(r // p, s // p)`` select a box and
-the sign of ``t - (i + j + 1) p`` selects its lower or upper triangle; a
-wall is named by the alcoves half a step to either side, in doubled integer
-pairings.  ``classify`` and ``canonical_rep`` answer from the weight alone,
-memoized per weight behind the checks of ``weights._checked_cache``;
-``_placed`` holds both answers past the checks, one entry per product weight
-of ``decompose``.  ``linked_weight`` and ``region_weights`` read the class of
-a representative (``_class``): its images under the 14 affine Weyl elements
-of ``_ELEMENTS``, one per alcove, labelled by ``_label``, the uncached body of
-``classify``.  Nothing is built per prime and the walk of ``canonical_rep``
-starts mod 3p, so a huge prime or weight answers at once.  Every function
-here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
+Classification is by the pairing triple ``(r, s, t)`` of a weight against the
+positive coroots: the cell indices ``(r // p, s // p)`` select a box and the
+sign of ``t - (i + j + 1) p`` its lower or upper triangle, and ``_CELLS``
+reads each alcove's cell from its element in ``_ELEMENTS``; a wall is named by
+the alcoves half a step to either side, through a table read from ``WALLS``.
+``classify`` and ``canonical_rep`` answer from the weight alone, memoized per
+weight behind the checks of ``weights._checked_cache``; ``_placed`` holds both
+answers past the checks, one entry per product weight of ``decompose``.
+``linked_weight`` and ``region_weights`` read the class of a representative
+(``_class``): its images under the 14 affine Weyl elements of ``_ELEMENTS``,
+one per alcove, labelled by ``_label``, the uncached body of ``classify``.
+Nothing is built per prime and the walk of ``canonical_rep`` starts mod 3p, so
+a huge prime or weight answers at once.  Every function here refuses a bad p;
+``sigma`` and ``linked_weight`` refuse an unknown label.
 """
 
 from __future__ import annotations
@@ -46,33 +47,25 @@ WALLS = (
     "W1|2", "W2|3", "W2|3p", "W3|4", "W3p|4p", "W4|5", "W4p|5", "W4|6",
     "W4p|6p", "W5|7", "W6|8", "W6p|8p", "W7|9", "W7|9p", "W8|9", "W8p|9p",
 )
-VERTICES = ("Vrho", "V1", "V2")
+_VERTICES = {(1, 1): "Vrho", (2, 1): "V1", (1, 2): "V2"}  # (r, s) / p -> vertex
+VERTICES = tuple(_VERTICES.values())
 OUT = "out"
 
 ALL_FACETS = ALCOVES + WALLS + VERTICES
 
-# (r-cell, s-cell, is_upper_triangle) -> alcove label
-_CELLS = {
-    (0, 0, False): "C1", (0, 0, True): "C2",
-    (1, 0, False): "C3", (1, 0, True): "C4",
-    (0, 1, False): "C3p", (0, 1, True): "C4p",
-    (1, 1, False): "C5", (1, 1, True): "C7",
-    (2, 0, False): "C6", (2, 0, True): "C8",
-    (0, 2, False): "C6p", (0, 2, True): "C8p",
-    (2, 1, False): "C9",
-    (1, 2, False): "C9p",
-}
-
-_SIGMA_FIXED_NUMBERS = {1, 2, 5, 7}
+# {the two alcoves of a wall: wall}
+_WALL_OF = {frozenset("C" + c for c in wall[1:].split("|")): wall for wall in WALLS}
 
 
-def _parse_component(text: str) -> Tuple[int, bool]:
-    primed = text.endswith("p")
-    return int(text[:-1] if primed else text), primed
+def _cell(i: int, u: int, v: int) -> Tuple[int, int, bool]:
+    """(r-cell, s-cell, is_upper_triangle) of the image A(1, 1) + 3(u, v) of the
+    bottom alcove's centre, in pairings at p = 3, under an element of ``_ELEMENTS``."""
+    x, y = WEYL_GROUP[i][0](1, 1)
+    r, s = x + 3 * u, y + 3 * v
+    return r // 3, s // 3, r + s > (r // 3 + s // 3 + 1) * 3
 
 
-def _format_component(num: int, primed: bool) -> str:
-    return f"{num}p" if primed else str(num)
+_CELLS = {_cell(*element): alcove for alcove, element in _ELEMENTS.items()}
 
 
 def is_alcove(label: str) -> bool:
@@ -80,32 +73,19 @@ def is_alcove(label: str) -> bool:
 
 
 def wall_components(label: str) -> Tuple[Tuple[int, bool], Tuple[int, bool]]:
-    lo, hi = label[1:].split("|")
-    return _parse_component(lo), _parse_component(hi)
-
-
-def _wall_label(a: Tuple[int, bool], b: Tuple[int, bool]) -> str:
-    lo, hi = sorted((a, b))
-    return f"W{_format_component(*lo)}|{_format_component(*hi)}"
+    return tuple((int(c.rstrip("p")), c.endswith("p")) for c in label[1:].split("|"))
 
 
 def sigma(label: str) -> str:
-    """Involution on facet labels induced by the diagram involution."""
+    """Involution on facet labels induced by the diagram involution: alcoves other
+    than C1, C2, C5, C7 swap a trailing p, and walls go through their two alcoves."""
     if label not in ALL_FACETS and label != OUT:
         raise ValueError(f"unknown facet label {label!r}")
-
-    def flip(comp: Tuple[int, bool]) -> Tuple[int, bool]:
-        num, primed = comp
-        if num in _SIGMA_FIXED_NUMBERS:
-            return (num, False)
-        return (num, not primed)
-
-    if label == OUT or label in VERTICES:
+    if label in WALLS:
+        return _WALL_OF[frozenset(sigma("C" + c) for c in label[1:].split("|"))]
+    if label in ("C1", "C2", "C5", "C7") or not is_alcove(label):
         return {"V1": "V2", "V2": "V1"}.get(label, label)
-    if is_alcove(label):
-        return "C" + _format_component(*flip(_parse_component(label[1:])))
-    a, b = wall_components(label)
-    return _wall_label(flip(a), flip(b))
+    return label[:-1] if label.endswith("p") else label + "p"
 
 
 def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
@@ -128,22 +108,19 @@ def classify(w: Weight, p: int) -> str:
 def _label(w: Weight, p: int) -> str:
     """The body of :func:`classify` past its checks: a, b >= -1 (OUT if one is -1), p checked."""
     r, s, t = pairings(w)
-    vertex = {(p, p): "Vrho", (2 * p, p): "V1", (p, 2 * p): "V2"}.get((r, s))
-    if vertex:
-        return vertex
     singular = (r % p == 0) + (s % p == 0) + (t % p == 0)
     if singular == 0:
         return _open_cell(r, s, t, p) or OUT
-    if singular > 1:
-        return OUT
+    if singular > 1:  # two of r, s, t in pZ put the third there too
+        return _VERTICES.get((r // p, s // p), OUT)
     # half a step to either side of the wall, in doubled pairings against 2p
     dr, ds = (0, 1) if s % p == 0 else (1, 0)
     lower = _open_cell(2 * r - dr, 2 * s - ds, 2 * t - 1, 2 * p)
     upper = _open_cell(2 * r + dr, 2 * s + ds, 2 * t + 1, 2 * p)
     if lower is None or upper is None:
         return OUT
-    label = _wall_label(_parse_component(lower[1:]), _parse_component(upper[1:]))
-    assert label in WALLS, f"unexpected wall {label} at {w}, p={p}"
+    label = _WALL_OF.get(frozenset((lower, upper)))
+    assert label, f"no wall between {lower} and {upper} at {w}, p={p}"
     return label
 
 

@@ -16,8 +16,8 @@ from typing import List, Optional
 
 from . import structures
 from .alcoves import OUT, classify, linked_weight
-from .decompose import _KIND_CHAR, IntegrityError, decompose, sweep, verify
-from .modchar import to_simple_basis
+from .decompose import IntegrityError, decompose, sweep, verify
+from .modchar import m_char, simple_char, tilting_char, to_simple_basis
 from .weights import _PRIME_BOUND, Weight, _check_prime, _parse_int, parse_weight
 from .weylchar import Character
 
@@ -52,14 +52,15 @@ def _jobs(text: str) -> int:
 def _kind_char(kind: str, w: Weight, p: int) -> Character:
     if kind == "weyl":
         return Character("weyl", {w: 1})
-    return _KIND_CHAR[{"simple": "L", "tilting": "T", "m": "M"}[kind]](w, p)
+    # read by name at call time, so a traced function is seen
+    return {"simple": simple_char, "tilting": tilting_char, "m": m_char}[kind](w, p)
 
 
 def cmd_facet(args) -> int:
-    label = classify(parse_weight(args.weight), args.p)
+    w = parse_weight(args.weight)
+    label = classify(w, args.p)
     if args.json:
-        print(_json_dumps({"p": args.p, "weight": list(parse_weight(args.weight)),
-                           "facet": label}))
+        print(_json_dumps({"p": args.p, "weight": list(w), "facet": label}))
     else:
         print(label)
     return 0

@@ -153,11 +153,7 @@ class Decomposition(_Frozen):
         return " + ".join(str(s) for s in self.summands) or "0"
 
 
-# The Weyl character of each summand kind for the command line, by name at call
-# time, so a traced function is seen; the library reads ``_CACHED_CHAR``.
-_KIND_CHAR = {"T": lambda w, p: tilting_char(w, p),
-              "L": lambda w, p: simple_char(w, p),
-              "M": lambda w, p: m_char(w, p)}
+# The Weyl character of each summand kind, past the gates
 _CACHED_CHAR = {"T": tilting_char.cached, "L": simple_char.cached, "M": m_char.cached}
 
 

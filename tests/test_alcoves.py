@@ -10,7 +10,9 @@ from sl3tensor.alcoves import (
     OUT,
     VERTICES,
     WALLS,
+    _CELLS,
     _ELEMENTS,
+    _WALL_OF,
     _class,
     _label,
     _placed,
@@ -68,7 +70,7 @@ def test_unknown_facet_labels_are_refused():
             linked_weight((0, 0), label, 5)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_classify_tau_equivariance(p):
     for a in range(3 * p):
         for b in range(3 * p):
@@ -82,7 +84,7 @@ def test_every_facet_is_realized(p):
     assert set(ALCOVES + WALLS + VERTICES) <= seen
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_wall_adjacency(p):
     """Stepping off a wall in the singular direction lands in exactly the
     two alcoves named by the wall label."""
@@ -166,6 +168,28 @@ def test_a_far_translate_has_the_same_class(p):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_cells_are_read_from_the_elements():
+    """Each element carries the bottom alcove's centre into its own alcove's
+    cell: a wrong element shows up as a wrong or a missing cell."""
+    assert _CELLS == {
+        (0, 0, False): "C1", (0, 0, True): "C2",
+        (1, 0, False): "C3", (1, 0, True): "C4",
+        (0, 1, False): "C3p", (0, 1, True): "C4p",
+        (1, 1, False): "C5", (1, 1, True): "C7",
+        (2, 0, False): "C6", (2, 0, True): "C8",
+        (0, 2, False): "C6p", (0, 2, True): "C8p",
+        (2, 1, False): "C9",
+        (1, 2, False): "C9p",
+    }
+
+
+def test_wall_table_holds_two_alcoves_per_wall():
+    assert len(_WALL_OF) == len(WALLS) == 16
+    assert sorted(_WALL_OF.values()) == sorted(WALLS)
+    for alcoves, wall in _WALL_OF.items():
+        assert len(alcoves) == 2 and alcoves <= set(ALCOVES), wall
 
 
 def test_elements_are_tau_equivariant():

@@ -32,7 +32,7 @@ from sl3tensor.decompose import (
     Report,
     Summand,
     SweepResult,
-    _KIND_CHAR,
+    _CACHED_CHAR,
     _buckets,
     _change,
     _kind_terms,
@@ -69,7 +69,7 @@ def summand_set(d):
 def summands_char(summands, p):
     """Weyl-basis character of the direct sum of the summands."""
     return Character("weyl").combine(
-        (s.multiplicity, _KIND_CHAR[s.kind](s.weight, p)) for s in summands)
+        (s.multiplicity, _CACHED_CHAR[s.kind](s.weight, p)) for s in summands)
 
 
 def test_tensor_char_examples():
