@@ -16,9 +16,8 @@ positive coroots: the cell indices ``(r // p, s // p)`` select a box and the
 sign of ``t - (i + j + 1) p`` its lower or upper triangle, and ``_CELLS``
 reads each alcove's cell from its element in ``_ELEMENTS``; a wall is named by
 the alcoves half a step to either side, through a table read from ``WALLS``.
-``classify`` and ``canonical_rep`` answer from the weight alone, memoized per
-weight behind the checks of ``weights._checked_cache``; ``_placed`` holds both
-answers past the checks, one entry per product weight of ``decompose``.
+``_placed`` is the one memo per weight, of its representative and facet, which
+``classify`` and ``canonical_rep`` read past their checks of the weight and p.
 ``linked_weight`` and ``region_weights`` read the class of a representative
 (``_class``): its images under the 14 affine Weyl elements of ``_ELEMENTS``,
 one per alcove, labelled by ``_label``, the uncached body of ``classify``.
@@ -32,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .weights import WEYL_GROUP, Weight, _check_prime, _checked_cache, is_dominant, pairings
+from .weights import WEYL_GROUP, Weight, _check_prime, _check_weight, is_dominant, pairings
 
 # alcove -> (index of A in WEYL_GROUP, u, v): the element x + rho -> A(x + rho)
 # + p(u, v) of the affine Weyl group W_p = W x pZ(roots) that maps the bottom
@@ -96,17 +95,17 @@ def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
     return _CELLS.get((i, j, t > (i + j + 1) * p))
 
 
-@_checked_cache
 def classify(w: Weight, p: int) -> str:
     """Facet label of a dominant weight relative to p, from its pairings."""
-    _check_prime(p)
+    _check_weight(w)
+    _check_prime(p)  # an exact int before the lookup: 5.0 and True hash as 5 and 1
     if not is_dominant(w):
         raise ValueError(f"non-dominant weight {w}")
-    return _label(w, p)
+    return _placed(w, p)[1]
 
 
 def _label(w: Weight, p: int) -> str:
-    """The body of :func:`classify` past its checks: a, b >= -1 (OUT if one is -1), p checked."""
+    """The body of :func:`classify` past its checks, p checked: OUT wherever a or b < 0."""
     r, s, t = pairings(w)
     singular = (r % p == 0) + (s % p == 0) + (t % p == 0)
     if singular == 0:
@@ -126,7 +125,7 @@ def _label(w: Weight, p: int) -> str:
 
 @lru_cache(maxsize=None)
 def _placed(w: Weight, p: int) -> Tuple[Weight, str]:
-    """``(canonical_rep(w, p), classify(w, p))`` past their checks: w dominant, p checked."""
+    """``(representative, facet)`` of any w, p checked: the one memo per weight."""
     return _rep(w, p), _label(w, p)
 
 
@@ -138,15 +137,15 @@ def restricted_weights(p: int) -> List[Weight]:
     return [(a, b) for a in range(p) for b in range(p)]
 
 
-@_checked_cache
 def canonical_rep(w: Weight, p: int) -> Weight:
     """The linkage-class representative in the closed bottom alcove.
 
     Two weights are linked iff their representatives coincide.  The result
     may be non-dominant (coordinates down to -1) for singular classes.
     """
+    _check_weight(w)
     _check_prime(p)  # at a negative p the walk would never end
-    return _rep(w, p)
+    return _placed(w, p)[0]
 
 
 def _rep(w: Weight, p: int) -> Weight:

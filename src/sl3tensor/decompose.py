@@ -25,8 +25,8 @@ and the two changes, ``_change``; ``_summand``, one record per summand; and
 ``_kind_terms``, verify's one lookup per summand.  Results are immutable.
 Inputs are checked on entry; later reads of values checked or built here
 skip the gates (``.cached``, ``alcoves._placed``, ``_class``): characters,
-dimensions, facets, the other order and the τ mirror.  A sweep's
-``decompose`` of each order checks.
+dimensions, facets and representatives, the other order and the τ mirror.  A
+sweep's ``decompose`` of each order checks.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _kind_terms(kind: str, w: Weight, p: int) -> Tuple[str, tuple, int]:
     """``(facet, Weyl terms, dimension)`` of the ``kind`` module at ``w`` past
     the gates, for :func:`_tally`; no terms where its shape check refuses the
     summand before reading them: outside the region, and L or M off C2."""
-    facet = classify.cached(w, p)
+    facet = classify(w, p)  # the public name, which a tracer wraps; a miss only
     if facet == OUT or kind != "T" and facet != "C2":
         return facet, (), 0
     c = _CACHED_CHAR[kind](w, p)
@@ -297,7 +297,7 @@ def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
 
 
 def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2; inputs checked
-    return 1 + (classify.cached(nu, p) == "C2") + (classify.cached(nu2, p) == "C2")
+    return 1 + (_placed(nu, p)[1] == "C2") + (_placed(nu2, p)[1] == "C2")
 
 
 @_checked_cache

@@ -5,8 +5,8 @@ p in it, ``_expansion(kind, facet)``, derived once from the structure data:
 the Weyl factors of the stored tilting and ``m`` layers (M at C2 only), and
 for the simple module its Weyl module less the expansions of its lower
 composition factors.  The character at a weight maps the expansion at its
-facet to the weights of its class, read past the gates of ``alcoves``: all
-three are memoized by ``weights._checked_cache``, which checks the weight
+facet, read by the gate ``alcoves.classify``, to the weights of its class:
+all three are memoized by ``weights._checked_cache``, which checks the weight
 and p first (``simple_char.cache_info()`` reports hits, misses and size).
 The cached characters are immutable and built unchecked
 (``Character._trusted``): their terms are class weights and integer
@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from . import structures
-from .alcoves import OUT, _class, canonical_rep, classify
+from .alcoves import OUT, _class, _placed, classify
 from .weights import Weight, _checked_cache, dominance_leq
 from .weylchar import Character
 
@@ -57,12 +57,12 @@ def tilting_delta_factors(facet: str) -> List[str]:
 
 def _in_class(w: Weight, p: int, expansion_at, top: bool = True) -> Dict[Weight, int]:
     """``expansion_at(facet of w)``, ``(facet, k)`` terms, mapped to the weights
-    of w's class (w and p checked by the caller).  Each exists and, if w is the
-    ``top``, lies below w; a missing one is an error, not a truncation."""
-    facet = classify.cached(w, p)  # the body checks p and dominance at a miss
+    of w's class.  Each exists and, if w is the ``top``, lies below w; a
+    missing one is an error, not a truncation."""
+    facet = classify(w, p)  # the gate: the memos check an int p and dominance only here
     if facet == OUT:
         raise ValueError(f"weight {w} lies outside the fundamental region for p={p}")
-    index, out = _class(canonical_rep.cached(w, p), p), {}
+    index, out = _class(_placed(w, p)[0], p), {}
     for f, k in expansion_at(facet):
         mu = index.get(f)
         if mu is None or top and not dominance_leq(mu, w):
@@ -74,7 +74,6 @@ def _in_class(w: Weight, p: int, expansion_at, top: bool = True) -> Dict[Weight,
 
 def weyl_comp_factors(w: Weight, p: int) -> List[Weight]:
     """Composition factor weights of the Weyl module at w, each once."""
-    classify(w, p)  # the input gate, as the memoized entry points have
     return list(_in_class(w, p, lambda f: Counter(structures.delta_factors(f)).items()))
 
 
@@ -105,7 +104,7 @@ def m_char(w: Weight, p: int) -> Character:
     second-alcove weight, whose composition factors are stored in the ``m``
     record (head and socle at w, heart the three wall-reflected simples, two
     of them above w)."""
-    if classify.cached(w, p) != "C2":
+    if classify(w, p) != "C2":
         raise ValueError(f"{w} is not in the second alcove for p={p}")
     return Character._trusted("weyl", _in_class(w, p, lambda f: _expansion("M", f), top=False))
 

@@ -10,9 +10,9 @@ no module-level state, so distinct primes can be served from one process.
 Every input rule is defined here, once: a weight is two ``int``s
 (``_check_weight``), p is a prime >= 5 (``_check_prime``), and the command
 line's integers are base 10.  ``_checked_cache`` checks weights and p before
-the lookup of the memoized entry points, ``alcoves.classify`` and
-``canonical_rep`` among them, so every reader of the alcove geometry refuses
-a bad p, and a p too large for the exact primality test.
+the lookup of the memoized entry points, and the gates ``alcoves.classify``
+and ``canonical_rep`` before their memo, so every reader of the alcove
+geometry refuses a bad p, and a p too large for the exact primality test.
 """
 
 from __future__ import annotations

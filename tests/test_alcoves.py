@@ -16,6 +16,7 @@ from sl3tensor.alcoves import (
     _class,
     _label,
     _placed,
+    _rep,
     canonical_rep,
     classify,
     is_restricted,
@@ -206,10 +207,12 @@ def test_elements_are_tau_equivariant():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_label_reads_out_on_the_chamber_walls(p):
-    # _class labels images with a coordinate of -1; none lies in the region
-    for c in range(-1, 3 * p):
-        assert _label((-1, c), p) == OUT, c
-        assert _label((c, -1), p) == OUT, c
+    # _class labels images with a coordinate of -1, and _placed labels every
+    # weight canonical_rep is asked about; no non-dominant one is in the region
+    for a in range(-2 * p, 3 * p):
+        for b in range(-2 * p, 3 * p):
+            if a < 0 or b < 0:
+                assert _label((a, b), p) == OUT, (a, b)
 
 
 def test_linked_weight_examples():
@@ -228,21 +231,24 @@ def test_linked_weight_identity(p):
 
 
 def test_building_a_class_leaves_the_classify_memo_to_its_callers():
-    # _class labels the 14 images of its representative; none of them was asked for
-    for fn in (classify, canonical_rep, _class):
+    # _class labels the 14 images of its representative; none of them was
+    # asked for, so only the weight asked about is placed
+    for fn in (_placed, _class):
         fn.cache_clear()
     assert linked_weight((1, 3), "C3", 5) == (7, 0)
     assert _class.cache_info().currsize == 1
-    assert classify.cache_info().currsize == 0
+    assert _placed.cache_info().currsize == 1 and _placed((1, 3), 5) == ((0, 2), "C2")
+    assert _placed.cache_info().hits == 1  # the weight placed was (1, 3)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_one_lookup_reads_the_representative_and_the_facet(p):
-    # every dominant weight of the box a, b < 3p, those outside the region too
+    # every dominant weight of the box a, b < 3p, those outside the region
+    # too, against the uncached bodies that classify and canonical_rep read
     facets = set()
     for a in range(3 * p):
         for b in range(3 * p):
-            expect = (canonical_rep((a, b), p), classify((a, b), p))
+            expect = (_rep((a, b), p), _label((a, b), p))
             assert _placed((a, b), p) == expect, (a, b)
             facets.add(expect[1])
     assert facets == set(ALL_FACETS) | {OUT}
@@ -263,13 +269,13 @@ def test_table_matches_direct_computation(p):
     for a in range(4 * p):
         for b in range(4 * p):
             w = (a, b)
-            facet, rep = classify.__wrapped__(w, p), canonical_rep.__wrapped__(w, p)
+            facet, rep = _label(w, p), _rep(w, p)
             if a < 3 * p and b < 3 * p and a + b + 2 <= 4 * p and facet != OUT:
                 assert index.setdefault((rep, facet), w) == w, (w, facet)
                 region.append(w)
     assert region_weights(p) == region
     for a in range(4 * p):
         for b in range(4 * p):
-            rep = canonical_rep.__wrapped__((a, b), p)
+            rep = _rep((a, b), p)
             for facet in ALL_FACETS:
                 assert linked_weight((a, b), facet, p) == index.get((rep, facet)), (a, b, facet)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sl3tensor.alcoves import (
     ALL_FACETS,
     _class,
+    _placed,
     canonical_rep,
     classify,
     linked_weight,
@@ -1120,6 +1121,27 @@ def test_a_verified_sweep_reads_past_the_input_gates(monkeypatch):
     _clear_sweep_caches()
     assert sweep(5, run_verify=True).passed
     assert 2 * 625 <= passes[0] < 3 * 625, passes[0]
+
+
+def test_a_weight_is_placed_once(monkeypatch):
+    # cold: the representative walk runs once per weight and p, at a miss of
+    # _placed, the one memo per weight that classify, canonical_rep and the
+    # library read; neither gate keeps a memo of its own
+    alcoves_module = sys.modules["sl3tensor.alcoves"]
+    walks = [0]
+
+    def counted(w, p, rep=alcoves_module._rep):
+        walks[0] += 1
+        return rep(w, p)
+
+    monkeypatch.setattr(alcoves_module, "_rep", counted)
+    assert not hasattr(classify, "cache_info") and not hasattr(canonical_rep, "cache_info")
+    _clear_sweep_caches()
+    _placed.cache_clear()
+    assert sweep(5, run_verify=True).passed
+    assert walks[0] == _placed.cache_info().misses == 113
+    assert verify(decompose((12, 10), (12, 12), 13)).passed
+    assert walks[0] == _placed.cache_info().misses > 113
 
 
 def test_a_verified_sweep_builds_no_checked_character(monkeypatch):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from sl3tensor.alcoves import canonical_rep, classify, linked_weight, region_weights
+from sl3tensor.alcoves import _placed, canonical_rep, classify, linked_weight, region_weights
 from sl3tensor.decompose import decompose
 from sl3tensor.modchar import (
     from_simple_basis,
@@ -138,11 +138,14 @@ def test_m_char_is_memoized():
 ])
 def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
     # (1.0, 0) and (True, 0) hash as (1, 0), and 5.0 and True as 5 and 1: a
-    # cold and a warm cache must both reject them
-    fn.cache_clear()
+    # cold and a warm cache must both reject them.  The two alcove gates read
+    # one memo, _placed, so each is tried warm after the other placed the weight
+    gates = {classify: canonical_rep, canonical_rep: classify}
+    memo = _placed if fn in gates else fn
+    memo.cache_clear()
     for warm in (False, True):
         if warm:
-            fn(*good, 5)
+            gates.get(fn, fn)(*good, 5)
         for bad in bads:
             assert bad == good
             with pytest.raises(ValueError, match="weight must be two integers, got"):
@@ -150,10 +153,24 @@ def test_cached_functions_check_the_weight_before_the_cache(fn, good, bads):
         for p in (5.0, True):
             with pytest.raises(ValueError, match=f"p must be a prime >= 5, got {p}"):
                 fn(*good, p)
+    if fn in gates:  # a gate keeps no memo of its own
+        assert _placed.cache_info().currsize == 1 and not hasattr(fn, "cache_info")
+        return
     # the cache's counters, the cache itself as cached, and the uncached body
     # as __wrapped__
     assert fn.cache_info().currsize >= 1 and not hasattr(fn.__wrapped__, "cache_info")
     assert fn.cached.__wrapped__ is fn.__wrapped__ and fn.cached.cache_info() == fn.cache_info()
+
+
+def test_a_placed_non_dominant_weight_is_still_refused():
+    # canonical_rep answers for any weight, so _placed holds (-1, 0) with
+    # facet OUT; every reader that needs a dominant weight still refuses it
+    _placed.cache_clear()
+    assert canonical_rep((-1, 0), 5) == (-1, 0)
+    assert _placed.cache_info().currsize == 1 and _placed((-1, 0), 5) == ((-1, 0), "out")
+    for fn in (classify, simple_char, tilting_char, m_char, weyl_comp_factors):
+        with pytest.raises(ValueError, match=re.escape("non-dominant weight (-1, 0)")):
+            fn((-1, 0), 5)
 
 
 def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
