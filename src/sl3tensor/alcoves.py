@@ -11,19 +11,19 @@ labels are plain strings:
 * vertices     ``"Vrho"`` (= (p-1)rho), ``"V1"``, ``"V2"``,
 * ``"out"``    for dominant weights outside the region.
 
-Classification is by the pairing triple ``(r, s, t)`` of a weight against the
-positive coroots: the cell indices ``(r // p, s // p)`` select a box and the
-sign of ``t - (i + j + 1) p`` its lower or upper triangle, and ``_CELLS``
-reads each alcove's cell from its element in ``_ELEMENTS``; a wall is named by
+Every fact is read from one p-free table of affine Weyl elements, one per cell
+of the box [0, 3p)^2 of pairings ``(r, s, t)`` with the positive coroots: the
+indices ``(r // p, s // p)`` and the sign of ``t - (i + j + 1) p`` name a cell.
+``_CELLS`` holds the cells of the 14 alcoves of ``_ELEMENTS``, ``_BOX`` all 18
+with each element's inverse, and ``canonical_rep`` applies the one whose cell
+holds the pairings mod 3p.  ``sigma`` transposes the cells; a wall is named by
 the alcoves half a step to either side, through a table read from ``WALLS``.
-``_placed`` is the one memo per weight, of its representative and facet, which
-``classify`` and ``canonical_rep`` read past their checks of the weight and p.
-``linked_weight`` and ``region_weights`` read the class of a representative
-(``_class``): its images under the 14 affine Weyl elements of ``_ELEMENTS``,
-one per alcove, labelled by ``_label``, the uncached body of ``classify``.
-Nothing is built per prime and the walk of ``canonical_rep`` starts mod 3p, so
-a huge prime or weight answers at once.  Every function here refuses a bad p;
-``sigma`` and ``linked_weight`` refuse an unknown label.
+``_placed`` is the one memo per weight, of its representative and facet, read
+past the checks of ``classify`` and ``canonical_rep``.  ``linked_weight`` and
+``region_weights`` read ``_class``, the images of a representative under the 14
+elements, labelled by ``_label``, the uncached body of ``classify``.  Nothing is
+built per prime, so a huge prime or weight answers at once.  Every function
+here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
 """
 
 from __future__ import annotations
@@ -58,17 +58,22 @@ _WALL_OF = {frozenset("C" + c for c in wall[1:].split("|")): wall for wall in WA
 
 def _cell(i: int, u: int, v: int) -> Tuple[int, int, bool]:
     """(r-cell, s-cell, is_upper_triangle) of the image A(1, 1) + 3(u, v) of the
-    bottom alcove's centre, in pairings at p = 3, under an element of ``_ELEMENTS``."""
+    bottom alcove's centre, in pairings at p = 3, under an element (A, u, v)."""
     x, y = WEYL_GROUP[i][0](1, 1)
     r, s = x + 3 * u, y + 3 * v
     return r // 3, s // 3, r + s > (r // 3 + s // 3 + 1) * 3
 
 
 _CELLS = {_cell(*element): alcove for alcove, element in _ELEMENTS.items()}
-
-
-def is_alcove(label: str) -> bool:
-    return label.startswith("C")
+# {cell: (A^-1, u, v)} over the 18 closed cells of the box: the 14 alcoves' and the
+# four beyond the region; A^-1 carries A(1, 1) back to (1, 1), as rho is regular
+_BOX = {_cell(i, u, v): (B, u, v)
+        for i, u, v in (*_ELEMENTS.values(), (0, 2, 2), (1, 2, 2), (2, 2, 2), (5, 3, 3))
+        for B, _ in WEYL_GROUP if B(*WEYL_GROUP[i][0](1, 1)) == (1, 1)}
+# tau swaps the pairings r and s: it transposes the cells and the vertices
+_SIGMA = {OUT: OUT, **{alcove: _CELLS[j, i, up] for (i, j, up), alcove in _CELLS.items()},
+          **{vertex: _VERTICES[j, i] for (i, j), vertex in _VERTICES.items()}}
+_SIGMA.update({wall: _WALL_OF[frozenset(map(_SIGMA.get, pair))] for pair, wall in _WALL_OF.items()})
 
 
 def wall_components(label: str) -> Tuple[Tuple[int, bool], Tuple[int, bool]]:
@@ -76,15 +81,10 @@ def wall_components(label: str) -> Tuple[Tuple[int, bool], Tuple[int, bool]]:
 
 
 def sigma(label: str) -> str:
-    """Involution on facet labels induced by the diagram involution: alcoves other
-    than C1, C2, C5, C7 swap a trailing p, and walls go through their two alcoves."""
+    """Involution on facet labels induced by the diagram involution (``_SIGMA``)."""
     if label not in ALL_FACETS and label != OUT:
         raise ValueError(f"unknown facet label {label!r}")
-    if label in WALLS:
-        return _WALL_OF[frozenset(sigma("C" + c) for c in label[1:].split("|"))]
-    if label in ("C1", "C2", "C5", "C7") or not is_alcove(label):
-        return {"V1": "V2", "V2": "V1"}.get(label, label)
-    return label[:-1] if label.endswith("p") else label + "p"
+    return _SIGMA[label]
 
 
 def _open_cell(r: int, s: int, t: int, p: int) -> Optional[str]:
@@ -138,33 +138,24 @@ def restricted_weights(p: int) -> List[Weight]:
 
 
 def canonical_rep(w: Weight, p: int) -> Weight:
-    """The linkage-class representative in the closed bottom alcove.
+    """The linkage-class representative in the closed bottom alcove, by one lookup.
 
     Two weights are linked iff their representatives coincide.  The result
     may be non-dominant (coordinates down to -1) for singular classes.
     """
     _check_weight(w)
-    _check_prime(p)  # at a negative p the walk would never end
+    _check_prime(p)  # at a negative p the pairings mod 3p would miss the box
     return _placed(w, p)[0]
 
 
 def _rep(w: Weight, p: int) -> Weight:
-    """The body of :func:`canonical_rep` past its check, p checked: a walk from the
-    pairings mod 3p (a translation by pZ(roots)), so it is bounded at any w."""
+    """The body of :func:`canonical_rep` past its check, p checked: the inverse of the
+    element of the closed cell of ``_BOX`` holding the pairings mod 3p (a pZ(roots) shift)."""
     r, s = (w[0] + 1) % (3 * p), (w[1] + 1) % (3 * p)
-    while True:
-        for image, _ in WEYL_GROUP:
-            rr, ss = image(r, s)
-            if rr >= 0 and ss >= 0:
-                r, s = rr, ss
-                break
-        else:  # pragma: no cover - the orbit always meets the dominant cone
-            raise AssertionError(f"no dominant Weyl image for {(r, s)}")
-        t = r + s
-        if t <= p:
-            return (r - 1, s - 1)
-        u = (t - 1) % p + 1  # reflect in the wall t = mp just below t
-        r, s = r - u, s - u
+    i, j = r // p, s // p
+    inverse, u, v = _BOX[i, j, r + s > (i + j + 1) * p]
+    x, y = inverse(r - u * p, s - v * p)
+    return (x - 1, y - 1)
 
 
 @lru_cache(maxsize=None)

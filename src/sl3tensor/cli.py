@@ -191,9 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_p(sp):
         sp.add_argument("--p", type=_prime, required=True, help="prime >= 5")
 
+    def add_weight(sp, flag):  # a separate "-1,3" would read as an option
+        sp.add_argument(flag, required=True, help=f"weight 'a,b'; write {flag}=-1,3 when a < 0")
+
     def add_common(sp):
         add_p(sp)
-        sp.add_argument("--weight", required=True, help="weight 'a,b'")
+        add_weight(sp, "--weight")
         sp.add_argument("--json", action="store_true", help="emit JSON")
 
     sp = sub.add_parser("facet", help="classify a weight into its facet")
@@ -215,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="decompose a tensor product")
     add_p(sp)
-    sp.add_argument("--lhs", required=True, help="weight 'a,b'")
-    sp.add_argument("--rhs", required=True, help="weight 'a,b'")
+    add_weight(sp, "--lhs")
+    add_weight(sp, "--rhs")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_decompose)
 
@@ -239,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diagram", help="layered module diagram as DOT")
     add_p(sp)
     sp.add_argument("--kind", required=True, choices=("delta", "tilting", "m"))
-    sp.add_argument("--weight", required=True, help="weight 'a,b'")
+    add_weight(sp, "--weight")
     sp.set_defaults(func=cmd_diagram)
 
     return parser

@@ -1,4 +1,3 @@
-import random
 import re
 import signal
 
@@ -10,6 +9,7 @@ from sl3tensor.alcoves import (
     OUT,
     VERTICES,
     WALLS,
+    _BOX,
     _CELLS,
     _ELEMENTS,
     _WALL_OF,
@@ -51,6 +51,21 @@ def test_classify_out_of_region():
     assert classify((9, 9), 5) == OUT         # apex point, doubly singular
 
 
+def _walk(w, p):
+    """The weight of the closed bottom alcove linked to w, by dot reflections:
+    in the walls of a1 and a2 into the dominant chamber, then in the theta
+    wall just below, until <w + rho, theta^> is at most p."""
+    for _ in range(100):
+        r, s, t = pairings(w)
+        if r < 0 or s < 0:
+            w = dot_reflect(w, "a1" if r < 0 else "a2", 0, p)
+        elif t > p:
+            w = dot_reflect(w, "theta", (t - 1) // p, p)
+        else:
+            return w
+    raise AssertionError(f"no walk from {w} at p={p}")
+
+
 def test_sigma_is_involution_on_labels():
     for label in ALCOVES + WALLS + VERTICES + (OUT,):
         assert sigma(sigma(label)) == label
@@ -58,6 +73,19 @@ def test_sigma_is_involution_on_labels():
     assert sigma("W2|3") == "W2|3p"
     assert sigma("W7|9") == "W7|9p"
     assert sigma("V1") == "V2"
+
+
+def test_sigma_keeps_the_rule_on_names():
+    # the table read from the transposed cells keeps the naming rule: four
+    # alcoves, Vrho and OUT fixed, V1 and V2 swapped, every other alcove
+    # toggling its trailing p, and each wall through its two alcoves
+    fixed = ("C1", "C2", "C5", "C7", "Vrho", OUT)
+    assert [sigma(label) for label in fixed] == list(fixed)
+    assert (sigma("V1"), sigma("V2")) == ("V2", "V1")
+    for alcove in set(ALCOVES) - set(fixed):
+        assert sigma(alcove) == (alcove[:-1] if alcove.endswith("p") else alcove + "p")
+    for wall in WALLS:
+        assert sigma(wall) == _WALL_OF[frozenset(sigma("C" + c) for c in wall[1:].split("|"))]
 
 
 def test_unknown_facet_labels_are_refused():
@@ -125,21 +153,27 @@ def test_canonical_rep_examples():
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_canonical_rep_reflection_invariant(p):
-    rng = random.Random(5)
-    for _ in range(300):
-        w = (rng.randint(0, 3 * p - 2), rng.randint(0, 3 * p - 2))
-        root = rng.choice(["a1", "a2", "theta"])
-        m = rng.randint(0, 3)
-        image = dot_reflect(w, root, m, p)
-        if is_dominant(image):
-            assert canonical_rep(image, p) == canonical_rep(w, p)
+    # every weight of [-3p, 6p)^2, dominant or not, through every wall of
+    # each root at m = -2 .. 4: cells of the box and beyond it alike
+    for a in range(-3 * p, 6 * p):
+        for b in range(-3 * p, 6 * p):
+            rep = canonical_rep((a, b), p)
+            for root in ("a1", "a2", "theta"):
+                for m in range(-2, 5):
+                    image = dot_reflect((a, b), root, m, p)
+                    assert canonical_rep(image, p) == rep, ((a, b), root, m)
 
 
 def test_canonical_rep_lands_in_bottom_closure():
+    # in the closed bottom alcove, and linked to w: the walk by dot
+    # reflections reaches the same weight
     for p in (5, 7):
-        for w in region_weights(p):
-            r, s, t = pairings(canonical_rep(w, p))
-            assert r >= 0 and s >= 0 and t <= p
+        for a in range(-3 * p, 6 * p):
+            for b in range(-3 * p, 6 * p):
+                rep = canonical_rep((a, b), p)
+                r, s, t = pairings(rep)
+                assert r >= 0 and s >= 0 and t <= p, (a, b)
+                assert rep == _walk((a, b), p), (a, b)
 
 
 def _hung(*_):
@@ -149,8 +183,8 @@ def _hung(*_):
 @pytest.mark.parametrize("p", [5, 7])
 def test_a_far_translate_has_the_same_class(p):
     """p(3, 0) and p(0, 3) lie in pZ(roots), so a translate by 3p * 10**24 is
-    linked to its weight; the walk to the representative starts mod 3p, so
-    it answers at once however far the translate is."""
+    linked to its weight; the representative is read from the pairings mod
+    3p, so it answers at once however far the translate is."""
     far = 3 * p * 10**24
     previous = signal.signal(signal.SIGALRM, _hung)
     signal.alarm(10)
@@ -184,6 +218,24 @@ def test_cells_are_read_from_the_elements():
         (2, 1, False): "C9",
         (1, 2, False): "C9p",
     }
+
+
+def test_box_holds_one_element_per_cell():
+    """The 18 elements reach the 18 cells of the box one each, the 14 region
+    cells with the elements of ``_ELEMENTS``, and ``_rep`` carries every
+    regular point of the box into the open bottom alcove."""
+    assert set(_BOX) == {(i, j, up) for i in range(3) for j in range(3) for up in (False, True)}
+    for cell, alcove in _CELLS.items():
+        inverse, u, v = _BOX[cell]
+        i = next(i for i, (A, _) in enumerate(WEYL_GROUP)
+                 if inverse(*A(1, 0)) == (1, 0) and inverse(*A(0, 1)) == (0, 1))
+        assert (i, u, v) == _ELEMENTS[alcove], alcove
+    for p in (5, 7):
+        for r in range(3 * p):
+            for s in range(3 * p):
+                if r % p and s % p and (r + s) % p:
+                    x, y, t = pairings(_rep((r - 1, s - 1), p))
+                    assert x > 0 and y > 0 and t < p, (r, s, p)
 
 
 def test_wall_table_holds_two_alcoves_per_wall():
@@ -263,19 +315,21 @@ def test_is_restricted():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
 def test_table_matches_direct_computation(p):
     """The block index ``{(rep, facet): w}`` built by a scan of a box larger
-    than the region with the uncached bodies: ``linked_weight`` answers from
-    it at every facet, and ``region_weights`` lists its weights."""
+    than the region with the uncached ``_label``, grouped by the walk of dot
+    reflections, not by the element table: ``linked_weight`` answers from it
+    at every facet, and ``region_weights`` lists its weights."""
+    walked = {(a, b): _walk((a, b), p) for a in range(4 * p) for b in range(4 * p)}
     index, region = {}, []
     for a in range(4 * p):
         for b in range(4 * p):
             w = (a, b)
-            facet, rep = _label(w, p), _rep(w, p)
+            facet, rep = _label(w, p), walked[w]
             if a < 3 * p and b < 3 * p and a + b + 2 <= 4 * p and facet != OUT:
                 assert index.setdefault((rep, facet), w) == w, (w, facet)
                 region.append(w)
     assert region_weights(p) == region
     for a in range(4 * p):
         for b in range(4 * p):
-            rep = _rep((a, b), p)
+            rep = walked[a, b]
             for facet in ALL_FACETS:
                 assert linked_weight((a, b), facet, p) == index.get((rep, facet)), (a, b, facet)

@@ -38,6 +38,22 @@ def test_facet_parse_error(capsys):
     assert err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["facet", "--weight=-1,3"], "non-dominant weight (-1, 3)"),
+    (["decompose", "--lhs=-1,0", "--rhs", "0,0"], "weight (-1, 0) is not restricted for p=5"),
+])
+def test_a_negative_first_entry_is_joined_to_its_flag(capsys, argv, message):
+    # argparse reads a separate "-1,3" as an option, so the help says to join
+    # the value to its flag with "="; the weight then reaches the library
+    code, out, err = run(capsys, argv[0], "--p", "5", *argv[1:])
+    assert code == 2 and out == "" and err == message + "\n"
+    flag, value = argv[1].split("=")
+    code, out, err = run(capsys, argv[0], "--p", "5", flag, value, *argv[2:])
+    assert code == 2 and out == "" and f"argument {flag}: expected one argument" in err
+    code, out, _ = run(capsys, argv[0], "--help")
+    assert f"{flag}=-1,3 when a < 0" in out
+
+
 def test_dim_command(capsys):
     code, out, _ = run(capsys, "dim", "--p", "5", "--weight", "0,5", "--kind", "simple")
     assert code == 0 and out.strip() == "3"

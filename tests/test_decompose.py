@@ -1106,32 +1106,44 @@ def test_a_verified_sweep_shares_each_unordered_pairs_products(monkeypatch):
 
 
 def test_a_verified_sweep_reads_past_the_input_gates(monkeypatch):
-    # cold: the sweep's own decompose of each of the 625 ordered pairs
-    # checks its two weights, and the library reads what it has checked or
-    # built past the gates; a read that slips back through one adds at
-    # least 600 passes
-    weights_module = sys.modules["sl3tensor.weights"]
-    passes = [0]
+    # cold, counted through each module's own binding of _check_weight: the
+    # checked caches (weights) see the sweep's decompose of the 625 ordered
+    # pairs (2 * 625) and simple_dim of the 25 restricted weights; the
+    # classify gate (alcoves) runs only at a character's or _kind_terms's
+    # memo miss, _check_pair (decompose) once per unordered pair, and
+    # weylchar's check only in a checked Character, which the sweep never
+    # builds; a library read that slips through a gate moves a count
+    bindings = ("weights", "alcoves", "decompose", "weylchar")
+    modules = {name: sys.modules[f"sl3tensor.{name}"] for name in bindings}
+    assert {name for name, module in sys.modules.items()
+            if name.startswith("sl3tensor.") and hasattr(module, "_check_weight")} == {
+        f"sl3tensor.{name}" for name in bindings}
+    passes = Counter()
 
-    def counted(w, check=weights_module._check_weight):
-        passes[0] += 1
-        check(w)
+    def counted(name, check):
+        def wrapper(w):
+            passes[name] += 1
+            check(w)
+        return wrapper
 
-    monkeypatch.setattr(weights_module, "_check_weight", counted)
+    for name, module in modules.items():
+        monkeypatch.setattr(module, "_check_weight", counted(name, module._check_weight))
     _clear_sweep_caches()
     assert sweep(5, run_verify=True).passed
-    assert 2 * 625 <= passes[0] < 3 * 625, passes[0]
+    counts = {name: passes[name] for name in bindings}
+    assert counts == {"weights": 1275, "alcoves": 251, "decompose": 650, "weylchar": 0}, counts
+    assert sum(counts.values()) == 2176
 
 
 def test_a_weight_is_placed_once(monkeypatch):
-    # cold: the representative walk runs once per weight and p, at a miss of
-    # _placed, the one memo per weight that classify, canonical_rep and the
-    # library read; neither gate keeps a memo of its own
+    # cold: the representative's cell lookup _rep runs once per weight and
+    # p, at a miss of _placed, the one memo per weight that classify,
+    # canonical_rep and the library read; neither gate keeps a memo of its own
     alcoves_module = sys.modules["sl3tensor.alcoves"]
-    walks = [0]
+    lookups = [0]
 
     def counted(w, p, rep=alcoves_module._rep):
-        walks[0] += 1
+        lookups[0] += 1
         return rep(w, p)
 
     monkeypatch.setattr(alcoves_module, "_rep", counted)
@@ -1139,9 +1151,9 @@ def test_a_weight_is_placed_once(monkeypatch):
     _clear_sweep_caches()
     _placed.cache_clear()
     assert sweep(5, run_verify=True).passed
-    assert walks[0] == _placed.cache_info().misses == 113
+    assert lookups[0] == _placed.cache_info().misses == 113
     assert verify(decompose((12, 10), (12, 12), 13)).passed
-    assert walks[0] == _placed.cache_info().misses > 113
+    assert lookups[0] == _placed.cache_info().misses > 113
 
 
 def test_a_verified_sweep_builds_no_checked_character(monkeypatch):
