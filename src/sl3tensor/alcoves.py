@@ -20,10 +20,11 @@ holds the pairings mod 3p.  ``sigma`` transposes the cells; a wall is named by
 the alcoves half a step to either side, through a table read from ``WALLS``.
 ``_placed`` is the one memo per weight, of its representative and facet, read
 past the checks of ``classify`` and ``canonical_rep``.  ``linked_weight`` and
-``region_weights`` read ``_class``, the images of a representative under the 14
-elements, labelled by ``_label``, the uncached body of ``classify``.  Nothing is
-built per prime, so a huge prime or weight answers at once.  Every function
-here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an unknown label.
+``region_weights`` read ``_linked``, the image of a representative under the
+element that ``_LINK`` holds for a facet, with the walls it must lie on; no class
+is kept.  Nothing is built per prime, so a huge prime or weight answers at once.
+Every function here refuses a bad p; ``sigma`` and ``linked_weight`` refuse an
+unknown label.
 """
 
 from __future__ import annotations
@@ -158,33 +159,46 @@ def _rep(w: Weight, p: int) -> Weight:
     return (x - 1, y - 1)
 
 
-@lru_cache(maxsize=None)
-def _class(rep: Weight, p: int) -> Dict[str, Weight]:
-    """``{facet: w}`` over the in-region weights linked to ``rep``: the images
-    x + rho = A(rep + rho) + p(u, v) of ``rep``, in the closed bottom alcove,
-    under the 14 elements of ``_ELEMENTS``, one in each closed alcove."""
-    r, s, _ = pairings(rep)
-    index: Dict[str, Weight] = {}
-    for i, u, v in _ELEMENTS.values():
-        x, y = WEYL_GROUP[i][0](r, s)
-        w = (x + u * p - 1, y + v * p - 1)
-        label = _label(w, p)  # a, b >= -1 in a closed alcove; p checked by the caller
-        if label != OUT and index.setdefault(label, w) != w:
-            raise AssertionError(
-                f"facet {label} holds two linked weights {index[label]} and {w}")
-    return index
+def _link() -> Dict[str, Tuple[Tuple[bool, bool, bool], Tuple[int, int, int]]]:
+    """``{facet: (walls, element)}``: the walls ``(r == 0, s == 0, r + s == p)`` of the
+    bottom alcove that hold the representatives whose class meets the facet, and an
+    element carrying them there, read at p = 6 from the labelled images of the centre,
+    wall midpoints and vertices: each facet must be reached from one place, at one image."""
+    reached: Dict[str, dict] = {}
+    for r, s in ((2, 2), (0, 3), (3, 0), (3, 3), (0, 0), (6, 0), (0, 6)):
+        for i, u, v in _ELEMENTS.values():
+            x, y = WEYL_GROUP[i][0](r, s)
+            w = (x + 6 * u - 1, y + 6 * v - 1)
+            reached.setdefault(_label(w, 6), {})[(r == 0, s == 0, r + s == 6), w] = (i, u, v)
+    assert all(len(reached.get(f, ())) == 1 for f in ALL_FACETS), {
+        f: list(reached.get(f, ())) for f in ALL_FACETS if len(reached.get(f, ())) != 1}
+    return {f: (walls, element) for f in ALL_FACETS for (walls, _), element in reached[f].items()}
+
+
+_LINK = _link()
+
+
+def _linked(rep: Weight, facet: str, p: int) -> Optional[Weight]:
+    """The weight of ``rep``'s class in ``facet``, p checked: the image A(rep + rho) +
+    p(u, v) - rho under the facet's element, if ``rep`` lies on the facet's walls."""
+    walls, (i, u, v) = _LINK[facet]
+    r, s = rep[0] + 1, rep[1] + 1
+    if walls != (r == 0, s == 0, r + s == p):
+        return None
+    x, y = WEYL_GROUP[i][0](r, s)
+    return (x + u * p - 1, y + v * p - 1)
 
 
 def region_weights(p: int) -> List[Weight]:
     """All dominant weights of the labelled region, sorted: the union of every class."""
     _check_prime(p)
-    return sorted(w for r in range(p + 1) for s in range(p + 1 - r)
-                  for w in _class((r - 1, s - 1), p).values())
+    return sorted(filter(None, (_linked((r - 1, s - 1), f, p)
+                                for r in range(p + 1) for s in range(p + 1 - r) for f in _LINK)))
 
 
 def linked_weight(w: Weight, target: str, p: int) -> Optional[Weight]:
     """The dominant in-region weight linked to w in the target facet, if any."""
-    found = _class(canonical_rep(w, p), p).get(target)
-    if found is None and target not in ALL_FACETS:
+    rep = canonical_rep(w, p)  # a bad weight or p first; the label is compared, not hashed
+    if target not in ALL_FACETS:
         raise ValueError(f"unknown facet label {target!r}")
-    return found
+    return _linked(rep, target, p)

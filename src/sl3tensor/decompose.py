@@ -24,7 +24,7 @@ the case and the block's facet pattern, at every p; the 33 rows, ``_row``,
 and the two changes, ``_change``; ``_summand``, one record per summand; and
 ``_kind_terms``, verify's one lookup per summand.  Results are immutable.
 Inputs are checked on entry; later reads of values checked or built here
-skip the gates (``.cached``, ``alcoves._placed``, ``_class``): characters,
+skip the gates (``.cached``, ``alcoves._placed``, ``_linked``): characters,
 dimensions, facets and representatives, the other order and the τ mirror.  A
 sweep's ``decompose`` of each order checks.
 """
@@ -35,7 +35,7 @@ import os
 from functools import lru_cache, partial
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .alcoves import OUT, _class, _placed, classify, is_restricted, restricted_weights
+from .alcoves import OUT, _linked, _placed, classify, is_restricted, restricted_weights
 from .modchar import _expansion, m_char, simple_char, simple_dim, tilting_char
 from .weights import Weight, _check_prime, _check_weight, _checked_cache, _is_int, tau
 from .weylchar import Character, _bk_product, _lr_product, mult, sort_key
@@ -190,8 +190,8 @@ def tensor_char(nu: Weight, nu2: Weight, p: int) -> Character:
 
 def _buckets(product: Mapping[Weight, int], p: int) -> Dict[Weight, Dict[str, int]]:
     """The ``{facet: k}`` pattern of each linkage block of a Weyl-basis
-    ``{weight: k}`` product, in its order, keyed by its representative, whose
-    ``_class`` maps it to weights.  A cancelled, zero term is skipped before
+    ``{weight: k}`` product, in its order, keyed by its representative, which
+    ``_linked`` maps to weights.  A cancelled, zero term is skipped before
     it is placed, as a ``Character`` drops it, so the patterns are the same."""
     buckets: Dict[Weight, Dict[str, int]] = {}
     for w, k in product.items():  # the kernels' weights are dominant int pairs, p is checked
@@ -275,7 +275,10 @@ def _resolve_facets(case: int, pattern: Tuple[Tuple[str, int], ...]) -> Tuple[tu
                  for kind, g in (summands if f == pivot else (("T", f),)))
 
 
-_summand = lru_cache(maxsize=None)(Summand._trusted)  # one per summand, shared by every pair
+@lru_cache(maxsize=None)
+def _summand(kind: str, rep: Weight, facet: str, k: int, p: int) -> Summand:
+    """One record per summand, shared by every pair; its weight is read at a miss."""
+    return Summand._trusted(kind, _linked(rep, facet, p), k)
 
 
 def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
@@ -283,17 +286,16 @@ def _resolve_block(rep: Weight, pattern: Tuple[Tuple[str, int], ...], case: int,
     """The summands of the block of ``rep`` with the facet ``pattern`` (its
     :func:`_buckets` items), and any failure, named in the class's weights:
     a negative part at its highest weight, a floor solve's by ``rep``."""
-    index = _class(rep, p)
     try:
         terms = _resolve_facets(case, pattern)
     except IntegrityError as exc:
         if exc.block is None:  # the floor solve's
             raise IntegrityError(f"{exc} in block {rep}", block=rep) from exc
-        parts = {index[f]: k for f, k in exc.block}
+        parts = {_linked(rep, f, p): k for f, k in exc.block}
         lead = min(parts, key=sort_key)  # the first that a greedy pass from the top meets
         raise IntegrityError(f"negative multiplicity {parts[lead]} at {lead} during greedy pass",
                              block=lead) from None
-    return [_summand(kind, index[f], k) for kind, f, k in terms]
+    return [_summand(kind, rep, f, k, p) for kind, f, k in terms]
 
 
 def _case(nu: Weight, nu2: Weight, p: int) -> int:  # 1 + the factors at C2; inputs checked

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from . import structures
-from .alcoves import OUT, _class, _placed, classify
+from .alcoves import OUT, _linked, _placed, classify
 from .weights import Weight, _checked_cache, dominance_leq
 from .weylchar import Character
 
@@ -62,9 +62,9 @@ def _in_class(w: Weight, p: int, expansion_at, top: bool = True) -> Dict[Weight,
     facet = classify(w, p)  # the gate: the memos check an int p and dominance only here
     if facet == OUT:
         raise ValueError(f"weight {w} lies outside the fundamental region for p={p}")
-    index, out = _class(_placed(w, p)[0], p), {}
+    rep, out = _placed(w, p)[0], {}
     for f, k in expansion_at(facet):
-        mu = index.get(f)
+        mu = _linked(rep, f, p)
         if mu is None or top and not dominance_leq(mu, w):
             raise AssertionError(f"no weight linked to {w}{' below it' if top else ''} "
                                  f"in facet {f} of {facet}, p={p}")

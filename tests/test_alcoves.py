@@ -1,8 +1,10 @@
 import re
 import signal
+from collections import Counter
 
 import pytest
 
+from sl3tensor import alcoves
 from sl3tensor.alcoves import (
     ALCOVES,
     ALL_FACETS,
@@ -12,8 +14,8 @@ from sl3tensor.alcoves import (
     _BOX,
     _CELLS,
     _ELEMENTS,
+    _LINK,
     _WALL_OF,
-    _class,
     _label,
     _placed,
     _rep,
@@ -97,6 +99,18 @@ def test_unknown_facet_labels_are_refused():
                 sigma(label)
         with pytest.raises(ValueError, match=re.escape(f"unknown facet label {label!r}")):
             linked_weight((0, 0), label, 5)
+
+
+@pytest.mark.parametrize("label", [["C1"], {"C1": 1}, None, "C10"])
+def test_linked_weight_refuses_a_label_of_any_type(label):
+    # the label is compared with the facet names, not hashed, so a list is
+    # unknown too; a bad weight or p is refused before the label
+    with pytest.raises(ValueError, match=re.escape(f"unknown facet label {label!r}")):
+        linked_weight((0, 0), label, 5)
+    with pytest.raises(ValueError, match=re.escape("weight must be two integers, got [0, 0]")):
+        linked_weight([0, 0], label, 5)
+    with pytest.raises(ValueError, match=re.escape("p must be a prime >= 5, got 4")):
+        linked_weight((0, 0), label, 4)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -257,10 +271,26 @@ def test_elements_are_tau_equivariant():
         assert _ELEMENTS[sigma(alcove)] == (conjugate(i), v, u), alcove
 
 
+def test_link_table_is_read_from_the_elements():
+    """The representatives whose class meets a facet lie on fixed walls
+    ``(r == 0, s == 0, t == p)`` of the bottom alcove: on none for an alcove,
+    on one for a wall, on two for a vertex; tau swaps r and s and keeps t."""
+    walls = {facet: on for facet, (on, _) in _LINK.items()}
+    assert set(walls) == set(ALL_FACETS)
+    assert all(element in _ELEMENTS.values() for _, element in _LINK.values())
+    assert all(walls[alcove] == (False, False, False) for alcove in ALCOVES)
+    assert Counter(walls[wall] for wall in WALLS) == {
+        (True, False, False): 5, (False, True, False): 5, (False, False, True): 6}
+    assert [walls[v] for v in ("Vrho", "V1", "V2")] == [
+        (True, True, False), (False, True, True), (True, False, True)]
+    for facet, (r, s, t) in walls.items():
+        assert walls[sigma(facet)] == (s, r, t), facet
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_label_reads_out_on_the_chamber_walls(p):
-    # _class labels images with a coordinate of -1, and _placed labels every
-    # weight canonical_rep is asked about; no non-dominant one is in the region
+    # _placed labels every weight canonical_rep is asked about, those off
+    # the dominant chamber too; no non-dominant one is in the region
     for a in range(-2 * p, 3 * p):
         for b in range(-2 * p, 3 * p):
             if a < 0 or b < 0:
@@ -283,12 +313,13 @@ def test_linked_weight_identity(p):
 
 
 def test_building_a_class_leaves_the_classify_memo_to_its_callers():
-    # _class labels the 14 images of its representative; none of them was
-    # asked for, so only the weight asked about is placed
-    for fn in (_placed, _class):
-        fn.cache_clear()
+    # _linked maps the representative by the facet's element and labels
+    # nothing, so only the weight asked about is placed; _placed is the
+    # module's one memo, and no class is kept
+    memos = [name for name, value in vars(alcoves).items() if hasattr(value, "cache_info")]
+    assert memos == ["_placed"]
+    _placed.cache_clear()
     assert linked_weight((1, 3), "C3", 5) == (7, 0)
-    assert _class.cache_info().currsize == 1
     assert _placed.cache_info().currsize == 1 and _placed((1, 3), 5) == ((0, 2), "C2")
     assert _placed.cache_info().hits == 1  # the weight placed was (1, 3)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sl3tensor.alcoves import (
     ALL_FACETS,
-    _class,
+    _linked,
     _placed,
     canonical_rep,
     classify,
@@ -100,8 +100,7 @@ def test_tensor_char_rejects_bad_input():
 
 def _in_weights(rep, pattern, p):
     """A block's ``{facet: k}`` pattern (or its items) read back as ``{weight: k}``."""
-    index = _class(rep, p)
-    return {index[f]: k for f, k in dict(pattern).items()}
+    return {_linked(rep, f, p): k for f, k in dict(pattern).items()}
 
 
 def test_buckets_case3():
@@ -873,6 +872,20 @@ def test_sweep_resolves_each_distinct_block_once():
     sweep(7, run_verify=False)
     assert _row.cache_info().currsize == rows <= 33
     assert _expansion.cache_info().currsize == expansions <= 2 * 33 + 1
+
+
+def test_a_verified_sweep_interns_each_summand_once():
+    # _summand is keyed on the class and the facet, not on the weight: the
+    # equal summands of all 625 records are still one object, one entry each
+    _clear_sweep_caches()
+    sweep(5, run_verify=True)
+    records = [decompose.cached(nu, nu2, 5)
+               for nu in restricted_weights(5) for nu2 in restricted_weights(5)]
+    assert decompose.cache_info().currsize == len(records) == 625
+    interned = {}
+    for s in (s for d in records for s in d.summands):
+        assert interned.setdefault((s.kind, s.weight, s.multiplicity), s) is s, s
+    assert _summand.cache_info().currsize == len(interned)
 
 
 def test_block_supports_at_p5_lie_in_those_at_p7(monkeypatch):

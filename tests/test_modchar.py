@@ -176,12 +176,12 @@ def test_a_placed_non_dominant_weight_is_still_refused():
 def test_a_missing_linked_weight_raises_instead_of_truncating(monkeypatch):
     # (3, 1) lies in C2 at p=5; its C1 weight (2, 0) is a Weyl factor of
     # its simple and its tilting character and a composition factor of its
-    # Weyl module.  Drop it from the class index that modchar reads
+    # Weyl module.  Drop it from the linked weights that modchar reads
     # (through sys.modules: the package's names shadow its submodules).
     modchar = sys.modules["sl3tensor.modchar"]
-    real = modchar._class
-    monkeypatch.setattr(modchar, "_class",
-                        lambda rep, p: {f: w for f, w in real(rep, p).items() if f != "C1"})
+    real = modchar._linked
+    monkeypatch.setattr(modchar, "_linked",
+                        lambda rep, f, p: None if f == "C1" else real(rep, f, p))
     caches = (simple_char, tilting_char, m_char)
     for fn in caches:
         fn.cache_clear()

@@ -21,7 +21,7 @@ from sl3tensor import (
     to_simple_basis,
     weyl_comp_factors,
 )
-from sl3tensor.alcoves import _class, _placed, region_weights
+from sl3tensor.alcoves import _placed, region_weights
 from sl3tensor.decompose import summand_dim
 from sl3tensor.weights import (
     _PRIME_BOUND,
@@ -190,12 +190,12 @@ def _hung(*_):
 
 @pytest.mark.parametrize("name", list(TAKES_P))
 def test_every_function_that_takes_p_refuses_a_bad_p(name):
-    # cold, then with the p=5 answer, its class and its weights placed, since 5.0
+    # cold, then with the p=5 answer and its weights placed, since 5.0
     # and True hash as 5 and 1; the message tells "5" from 5; the alarm fails
     # a call that never returns, as canonical_rep's walk would at a negative
     # p; an unhashable p must not reach a cache or the arithmetic
     call = TAKES_P[name]
-    for memo in (_placed, _class, simple_char, simple_dim, tilting_char, m_char, decompose):
+    for memo in (_placed, simple_char, simple_dim, tilting_char, m_char, decompose):
         memo.cache_clear()
     previous = signal.signal(signal.SIGALRM, _hung)
     try:
